@@ -42,6 +42,8 @@ def _parse_params(text: Optional[str]) -> Dict[str, Any]:
         key, value = chunk.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if key in params:
+            raise ParameterError(f"parameter {key!r} given more than once")
         if key == "f":
             try:
                 params[key] = tuple(int(v) for v in value.split(":"))
@@ -424,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # values of any size print in full
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,8 +7,12 @@ history. Empty sums (bound below the lower bound) are 0 by convention, which
 several presets rely on to terminate chains whose bounds go negative.
 
 Three evaluators:
-  evaluate          plain value, iterative over an explicit level stack
-  evaluate_counting value plus exact addition/leaf tallies
+  evaluate          plain value, one walk over an explicit level stack with
+                    compiled bound and body closures
+  evaluate_counting value plus exact addition/leaf tallies: the same walk,
+                    handed closures that tally as they run (each bound adds
+                    the additions its sum folds, the innermost one also the
+                    leaves; the body adds the count additions_expr gives)
   evaluate_memoized value via dense per-level tables; requires is_markov
 """
 
@@ -16,12 +20,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from itertools import accumulate
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import DomainError, ParameterError, PreconditionError, ValidationError
 from .expr import (
     Expr,
     Lit,
+    additions_expr,
     compile_expr,
     eval_expr,
     eval_expr_counted,
@@ -41,7 +47,7 @@ class LevelSpec:
     bound: Expr
 
     def __post_init__(self) -> None:
-        if self.lower not in (0, 1):
+        if isinstance(self.lower, bool) or self.lower not in (0, 1):
             raise ValidationError(f"level lower bound must be 0 or 1, got {self.lower!r}")
 
 
@@ -118,18 +124,28 @@ def _body_guarded(program: SummationProgram, history: Tuple[int, ...]) -> int:
 def evaluate(program: SummationProgram) -> int:
     """The value of the nested sum, depth-first, empty-sum convention."""
     validate(program)
-    depth = program.depth
-    if depth == 0:
+    if program.depth == 0:
         return _body_guarded(program, ())
-
     params = program.params
-    body = program.body
-    body_const = body.value if isinstance(body, Lit) else None
-    if body_const is not None and body_const < 0:
-        raise DomainError(f"body evaluated to {body_const} at history ()")
-    body_fn = None if body_const is not None else compile_expr(body, params, depth + 1)
     # compiled once per call; the closures read idx in place, no tuple copies
     bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
+    body = program.body
+    body_fn = None if isinstance(body, Lit) else compile_expr(body, params, program.depth + 1)
+    return _walk(program, bound_fns, body_fn)
+
+
+def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optional[Callable]) -> int:
+    """The level-stack walk behind evaluate and evaluate_counting.
+
+    bound_fns[k] gives the upper bound of level k+1 from the open indices;
+    body_fn gives the body's value at a full history, and is None when the
+    body is a Lit, whose leaves are then summed by multiplication.
+    """
+    depth = program.depth
+    body = program.body
+    body_const = body.value if body_fn is None else None
+    if body_const is not None and body_const < 0:
+        raise DomainError(f"body evaluated to {body_const} at history ()")
     lowers = [spec.lower for spec in program.levels]
 
     total = 0
@@ -172,7 +188,7 @@ def evaluate(program: SummationProgram) -> int:
 
 
 def evaluate_counting(program: SummationProgram) -> EvalReport:
-    """Same traversal as evaluate, with exact operation accounting.
+    """Same walk as evaluate, with exact operation accounting.
 
     Each materialized sum of m >= 1 terms costs m - 1 additions (empty sums
     cost nothing); additions inside body evaluations are counted per leaf;
@@ -188,56 +204,40 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
             raise DomainError(f"body evaluated to {value} at history ()")
         return EvalReport(value=value, additions=adds, leaves=1)
 
+    additions = leaves = 0
+
+    def tallied(bound_fn: Callable, lo: int, innermost: bool) -> Callable:
+        def bound(h: Any) -> int:
+            nonlocal additions, leaves
+            hi = bound_fn(h)
+            if hi >= lo:
+                additions += hi - lo  # this sum folds hi-lo+1 terms
+                if innermost:
+                    leaves += hi - lo + 1
+            return hi
+
+        return bound
+
+    bound_fns = [
+        tallied(compile_expr(spec.bound, params, k), spec.lower, k == depth)
+        for k, spec in enumerate(program.levels, 1)
+    ]
     body = program.body
-    body_const = body.value if isinstance(body, Lit) else None
-    if body_const is not None and body_const < 0:
-        raise DomainError(f"body evaluated to {body_const} at history ()")
+    value_fn = None if isinstance(body, Lit) else compile_expr(body, params, depth + 1)
+    per_leaf = additions_expr(body)
+    if isinstance(per_leaf, Lit):
+        body_fn = value_fn  # fixed cost: leaves * per_leaf, added at the end
+    else:
+        adds_fn = compile_expr(per_leaf, params, depth + 1)
+        per_leaf = Lit(0)
 
-    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
-    lowers = [spec.lower for spec in program.levels]
+        def body_fn(h: Any) -> int:
+            nonlocal additions
+            additions += adds_fn(h)
+            return value_fn(h)
 
-    total = 0
-    additions = 0
-    leaves = 0
-    idx: List[int] = []
-    hi_stack: List[int] = []
-    while True:
-        cut = False
-        opened = len(idx)
-        while opened < depth:
-            lo = lowers[opened]
-            hi = bound_fns[opened](idx)
-            if hi < lo:
-                cut = True
-                break
-            additions += hi - lo  # this sum folds hi-lo+1 terms
-            idx.append(lo)
-            hi_stack.append(hi)
-            opened += 1
-        if not cut:
-            lo_inner = idx[-1]
-            hi_inner = hi_stack[-1]
-            terms = hi_inner - lo_inner + 1
-            if body_const is not None:
-                total += terms * body_const
-                leaves += terms
-            else:
-                for i in range(lo_inner, hi_inner + 1):
-                    idx[-1] = i
-                    value, adds = eval_expr_counted(body, params, depth + 1, tuple(idx))
-                    if value < 0:
-                        raise DomainError(f"body evaluated to {value} at history {tuple(idx)}")
-                    total += value
-                    additions += adds
-                    leaves += 1
-            idx.pop()
-            hi_stack.pop()
-        while idx and idx[-1] >= hi_stack[-1]:
-            idx.pop()
-            hi_stack.pop()
-        if not idx:
-            return EvalReport(value=total, additions=additions, leaves=leaves)
-        idx[-1] += 1
+    value = _walk(program, bound_fns, body_fn)
+    return EvalReport(value=value, additions=additions + leaves * per_leaf.value, leaves=leaves)
 
 
 def is_markov(program: SummationProgram) -> bool:
@@ -284,50 +284,45 @@ def evaluate_memoized(program: SummationProgram) -> int:
     if depth == 0:
         return _body_guarded(program, ())
 
-    def bound_of(level: int, prev: int) -> int:
-        # Markov: only the last history slot is ever read
-        history = (0,) * (level - 2) + (prev,) if level >= 2 else ()
-        return eval_expr(program.levels[level - 1].bound, params, level, history)
+    # Markov: a bound at level k reads only the last of its k-1 history slots
+    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
+    body_fn = compile_expr(program.body, params, depth + 1)
 
     # forward pass: contiguous reachable range per level
     lo1 = program.levels[0].lower
-    b1 = bound_of(1, 0)
+    b1 = bound_fns[0](())
     if b1 < lo1:
         return 0
     ranges: List[Tuple[int, int]] = [(lo1, b1)]
+    bounds: List[List[int]] = []  # bounds[k-2]: level k's bound per index of level k-1, reused below
     for k in range(2, depth + 1):
         plo, phi = ranges[-1]
         lo = program.levels[k - 1].lower
-        hi = None
+        history = [0] * (k - 1)
+        level_bounds = []
         for v in range(plo, phi + 1):
-            b = bound_of(k, v)
-            if b >= lo and (hi is None or b > hi):
-                hi = b
-        if hi is None:
+            history[-1] = v
+            level_bounds.append(bound_fns[k - 1](history))
+        hi = max(level_bounds)
+        if hi < lo:
             return 0  # level k is empty under every reachable parent
         ranges.append((lo, hi))
+        bounds.append(level_bounds)
 
     # backward pass: table of sub-sum values per possible previous index
     lo_d, hi_d = ranges[depth - 1]
+    history = [0] * depth
     table = []
     for v in range(lo_d, hi_d + 1):
-        history = (0,) * (depth - 1) + (v,)
-        value = eval_expr(program.body, params, depth + 1, history)
+        history[-1] = v
+        value = body_fn(history)
         if value < 0:
-            raise DomainError(f"body evaluated to {value} at history {history}")
+            raise DomainError(f"body evaluated to {value} at history {tuple(history)}")
         table.append(value)
     for k in range(depth, 1, -1):
-        lo_k, hi_k = ranges[k - 1]
-        prefix = [0]
-        acc = 0
-        for value in table:
-            acc += value
-            prefix.append(acc)
-        plo, phi = ranges[k - 2]
-        table = []
-        for v in range(plo, phi + 1):
-            b = bound_of(k, v)
-            table.append(prefix[b - lo_k + 1] if b >= lo_k else 0)
+        lo_k = ranges[k - 1][0]
+        prefix = [0, *accumulate(table)]
+        table = [prefix[b - lo_k + 1] if b >= lo_k else 0 for b in bounds[k - 2]]
     return sum(table)
 
 
@@ -363,10 +358,12 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
         )
         body = expr_from_dict(data["body"])
         params = normalize_params(data.get("params", {}))
+        program = SummationProgram(depth=depth, levels=levels, body=body, params=params)
+        validate(program)
     except KeyError as exc:
         raise ValidationError(f"program dict is missing field {exc}") from None
-    program = SummationProgram(depth=depth, levels=levels, body=body, params=params)
-    validate(program)
+    except RecursionError:
+        raise ValidationError("program expressions are nested too deeply") from None
     return program
 
 

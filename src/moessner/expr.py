@@ -14,7 +14,7 @@ serialization on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Mapping, Tuple, Union
 
 from .errors import ParameterError, ValidationError
@@ -281,6 +281,64 @@ def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int
     return eval_expr(expr, params, level, history), 0
 
 
+def additions_expr(expr: Expr) -> Expr:
+    """An expression whose value is the additions eval_expr_counted tallies for expr.
+
+    Add costs 1 and IfZero its condition plus the taken branch; Table index
+    arithmetic and Custom cost nothing. Constant parts are folded, so a body
+    of fixed cost comes back as a Lit.
+    """
+    if isinstance(expr, Add):
+        return _plus(_plus(additions_expr(expr.lhs), additions_expr(expr.rhs)), Lit(1))
+    if isinstance(expr, (Sub, Mul)):
+        return _plus(additions_expr(expr.lhs), additions_expr(expr.rhs))
+    if isinstance(expr, FloorDiv):
+        return additions_expr(expr.num)
+    if isinstance(expr, IfZero):
+        then, orelse = additions_expr(expr.then), additions_expr(expr.orelse)
+        if isinstance(expr.cond, Lit):
+            taken = then if expr.cond.value == 0 else orelse
+        else:
+            taken = then if then == orelse else IfZero(expr.cond, then, orelse)
+        return _plus(additions_expr(expr.cond), taken)
+    return Lit(0)
+
+
+def _plus(lhs: Expr, rhs: Expr) -> Expr:
+    if isinstance(lhs, Lit) and isinstance(rhs, Lit):
+        return Lit(lhs.value + rhs.value)
+    if lhs == Lit(0):
+        return rhs
+    if rhs == Lit(0):
+        return lhs
+    return Add(lhs, rhs)
+
+
+# sub-expression fields of every node kind; the structural walkers below
+# (validation, references, serialization) read this instead of one branch per
+# kind. Every other dataclass field is a scalar stored as is.
+_CHILDREN: Dict[type, Tuple[str, ...]] = {
+    Lit: (),
+    Param: (),
+    Level: (),
+    Prev: (),
+    Hist: (),
+    SumHist: (),
+    ProdHist: (),
+    Table: ("index",),
+    Add: ("lhs", "rhs"),
+    Sub: ("lhs", "rhs"),
+    Mul: ("lhs", "rhs"),
+    FloorDiv: ("num",),
+    IfZero: ("cond", "then", "orelse"),
+    Custom: (),
+}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _CHILDREN}
+_SERIALIZABLE = {kind.__name__: kind for kind in _CHILDREN if kind is not Custom}
+_DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the other
+_FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table", Custom: "custom"}
+
+
 def validate_expr(expr: Expr, level: int, *, role: str) -> None:
     """Structural checks for an expression used at the given level.
 
@@ -288,38 +346,21 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> None:
     positivity is re-checked in case a node was built by deserialization
     tricks. Raises ValidationError.
     """
-    if isinstance(expr, (Lit, Param, Level, SumHist, ProdHist, Custom)):
-        if isinstance(expr, Lit) and not isinstance(expr.value, int):
-            raise ValidationError(f"literal must be an int, got {expr.value!r}")
-        return
-    if isinstance(expr, Prev):
-        if level < 2:
-            raise ValidationError(f"{role}: Prev is undefined at level 1 (no enclosing index)")
-        return
-    if isinstance(expr, Hist):
-        if not 1 <= expr.index <= level - 1:
-            raise ValidationError(
-                f"{role}: Hist({expr.index}) out of range at level {level} (valid: 1..{level - 1})"
-            )
-        return
-    if isinstance(expr, Table):
-        validate_expr(expr.index, level, role=role)
-        return
-    if isinstance(expr, (Add, Sub, Mul)):
-        validate_expr(expr.lhs, level, role=role)
-        validate_expr(expr.rhs, level, role=role)
-        return
-    if isinstance(expr, FloorDiv):
-        if expr.div <= 0:
-            raise ValidationError(f"{role}: floor-division divisor must be positive")
-        validate_expr(expr.num, level, role=role)
-        return
-    if isinstance(expr, IfZero):
-        validate_expr(expr.cond, level, role=role)
-        validate_expr(expr.then, level, role=role)
-        validate_expr(expr.orelse, level, role=role)
-        return
-    raise ValidationError(f"{role}: not an expression node: {expr!r}")
+    kind = type(expr)
+    if kind not in _CHILDREN:
+        raise ValidationError(f"{role}: not an expression node: {expr!r}")
+    if kind is Lit and (not isinstance(expr.value, int) or isinstance(expr.value, bool)):
+        raise ValidationError(f"literal must be an int, got {expr.value!r}")
+    if kind is Prev and level < 2:
+        raise ValidationError(f"{role}: Prev is undefined at level 1 (no enclosing index)")
+    if kind is Hist and not 1 <= expr.index <= level - 1:
+        raise ValidationError(
+            f"{role}: Hist({expr.index}) out of range at level {level} (valid: 1..{level - 1})"
+        )
+    if kind is FloorDiv and expr.div <= 0:
+        raise ValidationError(f"{role}: floor-division divisor must be positive")
+    for name in _CHILDREN[kind]:
+        validate_expr(getattr(expr, name), level, role=role)
 
 
 def expr_references(expr: Expr) -> Dict[str, Any]:
@@ -328,120 +369,52 @@ def expr_references(expr: Expr) -> Dict[str, Any]:
     Returns {"params": set, "table": bool, "prev": bool, "hist": set of ints,
     "sum_hist": bool, "prod_hist": bool, "level": bool, "custom": bool}.
     """
-    out: Dict[str, Any] = {
-        "params": set(),
-        "table": False,
-        "prev": False,
-        "hist": set(),
-        "sum_hist": False,
-        "prod_hist": False,
-        "level": False,
-        "custom": False,
-    }
+    out: Dict[str, Any] = {"params": set(), "hist": set()}
+    out.update(dict.fromkeys(_FLAGS.values(), False))
 
     def walk(e: Expr) -> None:
-        if isinstance(e, Param):
+        kind = type(e)
+        if kind is Param:
             out["params"].add(e.name)
-        elif isinstance(e, Level):
-            out["level"] = True
-        elif isinstance(e, Prev):
-            out["prev"] = True
-        elif isinstance(e, Hist):
+        elif kind is Hist:
             out["hist"].add(e.index)
-        elif isinstance(e, SumHist):
-            out["sum_hist"] = True
-        elif isinstance(e, ProdHist):
-            out["prod_hist"] = True
-        elif isinstance(e, Table):
-            out["table"] = True
-            walk(e.index)
-        elif isinstance(e, (Add, Sub, Mul)):
-            walk(e.lhs)
-            walk(e.rhs)
-        elif isinstance(e, FloorDiv):
-            walk(e.num)
-        elif isinstance(e, IfZero):
-            walk(e.cond)
-            walk(e.then)
-            walk(e.orelse)
-        elif isinstance(e, Custom):
-            out["custom"] = True
+        elif kind in _FLAGS:
+            out[_FLAGS[kind]] = True
+        for name in _CHILDREN.get(kind, ()):
+            walk(getattr(e, name))
 
     walk(expr)
     return out
 
 
 def expr_to_dict(expr: Expr) -> Dict[str, Any]:
-    if isinstance(expr, Lit):
-        return {"node": "Lit", "value": expr.value}
-    if isinstance(expr, Param):
-        return {"node": "Param", "name": expr.name}
-    if isinstance(expr, Level):
-        return {"node": "Level"}
-    if isinstance(expr, Prev):
-        return {"node": "Prev"}
-    if isinstance(expr, Hist):
-        return {"node": "Hist", "index": expr.index}
-    if isinstance(expr, SumHist):
-        return {"node": "SumHist"}
-    if isinstance(expr, ProdHist):
-        return {"node": "ProdHist"}
-    if isinstance(expr, Table):
-        return {"node": "Table", "index": expr_to_dict(expr.index)}
-    if isinstance(expr, Add):
-        return {"node": "Add", "lhs": expr_to_dict(expr.lhs), "rhs": expr_to_dict(expr.rhs)}
-    if isinstance(expr, Sub):
-        return {"node": "Sub", "lhs": expr_to_dict(expr.lhs), "rhs": expr_to_dict(expr.rhs)}
-    if isinstance(expr, Mul):
-        return {"node": "Mul", "lhs": expr_to_dict(expr.lhs), "rhs": expr_to_dict(expr.rhs)}
-    if isinstance(expr, FloorDiv):
-        return {"node": "FloorDiv", "num": expr_to_dict(expr.num), "div": expr.div}
-    if isinstance(expr, IfZero):
-        return {
-            "node": "IfZero",
-            "cond": expr_to_dict(expr.cond),
-            "then": expr_to_dict(expr.then),
-            "else": expr_to_dict(expr.orelse),
-        }
-    if isinstance(expr, Custom):
+    kind = type(expr)
+    if kind is Custom:
         raise ValidationError("Custom expressions are not serializable")
-    raise ValidationError(f"not an expression node: {expr!r}")
+    if kind not in _CHILDREN:
+        raise ValidationError(f"not an expression node: {expr!r}")
+    out: Dict[str, Any] = {"node": kind.__name__}
+    for name in _FIELDS[kind]:
+        value = getattr(expr, name)
+        out[_DICT_KEY.get(name, name)] = expr_to_dict(value) if name in _CHILDREN[kind] else value
+    return out
 
 
 def expr_from_dict(data: Dict[str, Any]) -> Expr:
     if not isinstance(data, dict) or "node" not in data:
         raise ValidationError(f"expression dict needs a 'node' tag: {data!r}")
     tag = data["node"]
+    kind = _SERIALIZABLE.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        raise ValidationError(f"unknown expression node tag {tag!r}")
+    values = []
     try:
-        if tag == "Lit":
-            return Lit(data["value"])
-        if tag == "Param":
-            return Param(data["name"])
-        if tag == "Level":
-            return Level()
-        if tag == "Prev":
-            return Prev()
-        if tag == "Hist":
-            return Hist(data["index"])
-        if tag == "SumHist":
-            return SumHist()
-        if tag == "ProdHist":
-            return ProdHist()
-        if tag == "Table":
-            return Table(expr_from_dict(data["index"]))
-        if tag == "Add":
-            return Add(expr_from_dict(data["lhs"]), expr_from_dict(data["rhs"]))
-        if tag == "Sub":
-            return Sub(expr_from_dict(data["lhs"]), expr_from_dict(data["rhs"]))
-        if tag == "Mul":
-            return Mul(expr_from_dict(data["lhs"]), expr_from_dict(data["rhs"]))
-        if tag == "FloorDiv":
-            return FloorDiv(expr_from_dict(data["num"]), data["div"])
-        if tag == "IfZero":
-            return IfZero(expr_from_dict(data["cond"]), expr_from_dict(data["then"]), expr_from_dict(data["else"]))
+        for name in _FIELDS[kind]:
+            value = data[_DICT_KEY.get(name, name)]
+            values.append(expr_from_dict(value) if name in _CHILDREN[kind] else value)
     except KeyError as exc:
         raise ValidationError(f"{tag} node is missing field {exc}") from None
-    raise ValidationError(f"unknown expression node tag {tag!r}")
+    return kind(*values)
 
 
 # precedence levels for rendering: 1 add/sub, 2 mul/div, 3 atoms

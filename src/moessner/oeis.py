@@ -11,8 +11,6 @@ suite never touches the network.
 from __future__ import annotations
 
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -97,6 +95,9 @@ def fetch(
     timeout: float = 30.0,
 ) -> List[BFileEntry]:
     """Download and parse the remote b-file. Opt-in only; tests never call this."""
+    import urllib.error  # only --online needs these; importing them costs CLI start-up
+    import urllib.request
+
     canon = normalize_a_number(a_number)
     base = base_url or os.environ.get(OEIS_BASE_URL_ENV) or DEFAULT_BASE_URL
     url = f"{base}/{canon}/{bfile_name(canon)}"

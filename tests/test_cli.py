@@ -97,6 +97,23 @@ def test_eval_errors_exit_two(capsys):
     assert "Markov" in err
 
 
+def test_eval_rejects_repeated_parameter(capsys):
+    code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,x=5,n=2")
+    assert (code, out) == (2, "")
+    assert "'x' given more than once" in err
+
+
+def test_eval_prints_values_past_the_int_str_digit_limit(capsys):
+    # 10**4301 has 4302 digits, past CPython's default int-to-str limit of 4300
+    argv = ("eval", "--preset", "moessner_stolid", "--params", "x=9,n=4301", "--memoized")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "1" + "0" * 4301 + "\n"
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == "1" + "0" * 4301
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "eval")[0] == 2

@@ -157,8 +157,15 @@ def _later_bound(k):
 
 _bodies = st.sampled_from(
     [Lit(1), Lit(3), Lit(0), Param("x"), Prev(), Add(Prev(), Lit(1)), SumHist(),
-     Mul(Prev(), Prev()), Add(Mul(Lit(2), Prev()), Level())]
+     Mul(Prev(), Prev()), Add(Mul(Lit(2), Prev()), Level()),
+     # branch-dependent counts: the condition costs 1, then 1, else 2
+     IfZero(Sub(Add(Prev(), Lit(1)), Lit(2)), Add(Prev(), Lit(1)), Add(Add(Prev(), Prev()), Lit(1))),
+     # table index arithmetic is not counted; indices stay below _TABLE's length
+     Add(Table(Add(Prev(), Lit(1))), Lit(1)),
+     FloorDiv(Add(Prev(), Level()), 2),
+     Sub(Add(Prev(), Lit(2)), Lit(1))]
 )
+_TABLE = tuple(i * 7 % 5 for i in range(32))
 
 
 @st.composite
@@ -171,7 +178,7 @@ def _programs(draw):
         levels.append(LevelSpec(lower, bound))
     body = draw(_bodies)
     x = draw(st.integers(0, 3))
-    return SummationProgram(depth, tuple(levels), body, {"x": x})
+    return SummationProgram(depth, tuple(levels), body, {"x": x, "f": _TABLE})
 
 
 @given(_programs())
@@ -398,3 +405,23 @@ def test_counting_report_example():
     assert evaluate_counting(build("moessner_stolid", {"x": 2, "n": 3})) == EvalReport(
         value=27, additions=26, leaves=27
     )
+
+
+def test_bool_is_not_an_int_literal_or_lower_bound():
+    with pytest.raises(ValidationError, match="literal"):
+        validate(SummationProgram(1, (LevelSpec(0, Lit(2)),), Lit(True)))
+    with pytest.raises(ValidationError, match="lower bound"):
+        LevelSpec(True, Lit(2))
+    with pytest.raises(ValidationError):
+        program_from_dict({"depth": 1, "levels": [{"lower": False, "bound": {"node": "Lit", "value": 2}}],
+                           "body": {"node": "Lit", "value": 1}})
+
+
+def test_program_load_rejects_deep_nesting_and_odd_tags():
+    deep = {"node": "Lit", "value": 1}
+    for _ in range(5000):
+        deep = {"node": "Add", "lhs": deep, "rhs": {"node": "Lit", "value": 1}}
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        program_from_dict({"depth": 0, "levels": [], "body": deep})
+    with pytest.raises(ValidationError, match="unknown expression node tag"):
+        program_from_dict({"depth": 0, "levels": [], "body": {"node": ["Add"]}})

@@ -20,6 +20,7 @@ from moessner.expr import (
     Sub,
     SumHist,
     Table,
+    additions_expr,
     compile_expr,
     eval_expr,
     eval_expr_counted,
@@ -215,6 +216,26 @@ def test_compiled_matches_interpreted(expr, history):
     except ParameterError as exc:
         got, got_failed = None, str(exc)
     assert (want, failed) == (got, got_failed)
+
+
+@given(_exprs, st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_additions_expr_matches_counted(expr, history):
+    level = len(history) + 1
+    try:
+        _, want = eval_expr_counted(expr, PARAMS, level, tuple(history))
+    except ParameterError:
+        return  # the counted walk raises before it tallies anything
+    assert compile_expr(additions_expr(expr), PARAMS, level)(history) == want
+
+
+def test_additions_expr_folds_fixed_costs():
+    assert additions_expr(Add(Mul(Lit(2), Add(Prev(), Lit(1))), Table(Add(Prev(), Lit(1))))) == Lit(2)
+    assert additions_expr(IfZero(Prev(), Add(Lit(1), Lit(1)), Sub(Add(Prev(), Prev()), Lit(1)))) == Lit(1)
+    assert additions_expr(IfZero(Lit(0), Add(Lit(1), Lit(1)), Lit(5))) == Lit(1)
+    assert additions_expr(Custom(lambda p, lv, h: 0, "z")) == Lit(0)
+    branchy = additions_expr(IfZero(Prev(), Lit(1), Add(Lit(1), Lit(1))))
+    assert not isinstance(branchy, Lit)
 
 
 def test_compiled_missing_param_stays_lazy():

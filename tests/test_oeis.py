@@ -1,6 +1,8 @@
 """Fixture loading, b-file parsing, manifest wiring, prefix checks. No network."""
 
 import shutil
+import subprocess
+import sys
 import urllib.error
 from pathlib import Path
 
@@ -272,3 +274,10 @@ def test_prefix_checks_never_touch_the_network(monkeypatch):
     for report in check_preset_prefix("fibonacci", 8):
         assert report.ok
     load_fixture("A000111")
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    # only --online needs the HTTP client; start-up should not pay for it
+    probe = "import sys, moessner.cli; print('urllib.request' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
