@@ -2,14 +2,16 @@
 
 Exit codes: 0 on success (and on every check that matches), 1 when a
 requested comparison finds a genuine mismatch, 2 on usage or parameter
-errors. Every computed number is printed as a decimal string, so
-arbitrarily large values survive every output format.
+errors. A reader that closes stdout early (`moessner ... | head`) also
+gets exit 1, with nothing on stderr. Every computed number is printed as a
+decimal string, so arbitrarily large values survive every output format.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -72,25 +74,17 @@ def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
 
 
-def _eval_value(program, memoized: bool) -> int:
-    if memoized:
-        return evaluate_memoized(program)
-    return evaluate(program)
+def _assignments(args: argparse.Namespace) -> List[Dict[str, Any]]:
+    """The --params point, or the points n=0..M-1 under --count M."""
+    base = _parse_params(args.params)
+    if args.count is None:
+        return [base]
+    return [{**base, "n": n} for n in range(args.count)]
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    base = _parse_params(args.params)
-    if args.count is not None:
-        assignments = []
-        for n in range(args.count):
-            params = dict(base)
-            params["n"] = n
-            assignments.append(params)
-    else:
-        assignments = [base]
-
     rows = []
-    for params in assignments:
+    for params in _assignments(args):
         program = presets.build(args.preset, params)
         if args.count_adds:
             report = evaluate_counting(program)
@@ -98,7 +92,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if args.memoized and evaluate_memoized(program) != value:
                 raise MoessnerError("memoized value disagrees with counted evaluation")
         else:
-            value = _eval_value(program, args.memoized)
+            value = evaluate_memoized(program) if args.memoized else evaluate(program)
             additions = None
         rows.append((params, value, additions))
 
@@ -170,18 +164,8 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
 
 
 def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    base = _parse_params(args.params)
-    if args.count is not None:
-        assignments = []
-        for n in range(args.count):
-            params = dict(base)
-            params["n"] = n
-            assignments.append(params)
-    else:
-        assignments = [base]
-
     rows = []
-    for params in assignments:
+    for params in _assignments(args):
         if args.against == "oracle":
             report = evaluate_counting(presets.build(args.preset, params))
             reference = presets.expected(args.preset, params)
@@ -434,10 +418,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not in the exit flush
+        return code
     except MoessnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the interpreter's
+        # exit flush stays quiet, as in Python's documented SIGPIPE recipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

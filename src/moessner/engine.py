@@ -47,7 +47,7 @@ class LevelSpec:
     bound: Expr
 
     def __post_init__(self) -> None:
-        if isinstance(self.lower, bool) or self.lower not in (0, 1):
+        if type(self.lower) is not int or self.lower not in (0, 1):  # bool and float are not int
             raise ValidationError(f"level lower bound must be 0 or 1, got {self.lower!r}")
 
 
@@ -67,6 +67,8 @@ class SummationProgram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
+        if type(self.depth) is not int:  # bool and float are not int
+            raise ValidationError(f"depth must be an int, got {self.depth!r}")
         if self.depth != len(self.levels):
             raise ValidationError(
                 f"depth {self.depth} does not match {len(self.levels)} level specs"
@@ -80,6 +82,8 @@ def normalize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         if key not in ALLOWED_PARAM_KEYS:
             raise ParameterError(f"unknown parameter {key!r} (allowed: {sorted(ALLOWED_PARAM_KEYS)})")
         if key == "f":
+            if not isinstance(value, (list, tuple)):
+                raise ParameterError(f"table f must be a list of naturals, got {value!r}")
             entries = tuple(value)
             for entry in entries:
                 if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
@@ -350,14 +354,24 @@ def program_to_dict(program: SummationProgram) -> Dict[str, Any]:
 
 
 def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
+    if not isinstance(data, Mapping):
+        raise ValidationError(f"a program must be an object, got {type(data).__name__}")
     try:
         depth = data["depth"]
+        entries = data["levels"]
+        if not isinstance(entries, (list, tuple)) or not all(
+            isinstance(entry, Mapping) for entry in entries
+        ):
+            raise ValidationError(f"program levels must be a list of objects, got {entries!r}")
         levels = tuple(
             LevelSpec(lower=entry["lower"], bound=expr_from_dict(entry["bound"]))
-            for entry in data["levels"]
+            for entry in entries
         )
         body = expr_from_dict(data["body"])
-        params = normalize_params(data.get("params", {}))
+        params = data.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValidationError(f"program params must be an object, got {params!r}")
+        params = normalize_params(params)
         program = SummationProgram(depth=depth, levels=levels, body=body, params=params)
         validate(program)
     except KeyError as exc:
@@ -372,4 +386,10 @@ def program_to_json(program: SummationProgram) -> str:
 
 
 def program_from_json(text: str) -> SummationProgram:
-    return program_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"program is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("program JSON is nested too deeply") from None
+    return program_from_dict(data)

@@ -353,6 +353,8 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> None:
         raise ValidationError(f"literal must be an int, got {expr.value!r}")
     if kind is Prev and level < 2:
         raise ValidationError(f"{role}: Prev is undefined at level 1 (no enclosing index)")
+    if kind is Hist and (not isinstance(expr.index, int) or isinstance(expr.index, bool)):
+        raise ValidationError(f"{role}: history index must be an int, got {expr.index!r}")
     if kind is Hist and not 1 <= expr.index <= level - 1:
         raise ValidationError(
             f"{role}: Hist({expr.index}) out of range at level {level} (valid: 1..{level - 1})"

@@ -1,14 +1,17 @@
 """Catalog of nested-summation programs for named integer sequences.
 
-Every preset has a builder (parameters -> SummationProgram), a parameter
-schema, an independent expected-value source (closed form, recurrence, or
-bundled sequence fixture), and, where one exists, an OEIS A-number. The
-builders only assemble programs; all values come out of the engine.
+There is one record per preset (`PresetInfo`): its parameter schema and
+the defaults of its optional parameters, a builder (parameters ->
+SummationProgram), an independent expected-value source (closed form,
+recurrence, or bundled sequence fixture), and, where one exists, an OEIS
+A-number. The `_preset` decorator on each builder registers its record, so
+a preset's facts sit next to its program. The builders only assemble
+programs; all values come out of the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import oracles
@@ -30,242 +33,42 @@ from .expr import (
 )
 from .rules import InitRule, fold_bound, keep_bound, parse_fold_rule
 
+Params = Dict[str, Any]
+Builder = Callable[[Params], SummationProgram]
+
 
 @dataclass(frozen=True)
 class PresetInfo:
     name: str
     schema: Tuple[str, ...]  # required parameter names, CLI order
     computes: str  # what the value is, in plain math
+    builder: Builder
+    expected: Callable[[Params], int]  # independent of the engine
     oeis: Optional[str] = None
-    optional: Tuple[str, ...] = ()  # optional parameter names
+    defaults: Mapping[str, Any] = field(default_factory=dict)  # optional parameters
 
 
-@dataclass(frozen=True)
-class PresetInstance:
-    name: str
-    params: Dict[str, Any]
-    program: SummationProgram
-    oeis: Optional[str]
+_PRESETS: Dict[str, PresetInfo] = {}
 
 
-def _moessner_levels(depth: int) -> List[LevelSpec]:
-    levels = []
-    for k in range(1, depth + 1):
-        bound = Param("x") if k == 1 else keep_bound(k)
-        levels.append(LevelSpec(0, bound))
-    return levels
+def _preset(
+    name: str,
+    schema: Tuple[str, ...],
+    computes: str,
+    expected: Callable[[Params], int],
+    oeis: Optional[str] = None,
+    **defaults: Any,
+) -> Callable[[Builder], Builder]:
+    """Register the decorated builder as preset `name`."""
 
+    def register(builder: Builder) -> Builder:
+        _PRESETS[name] = PresetInfo(name, schema, computes, builder, expected, oeis, defaults)
+        return builder
 
-def _surviving_arg(depth: int) -> Expr:
-    """keep_index(depth, i_depth) as an expression; x itself at depth 0."""
-    if depth == 0:
-        return Param("x")
-    return FloorDiv(Mul(Lit(depth + 1), Prev()), depth)
+    return register
 
 
-def _build_moessner(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    return SummationProgram(n, _moessner_levels(n), Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_stolid(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Param("x")) for _ in range(n)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_moessner_init(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    body, extra = p["init"].body_expr(_surviving_arg(n))
-    return SummationProgram(n, _moessner_levels(n), body, {"x": p["x"], "n": n, **extra})
-
-
-def _build_moessner_init_plus(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    depth = n + 1
-    body, extra = p["init"].body_expr(_surviving_arg(depth))
-    return SummationProgram(depth, _moessner_levels(depth), body, {"x": p["x"], "n": n, **extra})
-
-
-def _build_long1(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    return SummationProgram(n, _moessner_levels(n), Param("a"), {"x": p["x"], "n": n, "a": p["a"]})
-
-
-def _build_long2(p: Dict[str, Any]) -> SummationProgram:
-    return _build_moessner_init_plus(
-        {"x": p["x"], "n": p["n"], "init": InitRule.indicator(p["a"], p["d"])}
-    )
-
-
-def _build_another_round(p: Dict[str, Any]) -> SummationProgram:
-    return _build_moessner_init({"x": p["x"], "n": p["n"], "init": InitRule.successor()})
-
-
-def _build_fold(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    rule, offset = p["rule"]
-    levels = []
-    for k in range(1, n + 1):
-        bound = Param("x") if k == 1 else fold_bound(rule, k, offset)
-        levels.append(LevelSpec(0, bound))
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_factorial_rising(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(k)) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_factorial_falling(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(n - k)) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_factorial_permuted(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    perm = p["f"]
-    if sorted(perm) != list(range(n)):
-        raise ParameterError(f"f must be a permutation of 0..{n - 1}, got {list(perm)}")
-    levels = [LevelSpec(0, Table(Lit(k - 1))) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n, "f": tuple(perm)})
-
-
-def _build_factorial_multiple(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    depth = max(n, 1)  # one level even at n=0 so the value carries the x+1 factor
-    levels = [LevelSpec(0, Param("x") if k == 1 else Lit(k - 1)) for k in range(1, depth + 1)]
-    return SummationProgram(depth, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_xfold_factorial(p: Dict[str, Any]) -> SummationProgram:
-    return _build_fold({"x": p["x"], "n": p["n"], "rule": ("mult_x", 0)})
-
-
-def _build_product_of_table(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    table = p["f"]
-    if len(table) < n + 1:
-        raise ParameterError(f"f must have at least n+1 = {n + 1} entries, got {len(table)}")
-    levels = [LevelSpec(1, Table(Lit(k - 1))) for k in range(1, n + 2)]
-    return SummationProgram(n + 1, levels, Lit(1), {"n": n, "f": tuple(table)})
-
-
-def _build_rosen_triple(p: Dict[str, Any]) -> SummationProgram:
-    table = (p["n1"], p["n2"], p["n3"])
-    levels = [LevelSpec(1, Table(Lit(i))) for i in range(3)]
-    return SummationProgram(3, levels, Lit(1), {"f": table})
-
-
-def _build_binomial(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_multiset(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(1, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _catalan_family(n: int, first_bound: Expr, lower: int, offset: int, params: Dict[str, Any]) -> SummationProgram:
-    levels = []
-    for k in range(1, n + 1):
-        bound = first_bound if k == 1 else Add(Prev(), Lit(offset))
-        levels.append(LevelSpec(lower, bound))
-    return SummationProgram(n, levels, Lit(1), params)
-
-
-def _build_catalan(p: Dict[str, Any]) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(0), 0, 1, {"n": p["n"]})
-
-
-def _build_catalan_from_one(p: Dict[str, Any]) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(1), 1, 1, {"n": p["n"]})
-
-
-def _build_catalan_convolved(p: Dict[str, Any]) -> SummationProgram:
-    return _catalan_family(p["n"], Param("x"), 0, 1, {"x": p["x"], "n": p["n"]})
-
-
-def _build_a002293(p: Dict[str, Any]) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(0), 0, 3, {"n": p["n"]})
-
-
-def _build_positive_integers(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(1) if k == 1 else ProdHist()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_a125860(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Add(Param("x"), SumHist())) for _ in range(n)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
-
-
-def _build_a137273(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = []
-    for k in range(1, n + 1):
-        if k == 1:
-            bound: Expr = Lit(0)
-        elif k == 2:
-            bound = Lit(1)
-        else:
-            bound = Add(Hist(k - 2), Hist(k - 1))
-        levels.append(LevelSpec(0, bound))
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_fibonacci(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(0) if k == 1 else Sub(Lit(1), Prev())) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_euler_zigzag(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    levels = [
-        LevelSpec(0, Lit(n - 1) if k == 1 else Sub(Lit(n - k), Prev()))
-        for k in range(1, n + 1)
-    ]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
-
-
-def _build_a002449(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    b = p["b"]
-    if b < 2:
-        raise ParameterError(f"branching b must be >= 2, got {b}")
-    levels = [
-        LevelSpec(0, Lit(b - 1) if k == 1 else Add(Mul(Lit(b), Prev()), Lit(b - 1)))
-        for k in range(1, n + 2)
-    ]
-    return SummationProgram(n + 1, levels, Lit(1), {"n": n})
-
-
-def _build_a002449_irwin(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    if n < 1:
-        raise ParameterError(f"a002449_irwin needs n >= 1, got {n}")
-    levels = [LevelSpec(1, Lit(2) if k == 1 else Mul(Lit(2), Prev())) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Mul(Lit(2), Prev()), {"n": n})
-
-
-def _build_fibonacci_lahlou(p: Dict[str, Any]) -> SummationProgram:
-    n = p["n"]
-    if n < 2:
-        raise ParameterError(f"fibonacci_lahlou needs n >= 2, got {n}")
-    depth = n - 1
-    levels = [LevelSpec(1, Lit(1) if k == 1 else Sub(Lit(3), Prev())) for k in range(1, depth + 1)]
-    return SummationProgram(depth, levels, Sub(Lit(3), Prev()), {"n": n})
-
-
-# expected-value functions (independent of the engine)
+# expected-value sources shared by several presets or too long for a lambda
 
 
 def _fixture_expected(a_number: str, index: int) -> int:
@@ -277,7 +80,11 @@ def _fixture_expected(a_number: str, index: int) -> int:
     return entries[index]
 
 
-def _expected_moessner_init(p: Dict[str, Any], extra_rounds: int) -> int:
+def _expected_power(p: Params) -> int:
+    return oracles.pow_fast(p["x"] + 1, p["n"])
+
+
+def _expected_moessner_init(p: Params, extra_rounds: int) -> int:
     init: InitRule = p["init"]
     x, n = p["x"], p["n"]
     rounds = n + extra_rounds
@@ -290,7 +97,7 @@ def _expected_moessner_init(p: Dict[str, Any], extra_rounds: int) -> int:
     raise ParameterError("no closed form for an indicator init without the extra round")
 
 
-def _expected_fold(p: Dict[str, Any]) -> int:
+def _expected_fold(p: Params) -> int:
     rule, offset = p["rule"]
     x, n = p["x"], p["n"]
     if rule in ("keep", "const_x"):
@@ -308,132 +115,303 @@ def _expected_fold(p: Dict[str, Any]) -> int:
     raise ParameterError(f"no oracle for fold rule {rule}:{offset} at x={x}")
 
 
-_EXPECTED: Dict[str, Callable[[Dict[str, Any]], int]] = {
-    "moessner": lambda p: oracles.pow_fast(p["x"] + 1, p["n"]),
-    "moessner_stolid": lambda p: oracles.pow_fast(p["x"] + 1, p["n"]),
-    "moessner_init": lambda p: _expected_moessner_init(p, 0),
-    "moessner_init_plus": lambda p: _expected_moessner_init(p, 1),
-    "long1": lambda p: p["a"] * oracles.pow_fast(p["x"] + 1, p["n"]),
-    "long2": lambda p: oracles.long2_closed(p["x"], p["n"], p["a"], p["d"]),
-    "another_round": lambda p: oracles.pow_fast(p["x"] + 1, p["n"] + 1),
-    "fold": _expected_fold,
-    "factorial_rising": lambda p: oracles.factorial(p["n"] + 1),
-    "factorial_falling": lambda p: oracles.factorial(p["n"]),
-    "factorial_permuted": lambda p: oracles.factorial(p["n"]),
-    "factorial_multiple": lambda p: oracles.factorial(p["n"]) * (p["x"] + 1),
-    "xfold_factorial": lambda p: oracles.multifactorial(p["x"], p["n"]),
-    "product_of_table": lambda p: oracles.product_table(p["f"], p["n"]),
-    "rosen_triple": lambda p: p["n1"] * p["n2"] * p["n3"],
-    "binomial": lambda p: oracles.binomial(p["x"] + p["n"], p["n"]),
-    "multiset": lambda p: oracles.multiset(p["x"], p["n"]),
-    "catalan": lambda p: oracles.catalan(p["n"]),
-    "catalan_from_one": lambda p: oracles.catalan(p["n"]),
-    "catalan_convolved": lambda p: oracles.catalan_convolved(p["x"], p["n"]),
-    "a002293": lambda p: oracles.fuss_catalan(4, p["n"]),
-    "positive_integers": lambda p: p["n"] + 1,
-    "a125860": lambda p: _fixture_expected("A125860", p["n"])
-    if p["x"] == 1
-    else _raise(ParameterError("a125860 fixture covers x=1 only")),
-    "a137273": lambda p: _fixture_expected("A137273", p["n"]),
-    "fibonacci": lambda p: oracles.fibonacci(p["n"] + 1),
-    "euler_zigzag": lambda p: oracles.euler_zigzag(p["n"]),
-    "a002449": lambda p: oracles.a002449_rec(p["n"] + 2)
-    if p["b"] == 2
-    else _raise(ParameterError("a002449 oracle covers branching b=2 only")),
-    "a002449_irwin": lambda p: oracles.a002449_rec(p["n"] + 2),
-    "fibonacci_lahlou": lambda p: oracles.fibonacci(p["n"] + 1),
-}
+def _expected_a125860(p: Params) -> int:
+    if p["x"] != 1:
+        raise ParameterError("a125860 fixture covers x=1 only")
+    return _fixture_expected("A125860", p["n"])
 
 
-def _raise(exc: Exception) -> int:
-    raise exc
+def _expected_a002449(p: Params) -> int:
+    if p["b"] != 2:
+        raise ParameterError("a002449 oracle covers branching b=2 only")
+    return oracles.a002449_rec(p["n"] + 2)
 
 
-_BUILDERS: Dict[str, Callable[[Dict[str, Any]], SummationProgram]] = {
-    "moessner": _build_moessner,
-    "moessner_stolid": _build_stolid,
-    "moessner_init": _build_moessner_init,
-    "moessner_init_plus": _build_moessner_init_plus,
-    "long1": _build_long1,
-    "long2": _build_long2,
-    "another_round": _build_another_round,
-    "fold": _build_fold,
-    "factorial_rising": _build_factorial_rising,
-    "factorial_falling": _build_factorial_falling,
-    "factorial_permuted": _build_factorial_permuted,
-    "factorial_multiple": _build_factorial_multiple,
-    "xfold_factorial": _build_xfold_factorial,
-    "product_of_table": _build_product_of_table,
-    "rosen_triple": _build_rosen_triple,
-    "binomial": _build_binomial,
-    "multiset": _build_multiset,
-    "catalan": _build_catalan,
-    "catalan_from_one": _build_catalan_from_one,
-    "catalan_convolved": _build_catalan_convolved,
-    "a002293": _build_a002293,
-    "positive_integers": _build_positive_integers,
-    "a125860": _build_a125860,
-    "a137273": _build_a137273,
-    "fibonacci": _build_fibonacci,
-    "euler_zigzag": _build_euler_zigzag,
-    "a002449": _build_a002449,
-    "a002449_irwin": _build_a002449_irwin,
-    "fibonacci_lahlou": _build_fibonacci_lahlou,
-}
+# program pieces shared by several builders
 
-_CATALOG: Dict[str, PresetInfo] = {
-    info.name: info
-    for info in [
-        PresetInfo("moessner", ("x", "n"), "(x+1)^n", "A000079"),
-        PresetInfo("moessner_stolid", ("x", "n"), "(x+1)^n with all bounds x"),
-        PresetInfo("moessner_init", ("x", "n", "init"), "process value for an initial segment"),
-        PresetInfo("moessner_init_plus", ("x", "n", "init"), "one extra round over the initial segment"),
-        PresetInfo("long1", ("x", "n", "a"), "a*(x+1)^n"),
-        PresetInfo("long2", ("x", "n", "a", "d"), "(a+d*x)*(x+1)^n"),
-        PresetInfo("another_round", ("x", "n"), "(x+1)^(n+1)"),
-        PresetInfo("fold", ("x", "n", "rule"), "generic fold; value depends on the rule"),
-        PresetInfo("factorial_rising", ("n",), "(n+1)!", "A000142"),
-        PresetInfo("factorial_falling", ("n",), "n!", "A000142"),
-        PresetInfo("factorial_permuted", ("n", "f"), "n! (f = permutation of 0..n-1)"),
-        PresetInfo("factorial_multiple", ("x", "n"), "n!*(x+1)"),
-        PresetInfo("xfold_factorial", ("x", "n"), "(x*1+1)*(x*2+1)*...*(x*n+1)", "A001147"),
-        PresetInfo("product_of_table", ("n", "f"), "f(0)*f(1)*...*f(n)"),
-        PresetInfo("rosen_triple", ("n1", "n2", "n3"), "n1*n2*n3"),
-        PresetInfo("binomial", ("x", "n"), "C(x+n, n)", "A000217"),
-        PresetInfo("multiset", ("x", "n"), "C(x+n-1, n)"),
-        PresetInfo("catalan", ("n",), "Catalan number C_n", "A000108"),
-        PresetInfo("catalan_from_one", ("n",), "Catalan number C_n, sums from 1", "A000108"),
-        PresetInfo("catalan_convolved", ("x", "n"), "(x+1)*C(2n+x, n)/(n+x+1)", "A000245"),
-        PresetInfo("a002293", ("n",), "C(4n, n)/(3n+1)", "A002293"),
-        PresetInfo("positive_integers", ("n",), "n+1", "A000027"),
-        PresetInfo("a125860", ("x", "n"), "history-widened power analogue", "A125860"),
-        PresetInfo("a137273", ("n",), "two-back additive bound chain", "A137273"),
-        PresetInfo("fibonacci", ("n",), "F(n+1)", "A000045"),
-        PresetInfo("euler_zigzag", ("n",), "zigzag number E(n)", "A000111"),
-        PresetInfo("a002449", ("n",), "A002449(n+2)", "A002449", optional=("b",)),
-        PresetInfo("a002449_irwin", ("n",), "A002449(n+2), doubled-body form", "A002449"),
-        PresetInfo("fibonacci_lahlou", ("n",), "F(n+1), three-minus form", "A000045"),
+
+def _moessner_levels(depth: int) -> List[LevelSpec]:
+    levels = []
+    for k in range(1, depth + 1):
+        bound = Param("x") if k == 1 else keep_bound(k)
+        levels.append(LevelSpec(0, bound))
+    return levels
+
+
+def _surviving_arg(depth: int) -> Expr:
+    """keep_index(depth, i_depth) as an expression; x itself at depth 0."""
+    if depth == 0:
+        return Param("x")
+    return FloorDiv(Mul(Lit(depth + 1), Prev()), depth)
+
+
+def _catalan_family(
+    n: int, first_bound: Expr, lower: int, offset: int, params: Params
+) -> SummationProgram:
+    levels = []
+    for k in range(1, n + 1):
+        bound = first_bound if k == 1 else Add(Prev(), Lit(offset))
+        levels.append(LevelSpec(lower, bound))
+    return SummationProgram(n, levels, Lit(1), params)
+
+
+# the presets
+
+
+@_preset("moessner", ("x", "n"), "(x+1)^n", _expected_power, "A000079")
+def _build_moessner(p: Params) -> SummationProgram:
+    n = p["n"]
+    return SummationProgram(n, _moessner_levels(n), Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("moessner_stolid", ("x", "n"), "(x+1)^n with all bounds x", _expected_power)
+def _build_stolid(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Param("x")) for _ in range(n)]
+    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("moessner_init", ("x", "n", "init"), "process value for an initial segment",
+         lambda p: _expected_moessner_init(p, 0))
+def _build_moessner_init(p: Params) -> SummationProgram:
+    n = p["n"]
+    body, extra = p["init"].body_expr(_surviving_arg(n))
+    return SummationProgram(n, _moessner_levels(n), body, {"x": p["x"], "n": n, **extra})
+
+
+@_preset("moessner_init_plus", ("x", "n", "init"), "one extra round over the initial segment",
+         lambda p: _expected_moessner_init(p, 1))
+def _build_moessner_init_plus(p: Params) -> SummationProgram:
+    n = p["n"]
+    depth = n + 1
+    body, extra = p["init"].body_expr(_surviving_arg(depth))
+    return SummationProgram(depth, _moessner_levels(depth), body, {"x": p["x"], "n": n, **extra})
+
+
+@_preset("long1", ("x", "n", "a"), "a*(x+1)^n", lambda p: p["a"] * _expected_power(p))
+def _build_long1(p: Params) -> SummationProgram:
+    n = p["n"]
+    return SummationProgram(n, _moessner_levels(n), Param("a"), {"x": p["x"], "n": n, "a": p["a"]})
+
+
+@_preset("long2", ("x", "n", "a", "d"), "(a+d*x)*(x+1)^n",
+         lambda p: oracles.long2_closed(p["x"], p["n"], p["a"], p["d"]))
+def _build_long2(p: Params) -> SummationProgram:
+    return _build_moessner_init_plus(
+        {"x": p["x"], "n": p["n"], "init": InitRule.indicator(p["a"], p["d"])}
+    )
+
+
+@_preset("another_round", ("x", "n"), "(x+1)^(n+1)",
+         lambda p: oracles.pow_fast(p["x"] + 1, p["n"] + 1))
+def _build_another_round(p: Params) -> SummationProgram:
+    return _build_moessner_init({"x": p["x"], "n": p["n"], "init": InitRule.successor()})
+
+
+@_preset("fold", ("x", "n", "rule"), "generic fold; value depends on the rule", _expected_fold)
+def _build_fold(p: Params) -> SummationProgram:
+    n = p["n"]
+    rule, offset = p["rule"]
+    levels = []
+    for k in range(1, n + 1):
+        bound = Param("x") if k == 1 else fold_bound(rule, k, offset)
+        levels.append(LevelSpec(0, bound))
+    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("factorial_rising", ("n",), "(n+1)!", lambda p: oracles.factorial(p["n"] + 1), "A000142")
+def _build_factorial_rising(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Lit(k)) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"n": n})
+
+
+@_preset("factorial_falling", ("n",), "n!", lambda p: oracles.factorial(p["n"]), "A000142")
+def _build_factorial_falling(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Lit(n - k)) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"n": n})
+
+
+@_preset("factorial_permuted", ("n", "f"), "n! (f = permutation of 0..n-1)",
+         lambda p: oracles.factorial(p["n"]))
+def _build_factorial_permuted(p: Params) -> SummationProgram:
+    n = p["n"]
+    perm = p["f"]
+    if sorted(perm) != list(range(n)):
+        raise ParameterError(f"f must be a permutation of 0..{n - 1}, got {list(perm)}")
+    levels = [LevelSpec(0, Table(Lit(k - 1))) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"n": n, "f": tuple(perm)})
+
+
+@_preset("factorial_multiple", ("x", "n"), "n!*(x+1)",
+         lambda p: oracles.factorial(p["n"]) * (p["x"] + 1))
+def _build_factorial_multiple(p: Params) -> SummationProgram:
+    n = p["n"]
+    depth = max(n, 1)  # one level even at n=0 so the value carries the x+1 factor
+    levels = [LevelSpec(0, Param("x") if k == 1 else Lit(k - 1)) for k in range(1, depth + 1)]
+    return SummationProgram(depth, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("xfold_factorial", ("x", "n"), "(x*1+1)*(x*2+1)*...*(x*n+1)",
+         lambda p: oracles.multifactorial(p["x"], p["n"]), "A001147")
+def _build_xfold_factorial(p: Params) -> SummationProgram:
+    return _build_fold({"x": p["x"], "n": p["n"], "rule": ("mult_x", 0)})
+
+
+@_preset("product_of_table", ("n", "f"), "f(0)*f(1)*...*f(n)",
+         lambda p: oracles.product_table(p["f"], p["n"]))
+def _build_product_of_table(p: Params) -> SummationProgram:
+    n = p["n"]
+    table = p["f"]
+    if len(table) < n + 1:
+        raise ParameterError(f"f must have at least n+1 = {n + 1} entries, got {len(table)}")
+    levels = [LevelSpec(1, Table(Lit(k - 1))) for k in range(1, n + 2)]
+    return SummationProgram(n + 1, levels, Lit(1), {"n": n, "f": tuple(table)})
+
+
+@_preset("rosen_triple", ("n1", "n2", "n3"), "n1*n2*n3", lambda p: p["n1"] * p["n2"] * p["n3"])
+def _build_rosen_triple(p: Params) -> SummationProgram:
+    table = (p["n1"], p["n2"], p["n3"])
+    levels = [LevelSpec(1, Table(Lit(i))) for i in range(3)]
+    return SummationProgram(3, levels, Lit(1), {"f": table})
+
+
+@_preset("binomial", ("x", "n"), "C(x+n, n)",
+         lambda p: oracles.binomial(p["x"] + p["n"], p["n"]), "A000217")
+def _build_binomial(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("multiset", ("x", "n"), "C(x+n-1, n)", lambda p: oracles.multiset(p["x"], p["n"]))
+def _build_multiset(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(1, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("catalan", ("n",), "Catalan number C_n", lambda p: oracles.catalan(p["n"]), "A000108")
+def _build_catalan(p: Params) -> SummationProgram:
+    return _catalan_family(p["n"], Lit(0), 0, 1, {"n": p["n"]})
+
+
+@_preset("catalan_from_one", ("n",), "Catalan number C_n, sums from 1",
+         lambda p: oracles.catalan(p["n"]), "A000108")
+def _build_catalan_from_one(p: Params) -> SummationProgram:
+    return _catalan_family(p["n"], Lit(1), 1, 1, {"n": p["n"]})
+
+
+@_preset("catalan_convolved", ("x", "n"), "(x+1)*C(2n+x, n)/(n+x+1)",
+         lambda p: oracles.catalan_convolved(p["x"], p["n"]), "A000245")
+def _build_catalan_convolved(p: Params) -> SummationProgram:
+    return _catalan_family(p["n"], Param("x"), 0, 1, {"x": p["x"], "n": p["n"]})
+
+
+@_preset("a002293", ("n",), "C(4n, n)/(3n+1)", lambda p: oracles.fuss_catalan(4, p["n"]), "A002293")
+def _build_a002293(p: Params) -> SummationProgram:
+    return _catalan_family(p["n"], Lit(0), 0, 3, {"n": p["n"]})
+
+
+@_preset("positive_integers", ("n",), "n+1", lambda p: p["n"] + 1, "A000027")
+def _build_positive_integers(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Lit(1) if k == 1 else ProdHist()) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"n": n})
+
+
+@_preset("a125860", ("x", "n"), "history-widened power analogue", _expected_a125860, "A125860")
+def _build_a125860(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Add(Param("x"), SumHist())) for _ in range(n)]
+    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+
+
+@_preset("a137273", ("n",), "two-back additive bound chain",
+         lambda p: _fixture_expected("A137273", p["n"]), "A137273")
+def _build_a137273(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = []
+    for k in range(1, n + 1):
+        if k == 1:
+            bound: Expr = Lit(0)
+        elif k == 2:
+            bound = Lit(1)
+        else:
+            bound = Add(Hist(k - 2), Hist(k - 1))
+        levels.append(LevelSpec(0, bound))
+    return SummationProgram(n, levels, Lit(1), {"n": n})
+
+
+@_preset("fibonacci", ("n",), "F(n+1)", lambda p: oracles.fibonacci(p["n"] + 1), "A000045")
+def _build_fibonacci(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [LevelSpec(0, Lit(0) if k == 1 else Sub(Lit(1), Prev())) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Lit(1), {"n": n})
+
+
+@_preset("euler_zigzag", ("n",), "zigzag number E(n)",
+         lambda p: oracles.euler_zigzag(p["n"]), "A000111")
+def _build_euler_zigzag(p: Params) -> SummationProgram:
+    n = p["n"]
+    levels = [
+        LevelSpec(0, Lit(n - 1) if k == 1 else Sub(Lit(n - k), Prev()))
+        for k in range(1, n + 1)
     ]
-}
+    return SummationProgram(n, levels, Lit(1), {"n": n})
 
-_OPTIONAL_DEFAULTS: Dict[str, Dict[str, Any]] = {
-    "a002449": {"b": 2},
-}
+
+@_preset("a002449", ("n",), "A002449(n+2)", _expected_a002449, "A002449", b=2)
+def _build_a002449(p: Params) -> SummationProgram:
+    n = p["n"]
+    b = p["b"]
+    if b < 2:
+        raise ParameterError(f"branching b must be >= 2, got {b}")
+    levels = [
+        LevelSpec(0, Lit(b - 1) if k == 1 else Add(Mul(Lit(b), Prev()), Lit(b - 1)))
+        for k in range(1, n + 2)
+    ]
+    return SummationProgram(n + 1, levels, Lit(1), {"n": n})
+
+
+@_preset("a002449_irwin", ("n",), "A002449(n+2), doubled-body form",
+         lambda p: oracles.a002449_rec(p["n"] + 2), "A002449")
+def _build_a002449_irwin(p: Params) -> SummationProgram:
+    n = p["n"]
+    if n < 1:
+        raise ParameterError(f"a002449_irwin needs n >= 1, got {n}")
+    levels = [LevelSpec(1, Lit(2) if k == 1 else Mul(Lit(2), Prev())) for k in range(1, n + 1)]
+    return SummationProgram(n, levels, Mul(Lit(2), Prev()), {"n": n})
+
+
+@_preset("fibonacci_lahlou", ("n",), "F(n+1), three-minus form",
+         lambda p: oracles.fibonacci(p["n"] + 1), "A000045")
+def _build_fibonacci_lahlou(p: Params) -> SummationProgram:
+    n = p["n"]
+    if n < 2:
+        raise ParameterError(f"fibonacci_lahlou needs n >= 2, got {n}")
+    depth = n - 1
+    levels = [LevelSpec(1, Lit(1) if k == 1 else Sub(Lit(3), Prev())) for k in range(1, depth + 1)]
+    return SummationProgram(depth, levels, Sub(Lit(3), Prev()), {"n": n})
 
 
 def preset_names() -> List[str]:
-    return sorted(_CATALOG)
+    return sorted(_PRESETS)
 
 
-def _clean_params(info: PresetInfo, raw: Mapping[str, Any]) -> Dict[str, Any]:
-    allowed = set(info.schema) | set(info.optional)
-    unknown = set(raw) - allowed
+def _lookup(name: str, raw: Mapping[str, Any]) -> Tuple[PresetInfo, Params]:
+    """The preset's record and its checked parameters, optional defaults filled in."""
+    info = _PRESETS.get(name)
+    if info is None:
+        raise ParameterError(f"unknown preset {name!r} (see preset_names())")
+    unknown = set(raw) - set(info.schema) - set(info.defaults)
     if unknown:
-        raise ParameterError(f"{info.name} got unexpected parameter(s): {sorted(unknown)}")
+        raise ParameterError(f"{name} got unexpected parameter(s): {sorted(unknown)}")
     missing = set(info.schema) - set(raw)
     if missing:
-        raise ParameterError(f"{info.name} is missing parameter(s): {sorted(missing)}")
-    cleaned: Dict[str, Any] = dict(_OPTIONAL_DEFAULTS.get(info.name, {}))
+        raise ParameterError(f"{name} is missing parameter(s): {sorted(missing)}")
+    cleaned: Params = dict(info.defaults)
     for key, value in raw.items():
         if key == "init":
             cleaned[key] = InitRule.parse(value) if isinstance(value, str) else value
@@ -453,49 +431,34 @@ def _clean_params(info: PresetInfo, raw: Mapping[str, Any]) -> Dict[str, Any]:
             cleaned[key] = entries
         else:
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ParameterError(f"{info.name} parameter {key}={value!r} must be a natural")
+                raise ParameterError(f"{name} parameter {key}={value!r} must be a natural")
             cleaned[key] = value
-    return cleaned
+    return info, cleaned
 
 
 def build(name: str, params: Mapping[str, Any]) -> SummationProgram:
     """Build the preset's program; raises ParameterError on schema violations."""
-    if name not in _CATALOG:
-        raise ParameterError(f"unknown preset {name!r} (see preset_names())")
-    cleaned = _clean_params(_CATALOG[name], params)
-    program = _BUILDERS[name](cleaned)
+    info, cleaned = _lookup(name, params)
+    program = info.builder(cleaned)
     validate(program)
     return program
 
 
 def expected(name: str, params: Mapping[str, Any]) -> int:
     """Independent expected value for the same parameters."""
-    if name not in _CATALOG:
-        raise ParameterError(f"unknown preset {name!r} (see preset_names())")
-    cleaned = _clean_params(_CATALOG[name], params)
-    return _EXPECTED[name](cleaned)
-
-
-def instantiate(name: str, params: Mapping[str, Any]) -> PresetInstance:
-    info = _CATALOG[name] if name in _CATALOG else None
-    if info is None:
-        raise ParameterError(f"unknown preset {name!r}")
-    cleaned = _clean_params(info, params)
-    return PresetInstance(name=name, params=cleaned, program=_BUILDERS[name](cleaned), oeis=info.oeis)
+    info, cleaned = _lookup(name, params)
+    return info.expected(cleaned)
 
 
 def catalog() -> List[Dict[str, Any]]:
     """Full listing for the CLI: name, schema, optional params, value, OEIS id."""
-    out = []
-    for name in preset_names():
-        info = _CATALOG[name]
-        out.append(
-            {
-                "name": info.name,
-                "params": list(info.schema),
-                "optional": list(info.optional),
-                "computes": info.computes,
-                "oeis": info.oeis,
-            }
-        )
-    return out
+    return [
+        {
+            "name": info.name,
+            "params": list(info.schema),
+            "optional": list(info.defaults),
+            "computes": info.computes,
+            "oeis": info.oeis,
+        }
+        for _, info in sorted(_PRESETS.items())
+    ]

@@ -345,6 +345,19 @@ def test_module_entry_point():
     assert result.stdout == "64\n"
 
 
+def test_closed_pipe_exits_quietly():
+    # about 1.1 MB of rows: far more than a pipe holds, so the reader's close lands mid-output
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "moessner", "inverse", "--exponent", "3", "--prefix", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(80)) == 80
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_rosen_triple_eval_and_compare(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--preset", "rosen_triple", "--params", "n1=2,n2=3,n3=4"

@@ -1,5 +1,8 @@
 """Engine cross-checks against a naive recursive reference, plus validation and Markov paths."""
 
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from moessner.engine import (
 )
 from moessner.errors import (
     DomainError,
+    MoessnerError,
     ParameterError,
     PreconditionError,
     ValidationError,
@@ -425,3 +429,86 @@ def test_program_load_rejects_deep_nesting_and_odd_tags():
         program_from_dict({"depth": 0, "levels": [], "body": deep})
     with pytest.raises(ValidationError, match="unknown expression node tag"):
         program_from_dict({"depth": 0, "levels": [], "body": {"node": ["Add"]}})
+
+
+def test_hist_index_must_be_an_int():
+    def one_level(index):
+        return {"depth": 2, "levels": [{"lower": 0, "bound": {"node": "Lit", "value": 2}},
+                                       {"lower": 0, "bound": {"node": "Hist", "index": index}}],
+                "body": {"node": "Lit", "value": 1}}
+
+    for index in ("a", True, 1.0, None):
+        with pytest.raises(ValidationError, match="history index"):
+            program_from_dict(one_level(index))
+    with pytest.raises(ValidationError, match="history index"):
+        validate(SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, Hist(True))), Lit(1)))
+    assert evaluate(program_from_dict(one_level(1))) == 6
+
+
+def test_program_from_json_rejects_malformed_text():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        program_from_json("{")
+    deep = '{"node": "Table", "index": ' * 100_000 + '{"node": "Lit", "value": 0}' + "}" * 100_000
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        program_from_json('{"depth": 0, "levels": [], "body": ' + deep + "}")
+    for text in ("[1]", '"x"', "3", "null"):
+        with pytest.raises(ValidationError, match="must be an object"):
+            program_from_json(text)
+
+
+# program dicts with arbitrary JSON values put in place of some of their fields
+_json_keys = st.text(max_size=2) | st.sampled_from(["node", "index", "lhs", "lower", "f", "x"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_keys, inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ_BASES = [
+    program_to_dict(build(name, params))
+    for name, params in [
+        ("long2", {"x": 2, "n": 2, "a": 1, "d": 2}),
+        ("factorial_permuted", {"n": 3, "f": (1, 2, 0)}),
+        ("a125860", {"x": 1, "n": 2}),
+        ("positive_integers", {"n": 3}),
+        ("a137273", {"n": 4}),
+        ("fibonacci_lahlou", {"n": 4}),
+    ]
+] + [{"depth": 1, "levels": [{"lower": 1, "bound": {"node": "Param", "name": "x"}}],
+      "body": {"node": "Add", "lhs": {"node": "Level"}, "rhs": {"node": "Lit", "value": 1}},
+      "params": {"x": 2}}]
+
+
+def _paths(data, path=()):
+    yield path
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(data, list):
+        for key, value in enumerate(data):
+            yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mangled_program_dicts(draw):
+    data = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        value = draw(_json_values)
+        if not path:
+            return value
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return data
+
+
+@given(_mangled_program_dicts())
+@settings(max_examples=400, deadline=None)
+def test_program_from_dict_takes_any_json(data):
+    for load in (program_from_dict, lambda d: program_from_json(json.dumps(d))):
+        try:
+            program = load(data)
+        except MoessnerError:
+            continue
+        assert isinstance(program, SummationProgram)

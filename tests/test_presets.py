@@ -7,14 +7,7 @@ import pytest
 
 from moessner.engine import evaluate, evaluate_memoized, unfold_display
 from moessner.errors import ParameterError
-from moessner.presets import (
-    PresetInstance,
-    build,
-    catalog,
-    expected,
-    instantiate,
-    preset_names,
-)
+from moessner.presets import build, catalog, expected, preset_names
 from moessner.process import run_process
 from moessner.rules import InitRule
 
@@ -309,18 +302,6 @@ def test_expected_literal_examples():
 
 
 def test_instantiate_and_catalog():
-    inst = instantiate("catalan", {"n": 5})
-    assert isinstance(inst, PresetInstance)
-    assert inst.name == "catalan" and inst.oeis == "A000108"
-    assert evaluate(inst.program) == 42
-    assert inst.params == {"n": 5}
-
-    inst2 = instantiate("a002449", {"n": 2})
-    assert inst2.params == {"n": 2, "b": 2}  # optional default filled in
-
-    with pytest.raises(ParameterError):
-        instantiate("mystery", {})
-
     cat = catalog()
     assert [row["name"] for row in cat] == preset_names()
     by_name = {row["name"]: row for row in cat}
