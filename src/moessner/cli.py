@@ -16,7 +16,6 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from . import oeis, presets
-from .counting import log_add_power_prefix_counted
 from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov
 from .errors import MoessnerError, ParameterError
 from .inverse import run_inverse
@@ -24,39 +23,6 @@ from .oracles import pow_fast
 from .polygonal import polygonal_closed, quotient_sum
 from .process import dp_power, run_process
 from .rules import InitRule
-
-
-def _parse_params(text: Optional[str]) -> Dict[str, Any]:
-    """Parse 'x=3,n=4,f=1:3:2,init=indicator:2:3' into a params dict.
-
-    Integer values become ints, f becomes a tuple of ints, and anything
-    else (init and rule specs) stays a string for the preset to parse.
-    """
-    params: Dict[str, Any] = {}
-    if not text:
-        return params
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ParameterError(f"bad parameter assignment {chunk!r}, expected key=value")
-        key, value = chunk.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if key in params:
-            raise ParameterError(f"parameter {key!r} given more than once")
-        if key == "f":
-            try:
-                params[key] = tuple(int(v) for v in value.split(":"))
-            except ValueError:
-                raise ParameterError(f"bad table spec {value!r}, expected ints like 1:3:2") from None
-        else:
-            try:
-                params[key] = int(value)
-            except ValueError:
-                params[key] = value
-    return params
 
 
 def _params_repr(params: Dict[str, Any]) -> str:
@@ -76,7 +42,7 @@ def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 def _assignments(args: argparse.Namespace) -> List[Dict[str, Any]]:
     """The --params point, or the points n=0..M-1 under --count M."""
-    base = _parse_params(args.params)
+    base = presets.parse_params(args.params.split(","))
     if args.count is None:
         return [base]
     return [{**base, "n": n} for n in range(args.count)]
@@ -132,7 +98,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_prefix(args: argparse.Namespace) -> int:
     if args.stop < args.start:
         raise ParameterError(f"--to {args.stop} below --from {args.start}")
-    base = _parse_params(args.params)
+    base = presets.parse_params(args.params.split(","))
     values: List[int] = []
     for point in range(args.start, args.stop + 1):
         params = dict(base)
@@ -166,65 +132,36 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
 def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
     rows = []
     for params in _assignments(args):
+        if args.against in ("stolid", "dp") and args.preset != "moessner":
+            raise ParameterError(f"--against {args.against} only compares the moessner preset")
+        additions = ref_additions = None
         if args.against == "oracle":
             report = evaluate_counting(presets.build(args.preset, params))
+            value, additions = report.value, report.additions
             reference = presets.expected(args.preset, params)
-            rows.append(
-                {
-                    "params": params,
-                    "value": report.value,
-                    "reference": reference,
-                    "additions": report.additions,
-                    "ref_additions": None,
-                    "ok": report.value == reference,
-                }
-            )
         elif args.against == "memoized":
             program = presets.build(args.preset, params)
-            plain = evaluate(program)
-            memo = evaluate_memoized(program)
-            rows.append(
-                {
-                    "params": params,
-                    "value": plain,
-                    "reference": memo,
-                    "additions": None,
-                    "ref_additions": None,
-                    "ok": plain == memo,
-                }
-            )
+            value, reference = evaluate(program), evaluate_memoized(program)
         elif args.against == "stolid":
-            if args.preset != "moessner":
-                raise ParameterError("--against stolid only compares the moessner preset")
             lively = evaluate_counting(presets.build("moessner", params))
             stolid = evaluate_counting(presets.build("moessner_stolid", params))
-            rows.append(
-                {
-                    "params": params,
-                    "value": lively.value,
-                    "reference": stolid.value,
-                    "additions": lively.additions,
-                    "ref_additions": stolid.additions,
-                    "ok": lively.value == stolid.value and lively.additions == stolid.additions,
-                }
-            )
-        elif args.against == "dp":
-            if args.preset != "moessner":
-                raise ParameterError("--against dp only compares the moessner preset")
-            report = dp_power(params.get("x", 0), params.get("n", 0))
-            reference = pow_fast(params.get("x", 0) + 1, params.get("n", 0))
-            rows.append(
-                {
-                    "params": params,
-                    "value": report.value,
-                    "reference": reference,
-                    "additions": report.additions,
-                    "ref_additions": None,
-                    "ok": report.value == reference,
-                }
-            )
-        else:  # pragma: no cover - argparse choices guard this
-            raise ParameterError(f"unknown comparison target {args.against!r}")
+            value, additions = lively.value, lively.additions
+            reference, ref_additions = stolid.value, stolid.additions
+        else:  # dp; argparse choices allow nothing else
+            x, n = params.get("x", 0), params.get("n", 0)
+            report = dp_power(x, n)
+            value, additions = report.value, report.additions
+            reference = pow_fast(x + 1, n)
+        rows.append(
+            {
+                "params": params,
+                "value": value,
+                "reference": reference,
+                "additions": additions,
+                "ref_additions": ref_additions,
+                "ok": value == reference and ref_additions in (None, additions),
+            }
+        )
     return rows
 
 

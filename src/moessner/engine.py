@@ -75,6 +75,11 @@ class SummationProgram:
             )
 
 
+def is_natural(value: Any) -> bool:
+    """True for an int >= 0; bool, float and str are not naturals."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def normalize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Check names and types; returns a plain dict with f as a tuple."""
     out: Dict[str, Any] = {}
@@ -84,13 +89,12 @@ def normalize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
         if key == "f":
             if not isinstance(value, (list, tuple)):
                 raise ParameterError(f"table f must be a list of naturals, got {value!r}")
-            entries = tuple(value)
-            for entry in entries:
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 0:
+            for entry in value:
+                if not is_natural(entry):
                     raise ParameterError(f"table entries must be naturals, got {entry!r}")
-            out["f"] = entries
+            out["f"] = tuple(value)
         else:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not is_natural(value):
                 raise ParameterError(f"parameter {key}={value!r} must be a natural number")
             out[key] = value
     return out

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .engine import evaluate, evaluate_memoized, is_markov
-from .errors import BFileParseError, FetchError, FixtureNotFoundError, PreconditionError
+from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError
 
 OEIS_BASE_URL_ENV = "OEIS_BASE_URL"
 DEFAULT_BASE_URL = "https://oeis.org"
@@ -81,12 +81,19 @@ def serialize_bfile(entries: List[BFileEntry]) -> str:
     return "".join(f"{e.index} {e.value}\n" for e in entries)
 
 
+def _read_ascii(path: Path) -> str:
+    try:
+        return path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise BFileParseError(f"{path.name}: non-ASCII byte at offset {exc.start}") from None
+
+
 def load_fixture(a_number: Union[str, int], directory: Optional[Path] = None) -> List[BFileEntry]:
     directory = Path(directory) if directory is not None else fixtures_dir()
     path = directory / bfile_name(a_number)
     if not path.is_file():
         raise FixtureNotFoundError(f"no bundled fixture {path.name} in {directory}")
-    return parse_bfile(path.read_text(encoding="ascii"))
+    return parse_bfile(_read_ascii(path))
 
 
 def fetch(
@@ -122,9 +129,11 @@ class ManifestRow:
 def parse_manifest(text: str) -> List[ManifestRow]:
     """One row per line: '<preset> <A-number> vary=<p> from=<i> shift=<i> [k=v...]'.
 
-    Fixed-parameter values are integers, except f=1:2:3 (colon-separated
-    table) and init=... (kept as a spec string).
+    vary= names the swept parameter (default n); every other token, from=
+    and shift= included, follows the CLI --params grammar (presets.parse_params).
     """
+    from . import presets  # deferred: presets uses fixtures for two expected()s
+
     rows: List[ManifestRow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -134,32 +143,15 @@ def parse_manifest(text: str) -> List[ManifestRow]:
         if len(fields) < 2:
             raise BFileParseError(f"manifest line {lineno}: too few fields in {raw!r}")
         preset, a_number = fields[0], normalize_a_number(fields[1])
-        vary = "n"
-        start = 0
-        shift = 0
-        fixed: Dict[str, Any] = {}
-        for token in fields[2:]:
-            if "=" not in token:
-                raise BFileParseError(f"manifest line {lineno}: bad token {token!r}")
-            key, value = token.split("=", 1)
-            if key == "vary":
-                vary = value
-            elif key == "from":
-                start = int(value)
-            elif key == "shift":
-                shift = int(value)
-            elif key == "f":
-                fixed["f"] = tuple(int(v) for v in value.split(":"))
-            elif key == "init":
-                fixed["init"] = value
-            else:
-                try:
-                    fixed[key] = int(value)
-                except ValueError:
-                    raise BFileParseError(
-                        f"manifest line {lineno}: non-integer value in {token!r}"
-                    ) from None
-        rows.append(ManifestRow(preset, a_number, vary, start, shift, fixed))
+        vary = [token[len("vary="):] for token in fields[2:] if token.startswith("vary=")] or ["n"]
+        if len(vary) > 1:
+            raise BFileParseError(f"manifest line {lineno}: parameter 'vary' given more than once")
+        try:
+            fixed = presets.parse_params(t for t in fields[2:] if not t.startswith("vary="))
+        except ParameterError as exc:
+            raise BFileParseError(f"manifest line {lineno}: {exc}") from None
+        start, shift = fixed.pop("from", 0), fixed.pop("shift", 0)
+        rows.append(ManifestRow(preset, a_number, vary[0], start, shift, fixed))
     return rows
 
 
@@ -168,7 +160,7 @@ def load_manifest(directory: Optional[Path] = None) -> List[ManifestRow]:
     path = directory / "manifest.txt"
     if not path.is_file():
         raise FixtureNotFoundError(f"no manifest.txt in {directory}")
-    return parse_manifest(path.read_text(encoding="ascii"))
+    return parse_manifest(_read_ascii(path))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ programs; all values come out of the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import oracles
-from .engine import LevelSpec, SummationProgram, validate
+from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
 from .errors import ParameterError
 from .expr import (
     Add,
@@ -400,6 +400,33 @@ def preset_names() -> List[str]:
     return sorted(_PRESETS)
 
 
+def parse_params(assignments: Iterable[str]) -> Params:
+    """Parse 'key=value' strings: the grammar of CLI --params and manifest tokens.
+
+    f is a colon table of ints (f=1:3:2), init and rule values stay spec
+    strings for build to parse, and every other value must be an int.
+    Blank assignments are skipped; a repeated key is an error.
+    """
+    params: Params = {}
+    for assignment in assignments:
+        assignment = assignment.strip()
+        if not assignment:
+            continue
+        key, eq, value = (part.strip() for part in assignment.partition("="))
+        if not eq:
+            raise ParameterError(f"bad token {assignment!r}, expected key=value")
+        if key in params:
+            raise ParameterError(f"parameter {key!r} given more than once")
+        if key in ("init", "rule"):
+            params[key] = value
+            continue
+        try:
+            params[key] = tuple(int(v) for v in value.split(":")) if key == "f" else int(value)
+        except ValueError:
+            raise ParameterError(f"non-integer value in {assignment!r}") from None
+    return params
+
+
 def _lookup(name: str, raw: Mapping[str, Any]) -> Tuple[PresetInfo, Params]:
     """The preset's record and its checked parameters, optional defaults filled in."""
     info = _PRESETS.get(name)
@@ -425,14 +452,11 @@ def _lookup(name: str, raw: Mapping[str, Any]) -> Tuple[PresetInfo, Params]:
             else:
                 raise ParameterError(f"rule must be a name or (name, offset), got {value!r}")
         elif key == "f":
-            entries = tuple(int(v) for v in value)
-            if any(v < 0 for v in entries):
-                raise ParameterError(f"f entries must be naturals, got {list(entries)}")
-            cleaned[key] = entries
-        else:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ParameterError(f"{name} parameter {key}={value!r} must be a natural")
+            cleaned[key] = normalize_params({"f": value})["f"]
+        elif is_natural(value):
             cleaned[key] = value
+        else:
+            raise ParameterError(f"{name} parameter {key}={value!r} must be a natural")
     return info, cleaned
 
 

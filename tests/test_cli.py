@@ -1,14 +1,19 @@
 """CLI surface: output formats, exit codes, error reporting."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moessner.cli import main
 from moessner.oeis import BFileEntry, fixtures_dir, load_fixture, serialize_bfile
+from moessner.presets import preset_names
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +106,13 @@ def test_eval_rejects_repeated_parameter(capsys):
     code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,x=5,n=2")
     assert (code, out) == (2, "")
     assert "'x' given more than once" in err
+
+
+def test_eval_rejects_non_integer_table(capsys):
+    code, out, err = run_cli(capsys, "eval", "--preset", "product_of_table", "--params", "n=1,f=a:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-integer" in err
 
 
 def test_eval_prints_values_past_the_int_str_digit_limit(capsys):
@@ -317,6 +329,18 @@ def test_oeis_check_errors(capsys):
     assert "manifest" in err
 
 
+def test_oeis_check_malformed_fixture_files_exit_two(tmp_path, capsys):
+    (tmp_path / "manifest.txt").write_text("catalan A108 from=x\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "oeis-check", "--preset", "catalan", "--fixtures", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest line 1: ") and err.count("\n") == 1
+    (tmp_path / "manifest.txt").write_text("catalan A108\n", encoding="ascii")
+    (tmp_path / "b000108.txt").write_bytes("0 1\n1 ①\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "oeis-check", "--preset", "catalan", "--fixtures", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: b000108.txt: ") and err.count("\n") == 1
+
+
 def test_list_presets_plain(capsys):
     code, out, _ = run_cli(capsys, "list-presets")
     assert code == 0
@@ -371,3 +395,61 @@ def test_rosen_triple_eval_and_compare(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1] == "1/1 match"
+
+
+# argv fuzz: subcommands x presets (and an unknown one) x --params strings drawn
+# from the grammar's keys, values and junk; numbers stay in -1..3 so every call is quick
+_small = st.integers(-1, 3).map(str)
+_value = st.one_of(
+    _small,
+    st.lists(st.integers(-1, 3), max_size=4).map(lambda entries: ":".join(map(str, entries))),
+    st.sampled_from(
+        ("ones", "successor", "const:2", "indicator:1:2", "prev_plus:1", "mult_x", "zzz", "", "=", "1.5")
+    ),
+)
+_key = st.sampled_from(("x", "n", "a", "d", "b", "f", "n1", "n2", "n3", "init", "rule", "k", "vary", ""))
+_assignment = st.one_of(st.builds("{}={}".format, _key, _value), st.sampled_from(("", " ", "x", "==")))
+_preset = st.sampled_from(preset_names() + ["mystery"]).map(lambda name: ["--preset", name])
+_params = st.lists(_assignment, max_size=5).map(lambda parts: ["--params", ",".join(parts)])
+_count = st.one_of(st.just([]), _small.map(lambda m: ["--count", m]))
+_format = st.sampled_from(([], ["--format", "csv"], ["--format", "json"]))
+
+
+def _option(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+def _switch(flag):
+    return st.sampled_from(([], [flag]))
+
+
+_argvs = st.one_of(
+    st.tuples(
+        st.just(["eval"]), _preset, _params, _count,
+        _switch("--memoized"), _switch("--count-adds"), _format,
+    ),
+    st.tuples(
+        st.just(["prefix"]), _preset, _params, _option("--vary", _key),
+        _option("--from", _small), _option("--to", _small), _format,
+    ),
+    st.tuples(
+        st.just(["compare"]), _preset, _params, _count,
+        _option("--against", st.sampled_from(("oracle", "memoized", "stolid", "dp"))),
+    ),
+    st.tuples(
+        st.just(["process"]), _option("--exponent", _small), _option("--prefix", _small),
+        _option("--init", _value), _format,
+    ),
+    st.tuples(st.just(["inverse"]), _option("--exponent", _small), _option("--prefix", _small), _format),
+    st.tuples(st.just(["polygonal"]), _option("--k", _small), _option("--count", _small)),
+    st.tuples(st.just(["oeis-check"]), _preset, _option("--count", _small)),
+    st.tuples(st.just(["list-presets"]), _switch("--json")),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@given(_argvs)
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_ends_in_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

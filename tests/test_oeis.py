@@ -120,6 +120,28 @@ def test_parse_manifest_errors():
         parse_manifest("moessner A79 x=two\n")
 
 
+def test_parse_manifest_rejects_bad_values_and_repeated_keys():
+    bad = {
+        "from=x": "non-integer",
+        "shift=": "non-integer",
+        "f=a:b": "non-integer",
+        "x=1 x=2": "given more than once",
+        "vary=n vary=x": "given more than once",
+    }
+    for tokens, message in bad.items():
+        with pytest.raises(BFileParseError, match=f"manifest line 2: .*{message}"):
+            parse_manifest(f"# header\ncatalan A108 {tokens}\n")
+
+
+def test_non_ascii_fixture_files_raise_parse_errors(tmp_path):
+    (tmp_path / "b000108.txt").write_bytes("0 1\n1 1\n# caf\u00e9\n".encode("utf-8"))
+    (tmp_path / "manifest.txt").write_bytes("catalan A108 x=\u00b2\n".encode("utf-8"))
+    with pytest.raises(BFileParseError, match="b000108.txt"):
+        load_fixture("A000108", directory=tmp_path)
+    with pytest.raises(BFileParseError, match="manifest.txt"):
+        load_manifest(tmp_path)
+
+
 def test_bundled_manifest_is_coherent():
     rows = load_manifest()
     assert len(rows) == 22

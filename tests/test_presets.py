@@ -7,7 +7,7 @@ import pytest
 
 from moessner.engine import evaluate, evaluate_memoized, unfold_display
 from moessner.errors import ParameterError
-from moessner.presets import build, catalog, expected, preset_names
+from moessner.presets import build, catalog, expected, parse_params, preset_names
 from moessner.process import run_process
 from moessner.rules import InitRule
 
@@ -183,6 +183,30 @@ def test_product_of_table_needs_enough_entries():
         build("product_of_table", {"n": 3, "f": (2, 3)})
     with pytest.raises(ParameterError, match="natural"):
         build("product_of_table", {"n": 1, "f": (2, -3)})
+
+
+def test_product_of_table_rejects_non_natural_tables():
+    # a float entry used to be truncated, a str entry or a scalar table to escape as a bare error
+    for table in ([1.5, 2], ["a", 1], 5):
+        with pytest.raises(ParameterError, match="natural"):
+            build("product_of_table", {"n": 1, "f": table})
+
+
+def test_parse_params_grammar():
+    assignments = ["x=3", " n = 4 ", "", "f=1:3:2", "init=indicator:2:3", "rule=prev_plus:1"]
+    assert parse_params(assignments) == {
+        "x": 3,
+        "n": 4,
+        "f": (1, 3, 2),
+        "init": "indicator:2:3",
+        "rule": "prev_plus:1",
+    }
+    bad = {"x 3": "key=value", "x=a": "non-integer", "f=1:b": "non-integer", "f=": "non-integer"}
+    for assignment, message in bad.items():
+        with pytest.raises(ParameterError, match=message):
+            parse_params([assignment])
+    with pytest.raises(ParameterError, match="'x' given more than once"):
+        parse_params(["x=1", "x=2"])
 
 
 def test_multiset_shift_identity():
