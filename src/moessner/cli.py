@@ -16,7 +16,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from . import oeis, presets
-from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov
+from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural
 from .errors import MoessnerError, ParameterError
 from .inverse import run_inverse
 from .oracles import pow_fast
@@ -279,6 +279,17 @@ def _cmd_list_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of every --count: a natural number."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if not is_natural(value):
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moessner",
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a preset at one parameter point")
     p_eval.add_argument("--preset", required=True)
     p_eval.add_argument("--params", default="", help="comma list like x=3,n=4; tables as f=1:3:2")
-    p_eval.add_argument("--count", type=int, default=None, metavar="M", help="evaluate n=0..M-1 instead")
+    p_eval.add_argument("--count", type=_count, default=None, metavar="M", help="evaluate n=0..M-1 instead")
     p_eval.add_argument("--memoized", action="store_true", help="use the table-folding evaluator")
     p_eval.add_argument("--count-adds", action="store_true", help="also report additions performed")
     add_format(p_eval)
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="check a preset against an independent path")
     p_cmp.add_argument("--preset", required=True)
     p_cmp.add_argument("--params", default="")
-    p_cmp.add_argument("--count", type=int, default=None, metavar="M", help="compare n=0..M-1 instead")
+    p_cmp.add_argument("--count", type=_count, default=None, metavar="M", help="compare n=0..M-1 instead")
     p_cmp.add_argument("--against", choices=("oracle", "memoized", "stolid", "dp"), required=True)
     p_cmp.set_defaults(handler=_cmd_compare)
 
@@ -329,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("polygonal", help="check the floored-quotient sum against its closed form")
     p_poly.add_argument("--k", type=int, required=True)
-    p_poly.add_argument("--count", type=int, required=True, metavar="M", help="check n=0..M-1")
+    p_poly.add_argument("--count", type=_count, required=True, metavar="M", help="check n=0..M-1")
     p_poly.set_defaults(handler=_cmd_polygonal)
 
     p_oeis = sub.add_parser("oeis-check", help="compare a preset prefix against bundled b-files")
     p_oeis.add_argument("--preset", required=True)
-    p_oeis.add_argument("--count", type=int, default=8, metavar="M")
+    p_oeis.add_argument("--count", type=_count, default=8, metavar="M")
     p_oeis.add_argument("--fixtures", default=None, help="override the bundled fixtures directory")
     p_oeis.add_argument("--online", action="store_true", help="fetch the b-file instead of the bundled copy")
     p_oeis.set_defaults(handler=_cmd_oeis_check)

@@ -7,8 +7,10 @@ history. Empty sums (bound below the lower bound) are 0 by convention, which
 several presets rely on to terminate chains whose bounds go negative.
 
 Three evaluators:
-  evaluate          plain value, one walk over an explicit level stack with
-                    compiled bound and body closures
+  evaluate          plain value, one walk with bounds and body compiled to
+                    one generated function each (expr.compile_expr); an
+                    explicit stack holds levels 1..d-1, and a plain loop
+                    runs i_{d-1} and sums level d in place
   evaluate_counting value plus exact addition/leaf tallies: the same walk,
                     handed closures that tally as they run (each bound adds
                     the additions its sum folds, the innermost one also the
@@ -135,7 +137,7 @@ def evaluate(program: SummationProgram) -> int:
     if program.depth == 0:
         return _body_guarded(program, ())
     params = program.params
-    # compiled once per call; the closures read idx in place, no tuple copies
+    # compiled once per call; the functions read idx in place, no tuple copies
     bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
     body = program.body
     body_fn = None if isinstance(body, Lit) else compile_expr(body, params, program.depth + 1)
@@ -147,7 +149,10 @@ def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optiona
 
     bound_fns[k] gives the upper bound of level k+1 from the open indices;
     body_fn gives the body's value at a full history, and is None when the
-    body is a Lit, whose leaves are then summed by multiplication.
+    body is a Lit, whose leaves are then summed by multiplication. The stack
+    holds levels 1..d-1 only: once they are open, a plain loop runs i_{d-1}
+    to its end and sums level d at each step, so no level is pushed or popped
+    per innermost sum. Bounds and body are called in depth-first order.
     """
     depth = program.depth
     body = program.body
@@ -155,38 +160,41 @@ def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optiona
     if body_const is not None and body_const < 0:
         raise DomainError(f"body evaluated to {body_const} at history ()")
     lowers = [spec.lower for spec in program.levels]
+    inner_bound, inner_lo = bound_fns[-1], lowers[-1]
 
     total = 0
     idx: List[int] = []
     hi_stack: List[int] = []
+    # the plain loop steps i_{d-1} in place up to its bound; a depth-1 walk has
+    # no i_{d-1} and makes its one step on a spare slot
+    step, last = (idx, hi_stack) if depth > 1 else ([0], [0])
     while True:
-        # open levels downward until innermost, or until an empty sum cuts off
-        cut = False
+        # open levels downward to d-1, or until an empty sum cuts off
         opened = len(idx)
-        while opened < depth:
+        while opened < depth - 1:
             lo = lowers[opened]
             hi = bound_fns[opened](idx)
             if hi < lo:
-                cut = True
                 break
             idx.append(lo)
             hi_stack.append(hi)
             opened += 1
-        if not cut:
-            lo_inner = idx[-1]
-            hi_inner = hi_stack[-1]
-            if body_const is not None:
-                total += (hi_inner - lo_inner + 1) * body_const
-            else:
-                for i in range(lo_inner, hi_inner + 1):
-                    idx[-1] = i
+        else:  # no cut: levels 1..d-1 are open
+            for step[-1] in range(step[-1], last[-1] + 1):
+                hi = inner_bound(idx)
+                if hi < inner_lo:
+                    continue
+                if body_const is not None:
+                    total += (hi - inner_lo + 1) * body_const
+                    continue
+                idx.append(inner_lo)
+                for idx[-1] in range(inner_lo, hi + 1):
                     value = body_fn(idx)
                     if value < 0:
                         raise DomainError(f"body evaluated to {value} at history {tuple(idx)}")
                     total += value
-            idx.pop()
-            hi_stack.pop()
-        # advance the deepest open level; pop the exhausted ones
+                idx.pop()
+        # advance the deepest open level; pop the exhausted ones (i_{d-1} always is)
         while idx and idx[-1] >= hi_stack[-1]:
             idx.pop()
             hi_stack.pop()
@@ -303,14 +311,15 @@ def evaluate_memoized(program: SummationProgram) -> int:
         return 0
     ranges: List[Tuple[int, int]] = [(lo1, b1)]
     bounds: List[List[int]] = []  # bounds[k-2]: level k's bound per index of level k-1, reused below
+    history: List[int] = []  # one slot more per level; bounds read only the last
     for k in range(2, depth + 1):
         plo, phi = ranges[-1]
         lo = program.levels[k - 1].lower
-        history = [0] * (k - 1)
+        bound_fn = bound_fns[k - 1]
+        history.append(0)
         level_bounds = []
-        for v in range(plo, phi + 1):
-            history[-1] = v
-            level_bounds.append(bound_fns[k - 1](history))
+        for history[-1] in range(plo, phi + 1):
+            level_bounds.append(bound_fn(history))
         hi = max(level_bounds)
         if hi < lo:
             return 0  # level k is empty under every reachable parent

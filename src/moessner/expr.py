@@ -13,8 +13,11 @@ serialization on purpose.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
+from types import CodeType
 from typing import Any, Callable, Dict, Mapping, Tuple, Union
 
 from .errors import ParameterError, ValidationError
@@ -175,83 +178,104 @@ def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) 
     raise ValidationError(f"not an expression node: {expr!r}")
 
 
+# Subtrees nested deeper than this are compiled as functions of their own, so
+# the generated text stays far below CPython's limit of 200 nested brackets
+# (a node adds at most two).
+_MAX_NESTING = 40
+
+
+@functools.lru_cache(maxsize=1024)
+def _shape_code(text: str) -> CodeType:
+    return compile(text, "<moessner expr>", "eval")
+
+
+def _missing_param(name: str) -> int:
+    raise ParameterError(f"missing parameter {name!r}")
+
+
+def _missing_table(index: int) -> int:
+    raise ParameterError("missing table parameter 'f'")
+
+
+def _table_miss(index: int, length: int) -> int:
+    raise ParameterError(f"table index {index} outside f of length {length}")
+
+
+_HELPERS = {
+    "_missing_param": _missing_param,
+    "_missing_table": _missing_table,
+    "_table_miss": _table_miss,
+    "_prod": math.prod,
+}
+_BINOPS = {Add: "+", Sub: "-", Mul: "*"}
+
+
 def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]:
-    """Build a closure over a history sequence, baking in params and level.
+    """Generate one function of a history sequence, baking in params and level.
 
     Behaves exactly like eval_expr(expr, params, level, history) but pays the
-    node dispatch once instead of per call. The returned closure accepts any
-    sequence of enclosing index values (the evaluators pass a mutable list and
-    only rely on its contents at call time). Missing-parameter errors stay
-    lazy: they fire when the node is reached, like the interpreter.
+    node dispatch once instead of per call: the whole expression becomes one
+    Python expression, `lambda h: ...`, with no call per node. The returned
+    function accepts any sequence of enclosing index values (the evaluators
+    pass a mutable list and only rely on its contents at call time).
+    Missing-parameter and table errors stay lazy: they fire when the node is
+    reached, like the interpreter. Custom callables still receive a tuple.
+
+    The generated text holds no value from the expression or params: every
+    literal, parameter value, history offset, divisor, the level, the table
+    and each Custom callable is bound by name in the function's globals. The
+    text thus depends only on the expression's shape, and each shape is
+    compiled once per process.
     """
-    if isinstance(expr, Lit):
-        c = expr.value
-        return lambda h: c
-    if isinstance(expr, Param):
-        name = expr.name
-        if name in params:
-            v = params[name]
-            return lambda h: v
+    env: Dict[str, Any] = dict(_HELPERS)
+    slots = itertools.count()
 
-        def missing(h: Any) -> int:
-            raise ParameterError(f"missing parameter {name!r}")
+    def bind(value: Any) -> str:
+        name = f"_v{next(slots)}"
+        env[name] = value
+        return name
 
-        return missing
-    if isinstance(expr, Level):
-        return lambda h: level
-    if isinstance(expr, Prev):
-        return lambda h: h[-1]
-    if isinstance(expr, Hist):
-        j = expr.index - 1
-        return lambda h: h[j]
-    if isinstance(expr, SumHist):
-        return lambda h: sum(h)
-    if isinstance(expr, ProdHist):
-        return lambda h: math.prod(h)
-    if isinstance(expr, Table):
-        ix_fn = compile_expr(expr.index, params, level)
-        table = params.get("f")
-        if table is None:
+    def emit(e: Expr, nesting: int) -> str:
+        kind = type(e)
+        if nesting >= _MAX_NESTING and _CHILDREN.get(kind):
+            return f"{bind(compile_expr(e, params, level))}(h)"
+        nesting += 1
+        if kind is Lit:
+            return bind(e.value)
+        if kind is Param:
+            if e.name in params:
+                return bind(params[e.name])
+            return f"_missing_param({bind(e.name)})"
+        if kind is Level:
+            return bind(level)
+        if kind is Prev:
+            return "h[-1]"
+        if kind is Hist:
+            return f"h[{bind(e.index - 1)}]"
+        if kind is SumHist:
+            return "sum(h)"
+        if kind is ProdHist:
+            return "_prod(h)"
+        if kind is Table:
+            index = emit(e.index, nesting)
+            table = params.get("f")
+            if table is None:
+                return f"_missing_table({index})"
+            f, n = bind(table), bind(len(table))
+            i = f"_i{next(slots)}"  # a local of the lambda: the index, read twice
+            return f"({f}[{i}] if 0 <= ({i} := {index}) < {n} else _table_miss({i}, {n}))"
+        if kind in _BINOPS:
+            return f"({emit(e.lhs, nesting)} {_BINOPS[kind]} {emit(e.rhs, nesting)})"
+        if kind is FloorDiv:
+            return f"({emit(e.num, nesting)} // {bind(e.div)})"
+        if kind is IfZero:
+            cond = emit(e.cond, nesting)
+            return f"({emit(e.then, nesting)} if {cond} == 0 else {emit(e.orelse, nesting)})"
+        if kind is Custom:
+            return f"{bind(e.fn)}({bind(params)}, {bind(level)}, tuple(h))"
+        raise ValidationError(f"not an expression node: {e!r}")
 
-            def no_table(h: Any) -> int:
-                raise ParameterError("missing table parameter 'f'")
-
-            return no_table
-        tlen = len(table)
-
-        def lookup(h: Any) -> int:
-            i = ix_fn(h)
-            if not 0 <= i < tlen:
-                raise ParameterError(f"table index {i} outside f of length {tlen}")
-            return table[i]
-
-        return lookup
-    if isinstance(expr, Add):
-        lf = compile_expr(expr.lhs, params, level)
-        rf = compile_expr(expr.rhs, params, level)
-        return lambda h: lf(h) + rf(h)
-    if isinstance(expr, Sub):
-        lf = compile_expr(expr.lhs, params, level)
-        rf = compile_expr(expr.rhs, params, level)
-        return lambda h: lf(h) - rf(h)
-    if isinstance(expr, Mul):
-        lf = compile_expr(expr.lhs, params, level)
-        rf = compile_expr(expr.rhs, params, level)
-        return lambda h: lf(h) * rf(h)
-    if isinstance(expr, FloorDiv):
-        nf = compile_expr(expr.num, params, level)
-        d = expr.div
-        return lambda h: nf(h) // d
-    if isinstance(expr, IfZero):
-        cf = compile_expr(expr.cond, params, level)
-        tf = compile_expr(expr.then, params, level)
-        of = compile_expr(expr.orelse, params, level)
-        return lambda h: tf(h) if cf(h) == 0 else of(h)
-    if isinstance(expr, Custom):
-        fn = expr.fn
-        # Custom callables were promised a tuple; don't leak the mutable list
-        return lambda h: fn(params, level, tuple(h))
-    raise ValidationError(f"not an expression node: {expr!r}")
+    return eval(_shape_code("lambda h: " + emit(expr, 0)), env)
 
 
 def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) -> Tuple[int, int]:

@@ -90,6 +90,8 @@ def required_length(n: int, m: int, iterations: Optional[int] = None) -> int:
 
 def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[List[int], ProcessTrace]:
     """First m values of the process for exponent n, plus the full trace."""
+    if n < 0:
+        raise PreconditionError(f"exponent must be >= 0, got {n}")
     rounds = iteration_count(n, init)
     length = required_length(n, m, iterations=rounds)
     row = init.row(length)

@@ -1,0 +1,7 @@
+"""Child interpreters that tests start (python -m moessner) import from src/ too."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

@@ -264,6 +264,30 @@ def test_process_bad_init(capsys):
     assert "init spec" in err
 
 
+def test_process_negative_exponent_exits_two(capsys):
+    code, out, err = run_cli(capsys, "process", "--exponent", "-1", "--prefix", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: exponent must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--preset", "catalan", "--count", "-1", "--format", "json"],
+        ["compare", "--preset", "catalan", "--against", "oracle", "--count", "-2"],
+        ["polygonal", "--k", "3", "--count", "-1"],
+        ["oeis-check", "--preset", "catalan", "--count", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_count_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    count = argv[argv.index("--count") + 1]
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"moessner {argv[0]}: error: argument --count: must be a natural number, got {count!r}"]
+
+
 def test_inverse_plain(capsys):
     code, out, _ = run_cli(capsys, "inverse", "--exponent", "3", "--prefix", "5")
     assert code == 0

@@ -512,3 +512,60 @@ def test_program_from_dict_takes_any_json(data):
         except MoessnerError:
             continue
         assert isinstance(program, SummationProgram)
+
+
+def _logged(log, fn):
+    """A Custom node that records each (level, history) it is called at."""
+    return Custom(lambda params, level, history: log.append((level, history)) or fn(history), "log")
+
+
+# (lower bound, upper bound of the history) per level; bounds below the lower
+# bound make empty sums at the penultimate and the innermost level
+_LOGGED_WALKS = [
+    [(0, lambda h: 2)],
+    [(1, lambda h: 0)],
+    [(0, lambda h: 3), (0, lambda h: h[-1] - 1)],
+    [(1, lambda h: 3), (1, lambda h: 3 - h[-1])],
+    [(0, lambda h: 3), (0, lambda h: -1 if h[0] == 1 else 2), (1, lambda h: (h[0] + h[1]) % 3)],
+    [(1, lambda h: 2), (0, lambda h: h[0] - 1), (0, lambda h: h[1] - 1)],
+]
+
+
+@pytest.mark.parametrize("walk", _LOGGED_WALKS, ids=lambda walk: f"depth{len(walk)}")
+def test_walk_calls_bounds_and_body_in_reference_order(walk):
+    def program(log):
+        levels = tuple(LevelSpec(lower, _logged(log, bound)) for lower, bound in walk)
+        return SummationProgram(len(walk), levels, _logged(log, lambda h: sum(h) % 3 + 1))
+
+    want_log, got_log, counted_log = [], [], []
+    want = reference_evaluate(program(want_log))
+    assert evaluate(program(got_log)) == want
+    assert evaluate_counting(program(counted_log)).value == want
+    assert got_log == want_log
+    assert counted_log == want_log
+
+
+def test_negative_body_names_first_history_in_walk_order():
+    cases = [
+        (SummationProgram(1, (LevelSpec(1, Lit(5)),), Sub(Lit(3), Prev())), r"\(4,\)"),
+        (
+            SummationProgram(
+                2, (LevelSpec(0, Lit(2)), LevelSpec(0, Prev())), Sub(Lit(2), Add(Prev(), Hist(1)))
+            ),
+            r"\(2, 1\)",
+        ),
+        # the inner sum is empty at i1 = 1, and the body goes negative at (2, 2)
+        (
+            SummationProgram(
+                2,
+                (LevelSpec(0, Lit(3)), LevelSpec(0, IfZero(Sub(Prev(), Lit(1)), Lit(-1), Prev()))),
+                Sub(Lit(3), Add(Prev(), Hist(1))),
+            ),
+            r"\(2, 2\)",
+        ),
+        (SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, Prev())), Lit(-1)), r"\(\)"),
+    ]
+    for prog, history in cases:
+        for evaluator in (evaluate, evaluate_counting):
+            with pytest.raises(DomainError, match=r"body evaluated to -1 at history " + history):
+                evaluator(prog)

@@ -259,3 +259,32 @@ def test_compiled_custom_receives_tuple():
     assert compile_expr(Custom(probe, "probe"), {}, 3)([4, 7]) == 3
     assert seen["history"] == (4, 7)
     assert isinstance(seen["history"], tuple)
+
+
+def test_compiled_deep_chain_matches_interpreted():
+    # 600 nested nodes is past the parser's nesting limit for one expression
+    expr = Lit(1)
+    for i in range(600):
+        expr = Sub(expr, Lit(i % 5)) if i % 2 else Add(Prev(), expr)
+    history = [3, 4]
+    assert compile_expr(expr, PARAMS, 3)(history) == eval_expr(expr, PARAMS, 3, tuple(history))
+
+
+def test_compiled_huge_values_are_exact():
+    # values past the int->str digit limit: nothing is formatted into source text
+    big = 10**4999 + 7
+    fn = compile_expr(Add(Lit(big), Mul(Param("x"), Prev())), {"x": 3 * big}, 2)
+    assert fn([2]) == big + 6 * big
+    assert compile_expr(Param("n"), {"n": big}, 1)([]) == big
+
+
+def test_compiled_same_shape_keeps_own_values():
+    # one shape, compiled once, bound to different constants and parameters
+    first = compile_expr(Sub(Lit(1), Prev()), {}, 2)
+    second = compile_expr(Sub(Lit(5), Prev()), {}, 2)
+    small = compile_expr(Add(Param("x"), Table(Prev())), {"x": 1, "f": (10, 20)}, 2)
+    large = compile_expr(Add(Param("x"), Table(Prev())), {"x": 100, "f": (30, 40, 50)}, 2)
+    assert (first([1]), second([1])) == (0, 4)
+    assert (small([1]), large([1]), large([2])) == (21, 140, 150)
+    with pytest.raises(ParameterError, match="table index 2 outside f of length 2"):
+        small([2])

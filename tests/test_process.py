@@ -205,3 +205,8 @@ def test_power_strategies_agree():
     for x in range(12):
         for n in range(6):
             assert dp_power(x, n).value == naive_power(x, n).value
+
+
+def test_run_process_rejects_negative_exponent():
+    with pytest.raises(PreconditionError, match="exponent must be >= 0, got -1"):
+        run_process(-1, 2)
