@@ -16,7 +16,8 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from . import oeis, presets
-from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural
+# is_markov is unused here, but perfbench/tracer.py wraps cli.is_markov by name
+from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural  # noqa: F401
 from .errors import MoessnerError, ParameterError
 from .inverse import run_inverse
 from .oracles import pow_fast
@@ -52,14 +53,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     rows = []
     for params in _assignments(args):
         program = presets.build(args.preset, params)
+        # the memo first: it refuses a non-Markov program before any walk
+        value = evaluate_memoized(program) if args.memoized else None
+        additions = None
         if args.count_adds:
             report = evaluate_counting(program)
-            value, additions = report.value, report.additions
-            if args.memoized and evaluate_memoized(program) != value:
+            if value not in (None, report.value):
                 raise MoessnerError("memoized value disagrees with counted evaluation")
-        else:
-            value = evaluate_memoized(program) if args.memoized else evaluate(program)
-            additions = None
+            value, additions = report.value, report.additions
+        elif value is None:
+            value = evaluate(program)
         rows.append((params, value, additions))
 
     if args.format == "json":
@@ -99,12 +102,7 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
     if args.stop < args.start:
         raise ParameterError(f"--to {args.stop} below --from {args.start}")
     base = presets.parse_params(args.params.split(","))
-    values: List[int] = []
-    for point in range(args.start, args.stop + 1):
-        params = dict(base)
-        params[args.vary] = point
-        program = presets.build(args.preset, params)
-        values.append(evaluate_memoized(program) if is_markov(program) else evaluate(program))
+    values = presets.sweep(args.preset, base, args.vary, range(args.start, args.stop + 1))
 
     if args.format == "json":
         print(

@@ -15,15 +15,19 @@ Three evaluators:
                     handed closures that tally as they run (each bound adds
                     the additions its sum folds, the innermost one also the
                     leaves; the body adds the count additions_expr gives)
-  evaluate_memoized value via dense per-level tables; requires is_markov
+  evaluate_memoized value via dense per-level tables, for Markov programs
+
+validate and is_markov read one analysis per program, SummationProgram._summary;
+presets.sweep is the one caller that chooses an evaluator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, ParameterError, PreconditionError, ValidationError
 from .expr import (
@@ -34,7 +38,6 @@ from .expr import (
     eval_expr,
     eval_expr_counted,
     expr_from_dict,
-    expr_references,
     expr_to_dict,
     render_expr,
     validate_expr,
@@ -60,6 +63,12 @@ class EvalReport:
     leaves: int
 
 
+class _Summary(NamedTuple):
+    params: FrozenSet[str]  # parameter names the expressions read
+    reads_table: bool
+    markov: bool
+
+
 @dataclass(frozen=True)
 class SummationProgram:
     depth: int
@@ -75,6 +84,26 @@ class SummationProgram:
             raise ValidationError(
                 f"depth {self.depth} does not match {len(self.levels)} level specs"
             )
+
+    @cached_property
+    def _summary(self) -> _Summary:
+        """One validate_expr walk per expression; a structural error raises and caches nothing."""
+        params: set = set()
+        reads_table, markov = False, True
+        for level, role, expr in _exprs(self):
+            refs = validate_expr(expr, level, role=role)
+            params |= refs["params"]
+            reads_table = reads_table or refs["table"]
+            whole_history = refs["custom"] or refs["sum_hist"] or refs["prod_hist"]
+            markov = markov and not whole_history and refs["hist"] <= {level - 1}
+        return _Summary(frozenset(params), reads_table, markov)
+
+
+def _exprs(program: SummationProgram) -> Iterator[Tuple[int, str, Expr]]:
+    """(level, role, expression) for each bound, outermost first, then the body."""
+    for k, spec in enumerate(program.levels, start=1):
+        yield k, f"level {k} bound", spec.bound
+    yield program.depth + 1, "body", program.body
 
 
 def is_natural(value: Any) -> bool:
@@ -103,24 +132,14 @@ def normalize_params(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def validate(program: SummationProgram) -> None:
-    """Structural and parameter checks; raises ValidationError/ParameterError."""
-    referenced: set = set()
-    needs_table = False
-    for k, spec in enumerate(program.levels, start=1):
-        validate_expr(spec.bound, k, role=f"level {k} bound")
-        refs = expr_references(spec.bound)
-        referenced |= refs["params"]
-        needs_table = needs_table or refs["table"]
-    validate_expr(program.body, program.depth + 1, role="body")
-    refs = expr_references(program.body)
-    referenced |= refs["params"]
-    needs_table = needs_table or refs["table"]
-
+    """Raises ValidationError/ParameterError. The structural checks are cached per
+    program; the caller's params may change, so they are checked on every call."""
+    summary = program._summary
     params = normalize_params(program.params)
-    missing = referenced - set(params)
+    missing = summary.params - set(params)
     if missing:
         raise ParameterError(f"missing parameters: {sorted(missing)}")
-    if needs_table and "f" not in params:
+    if summary.reads_table and "f" not in params:
         raise ParameterError("program reads the table parameter 'f' but none was given")
 
 
@@ -136,12 +155,19 @@ def evaluate(program: SummationProgram) -> int:
     validate(program)
     if program.depth == 0:
         return _body_guarded(program, ())
-    params = program.params
-    # compiled once per call; the functions read idx in place, no tuple copies
+    return _walk(program, *_compiled(program))
+
+
+def _compiled(program: SummationProgram) -> Tuple[List[Callable], Optional[Callable]]:
+    """Each bound's function and the body's, compiled once per call; a Lit body
+    gives None, and a negative one is refused before any sum is opened."""
+    params, body = program.params, program.body
     bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
-    body = program.body
-    body_fn = None if isinstance(body, Lit) else compile_expr(body, params, program.depth + 1)
-    return _walk(program, bound_fns, body_fn)
+    if not isinstance(body, Lit):
+        return bound_fns, compile_expr(body, params, program.depth + 1)
+    if body.value < 0:
+        raise DomainError(f"body evaluated to {body.value} at history ()")
+    return bound_fns, None
 
 
 def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optional[Callable]) -> int:
@@ -155,10 +181,7 @@ def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optiona
     per innermost sum. Bounds and body are called in depth-first order.
     """
     depth = program.depth
-    body = program.body
-    body_const = body.value if body_fn is None else None
-    if body_const is not None and body_const < 0:
-        raise DomainError(f"body evaluated to {body_const} at history ()")
+    body_const = program.body.value if body_fn is None else None
     lowers = [spec.lower for spec in program.levels]
     inner_bound, inner_lo = bound_fns[-1], lowers[-1]
 
@@ -213,9 +236,8 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     """
     validate(program)
     depth = program.depth
-    params = program.params
     if depth == 0:
-        value, adds = eval_expr_counted(program.body, params, 1, ())
+        value, adds = eval_expr_counted(program.body, program.params, 1, ())
         if value < 0:
             raise DomainError(f"body evaluated to {value} at history ()")
         return EvalReport(value=value, additions=adds, leaves=1)
@@ -234,17 +256,15 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
 
         return bound
 
+    bound_fns, value_fn = _compiled(program)
     bound_fns = [
-        tallied(compile_expr(spec.bound, params, k), spec.lower, k == depth)
-        for k, spec in enumerate(program.levels, 1)
+        tallied(fn, spec.lower, k == depth) for k, (fn, spec) in enumerate(zip(bound_fns, program.levels), 1)
     ]
-    body = program.body
-    value_fn = None if isinstance(body, Lit) else compile_expr(body, params, depth + 1)
-    per_leaf = additions_expr(body)
+    per_leaf = additions_expr(program.body)
     if isinstance(per_leaf, Lit):
         body_fn = value_fn  # fixed cost: leaves * per_leaf, added at the end
     else:
-        adds_fn = compile_expr(per_leaf, params, depth + 1)
+        adds_fn = compile_expr(per_leaf, program.params, depth + 1)
         per_leaf = Lit(0)
 
         def body_fn(h: Any) -> int:
@@ -262,24 +282,10 @@ def is_markov(program: SummationProgram) -> bool:
     Bounds may read at most the immediately enclosing index (Prev, or the
     equivalent explicit Hist(level-1)), the level number, and parameters.
     The body may read at most the innermost index and parameters. Custom
-    nodes are opaque, hence never Markov.
+    nodes are opaque, hence never Markov. Raises ValidationError on a
+    malformed program.
     """
-    for k, spec in enumerate(program.levels, start=1):
-        refs = expr_references(spec.bound)
-        if refs["custom"] or refs["sum_hist"] or refs["prod_hist"]:
-            return False
-        if refs["hist"] - {k - 1}:
-            return False
-        if refs["prev"] and k == 1:
-            return False
-    refs = expr_references(program.body)
-    if refs["custom"] or refs["sum_hist"] or refs["prod_hist"]:
-        return False
-    if refs["hist"] - {program.depth}:
-        return False
-    if refs["prev"] and program.depth == 0:
-        return False
-    return True
+    return program._summary.markov
 
 
 def evaluate_memoized(program: SummationProgram) -> int:
@@ -296,13 +302,11 @@ def evaluate_memoized(program: SummationProgram) -> int:
             "(bounds read at most the previous index; body at most the innermost)"
         )
     depth = program.depth
-    params = program.params
     if depth == 0:
         return _body_guarded(program, ())
 
     # Markov: a bound at level k reads only the last of its k-1 history slots
-    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
-    body_fn = compile_expr(program.body, params, depth + 1)
+    bound_fns, body_fn = _compiled(program)
 
     # forward pass: contiguous reachable range per level
     lo1 = program.levels[0].lower
@@ -328,13 +332,13 @@ def evaluate_memoized(program: SummationProgram) -> int:
 
     # backward pass: table of sub-sum values per possible previous index
     lo_d, hi_d = ranges[depth - 1]
-    history = [0] * depth
+    body_fn = body_fn or (lambda h: program.body.value)
+    history = [0] * depth  # the body reads only the innermost index
     table = []
-    for v in range(lo_d, hi_d + 1):
-        history[-1] = v
+    for history[-1] in range(lo_d, hi_d + 1):
         value = body_fn(history)
-        if value < 0:
-            raise DomainError(f"body evaluated to {value} at history {tuple(history)}")
+        if value < 0:  # the table knows the innermost index, not a full history
+            raise DomainError(f"body evaluated to {value} at i{depth}={history[-1]}")
         table.append(value)
     for k in range(depth, 1, -1):
         lo_k = ranges[k - 1][0]

@@ -339,7 +339,7 @@ def _plus(lhs: Expr, rhs: Expr) -> Expr:
 
 
 # sub-expression fields of every node kind; the structural walkers below
-# (validation, references, serialization) read this instead of one branch per
+# (validation, serialization) read this instead of one branch per
 # kind. Every other dataclass field is a scalar stored as is.
 _CHILDREN: Dict[type, Tuple[str, ...]] = {
     Lit: (),
@@ -363,50 +363,40 @@ _DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the ot
 _FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table", Custom: "custom"}
 
 
-def validate_expr(expr: Expr, level: int, *, role: str) -> None:
-    """Structural checks for an expression used at the given level.
+def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
+    """Structural checks for an expression used at the given level; returns what it reads.
 
     History references must stay strictly below the level; divisor
     positivity is re-checked in case a node was built by deserialization
-    tricks. Raises ValidationError.
+    tricks. Raises ValidationError. The result is {"params": set of names,
+    "hist": set of Hist indices, "table", "prev", "sum_hist", "prod_hist",
+    "level", "custom": bools}.
     """
-    kind = type(expr)
-    if kind not in _CHILDREN:
-        raise ValidationError(f"{role}: not an expression node: {expr!r}")
-    if kind is Lit and (not isinstance(expr.value, int) or isinstance(expr.value, bool)):
-        raise ValidationError(f"literal must be an int, got {expr.value!r}")
-    if kind is Prev and level < 2:
-        raise ValidationError(f"{role}: Prev is undefined at level 1 (no enclosing index)")
-    if kind is Hist and (not isinstance(expr.index, int) or isinstance(expr.index, bool)):
-        raise ValidationError(f"{role}: history index must be an int, got {expr.index!r}")
-    if kind is Hist and not 1 <= expr.index <= level - 1:
-        raise ValidationError(
-            f"{role}: Hist({expr.index}) out of range at level {level} (valid: 1..{level - 1})"
-        )
-    if kind is FloorDiv and expr.div <= 0:
-        raise ValidationError(f"{role}: floor-division divisor must be positive")
-    for name in _CHILDREN[kind]:
-        validate_expr(getattr(expr, name), level, role=role)
-
-
-def expr_references(expr: Expr) -> Dict[str, Any]:
-    """Collect what the expression reads: param names, history usage, table usage.
-
-    Returns {"params": set, "table": bool, "prev": bool, "hist": set of ints,
-    "sum_hist": bool, "prod_hist": bool, "level": bool, "custom": bool}.
-    """
-    out: Dict[str, Any] = {"params": set(), "hist": set()}
-    out.update(dict.fromkeys(_FLAGS.values(), False))
+    out: Dict[str, Any] = {"params": set(), "hist": set(), **dict.fromkeys(_FLAGS.values(), False)}
 
     def walk(e: Expr) -> None:
         kind = type(e)
+        if kind not in _CHILDREN:
+            raise ValidationError(f"{role}: not an expression node: {e!r}")
+        if kind is Lit and (not isinstance(e.value, int) or isinstance(e.value, bool)):
+            raise ValidationError(f"literal must be an int, got {e.value!r}")
+        if kind is Prev and level < 2:
+            raise ValidationError(f"{role}: Prev is undefined at level 1 (no enclosing index)")
+        if kind is Hist and (not isinstance(e.index, int) or isinstance(e.index, bool)):
+            raise ValidationError(f"{role}: history index must be an int, got {e.index!r}")
+        if kind is Hist and not 1 <= e.index <= level - 1:
+            raise ValidationError(
+                f"{role}: Hist({e.index}) out of range at level {level} (valid: 1..{level - 1})"
+            )
+        if kind is FloorDiv and e.div <= 0:
+            raise ValidationError(f"{role}: floor-division divisor must be positive")
         if kind is Param:
             out["params"].add(e.name)
         elif kind is Hist:
             out["hist"].add(e.index)
         elif kind in _FLAGS:
             out[_FLAGS[kind]] = True
-        for name in _CHILDREN.get(kind, ()):
+        for name in _CHILDREN[kind]:
             walk(getattr(e, name))
 
     walk(expr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .engine import evaluate, evaluate_memoized, is_markov
+from .engine import evaluate, evaluate_memoized, is_markov  # noqa: F401  (wrapped by perfbench/tracer.py)
 from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError
 
 OEIS_BASE_URL_ENV = "OEIS_BASE_URL"
@@ -215,27 +215,19 @@ def check_preset_prefix(
         else:
             entries = load_fixture(row.a_number, directory)
         by_index = {e.index: e.value for e in entries}
-        lines = []
-        for step in range(count):
-            vary_value = row.start + step
-            params = dict(row.fixed)
-            params[row.vary] = vary_value
-            program = presets.build(row.preset, params)
-            value = evaluate_memoized(program) if is_markov(program) else evaluate(program)
-            lines.append(
-                PrefixCheckLine(
-                    vary_value=vary_value,
-                    engine_value=value,
-                    fixture_value=by_index.get(vary_value + row.shift),
-                )
-            )
+        points = range(row.start, row.start + count)
+        values = presets.sweep(row.preset, row.fixed, row.vary, points)
+        lines = tuple(
+            PrefixCheckLine(point, value, by_index.get(point + row.shift))
+            for point, value in zip(points, values)
+        )
         reports.append(
             PrefixCheckReport(
                 preset=row.preset,
                 a_number=row.a_number,
                 vary=row.vary,
                 fixed=row.fixed,
-                lines=tuple(lines),
+                lines=lines,
             )
         )
     return reports

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from . import oracles
+from . import engine, oracles
 from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
 from .errors import ParameterError
 from .expr import (
@@ -466,6 +466,17 @@ def build(name: str, params: Mapping[str, Any]) -> SummationProgram:
     program = info.builder(cleaned)
     validate(program)
     return program
+
+
+def sweep(name: str, fixed: Mapping[str, Any], vary: str, points: Iterable[int]) -> List[int]:
+    """The preset's value at each point of `vary`, the other parameters fixed.
+
+    The one place that chooses an evaluator: the tables for a Markov program,
+    the naive walk otherwise. It calls engine.<name>, so wrappers put on the
+    engine module (perfbench/tracer.py) see each call.
+    """
+    programs = (build(name, {**fixed, vary: point}) for point in points)
+    return [engine.evaluate_memoized(p) if engine.is_markov(p) else engine.evaluate(p) for p in programs]
 
 
 def expected(name: str, params: Mapping[str, Any]) -> int:

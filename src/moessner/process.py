@@ -2,9 +2,9 @@
 
 run_process is the triangle formulation over finite rows; the prefix length
 bookkeeping (required_length) replaces conceptually infinite streams.
-forward_intermediate is the same chain expressed streamlessly, one memoized
-function per stage. dp_power / naive_power / log_add_power_prefix are the
-three power strategies whose exact addition counts the tests pin down.
+forward_intermediate is the same chain expressed streamlessly, memoized per
+call on (stage, index). dp_power / naive_power / log_add_power_prefix are
+the three power strategies whose exact addition counts the tests pin down.
 """
 
 from __future__ import annotations
@@ -106,21 +106,25 @@ def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[Lis
     return row[:m], ProcessTrace(exponent=n, init=init, steps=tuple(steps))
 
 
-@lru_cache(maxsize=None)
 def forward_intermediate(n: int, j: int, x: int) -> int:
     """Stage-j function of the streamless chain for exponent n.
 
     Stage n is constant 1; stage j sums stage j+1 over surviving positions:
     f_j(x) = sum_{i=0}^{x} f_{j+1}(keep_index(j+1, i)). Stage 0 enumerates
-    (x+1)^n. Memoized on (n, j, x).
+    (x+1)^n. Memoized on (stage, index) within one call; nothing outlives it.
     """
     if j > n:
         raise PreconditionError(f"stage j={j} exceeds exponent n={n}")
     if x < 0:
         raise PreconditionError(f"negative index {x}")
-    if j == n:
-        return 1
-    return sum(forward_intermediate(n, j + 1, keep_index(j + 1, i)) for i in range(x + 1))
+
+    @lru_cache(maxsize=None)
+    def stage(j: int, x: int) -> int:
+        if j == n:
+            return 1
+        return sum(stage(j + 1, keep_index(j + 1, i)) for i in range(x + 1))
+
+    return stage(j, x)
 
 
 def dp_power(x: int, n: int) -> EvalReport:

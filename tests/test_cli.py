@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moessner import cli
 from moessner.cli import main
 from moessner.oeis import BFileEntry, fixtures_dir, load_fixture, serialize_bfile
 from moessner.presets import preset_names
@@ -99,6 +100,19 @@ def test_eval_errors_exit_two(capsys):
         capsys, "eval", "--preset", "a125860", "--params", "x=1,n=3", "--memoized"
     )
     assert code == 2
+    assert "Markov" in err
+
+
+def test_eval_count_adds_memoized_refuses_before_walking(capsys, monkeypatch):
+    # a137273 is not Markov; its counted walk at n=30 would run for hours
+    def walk(program):
+        raise AssertionError("evaluate_counting ran before the memo refused")
+
+    monkeypatch.setattr(cli, "evaluate_counting", walk)
+    code, out, err = run_cli(
+        capsys, "eval", "--preset", "a137273", "--params", "n=30", "--count-adds", "--memoized"
+    )
+    assert (code, out) == (2, "")
     assert "Markov" in err
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moessner import engine
 from moessner.engine import (
     EvalReport,
     LevelSpec,
@@ -47,6 +48,7 @@ from moessner.expr import (
     Table,
     eval_expr,
     eval_expr_counted,
+    validate_expr,
 )
 from moessner.presets import build
 
@@ -247,6 +249,15 @@ def test_negative_body_raises_with_history():
         evaluate(lit_neg)
 
 
+def test_memoized_negative_body_names_the_innermost_index():
+    # i2 <= i1, so no history (0, 2) exists; the table only knows i2
+    prog = SummationProgram(2, (LevelSpec(0, Lit(3)), LevelSpec(0, Prev())), Sub(Lit(1), Prev()))
+    with pytest.raises(DomainError, match=r"at history \(2, 2\)"):
+        evaluate(prog)
+    with pytest.raises(DomainError, match=r"body evaluated to -1 at i2=2$"):
+        evaluate_memoized(prog)
+
+
 def test_validate_structure_errors():
     with pytest.raises(ValidationError, match="depth"):
         SummationProgram(2, (LevelSpec(0, Lit(1)),), Lit(1))
@@ -321,6 +332,42 @@ def test_is_markov_classification():
         3, (LevelSpec(0, Lit(2)), LevelSpec(0, Prev()), LevelSpec(0, Hist(1))), Lit(1)
     )
     assert not is_markov(hist_too_far)
+
+
+def test_each_expression_is_walked_once(monkeypatch):
+    walks = []
+
+    def counted(expr, level, *, role):
+        walks.append(role)
+        return validate_expr(expr, level, role=role)
+
+    monkeypatch.setattr(engine, "validate_expr", counted)
+    prog = build("fibonacci", {"n": 50})
+    assert len(walks) == prog.depth + 1 == 51
+    validate(prog)
+    assert is_markov(prog)
+    assert evaluate_memoized(prog) == 20365011074
+    assert len(walks) == 51
+
+
+def test_validate_rechecks_params_every_call():
+    params = {"x": 2}
+    prog = SummationProgram(1, (LevelSpec(0, Param("x")),), Lit(1), params)
+    validate(prog)
+    del params["x"]
+    with pytest.raises(ParameterError, match="missing parameters"):
+        validate(prog)
+    params["x"] = -1
+    with pytest.raises(ParameterError, match="natural"):
+        evaluate(prog)
+
+
+def test_malformed_program_raises_on_every_call():
+    bad = SummationProgram(1, (LevelSpec(0, Prev()),), Lit(1))
+    for _ in range(2):
+        for check in (validate, is_markov, evaluate, evaluate_counting, evaluate_memoized):
+            with pytest.raises(ValidationError, match="Prev is undefined"):
+                check(bad)
 
 
 MEMOIZED_GRID = [

@@ -25,7 +25,6 @@ from moessner.expr import (
     eval_expr,
     eval_expr_counted,
     expr_from_dict,
-    expr_references,
     expr_to_dict,
     render_expr,
     validate_expr,
@@ -122,12 +121,12 @@ def test_validate_expr():
 
 def test_expr_references():
     e = Add(Table(Hist(2)), IfZero(SumHist(), Param("x"), Mul(Prev(), Level())))
-    refs = expr_references(e)
+    refs = validate_expr(e, 3, role="bound")
     assert refs["params"] == {"x"}
     assert refs["table"] and refs["prev"] and refs["sum_hist"] and refs["level"]
     assert refs["hist"] == {2}
     assert not refs["prod_hist"] and not refs["custom"]
-    assert expr_references(Custom(lambda p, lv, h: 0, "z"))["custom"]
+    assert validate_expr(Custom(lambda p, lv, h: 0, "z"), 1, role="body")["custom"]
 
 
 ROUND_TRIP_CASES = [

@@ -5,9 +5,10 @@ from itertools import permutations
 
 import pytest
 
+from moessner import engine
 from moessner.engine import evaluate, evaluate_memoized, unfold_display
 from moessner.errors import ParameterError
-from moessner.presets import build, catalog, expected, parse_params, preset_names
+from moessner.presets import build, catalog, expected, parse_params, preset_names, sweep
 from moessner.process import run_process
 from moessner.rules import InitRule
 
@@ -345,3 +346,22 @@ def test_memoized_usable_on_markov_presets():
         ("a002449", {"n": 5}),
     ):
         assert evaluate_memoized(build(name, params)) == expected(name, params)
+
+
+def test_sweep_uses_the_tables_exactly_for_markov_programs(monkeypatch):
+    used = []
+
+    def recorded(name):
+        original = getattr(engine, name)
+
+        def call(program):
+            used.append(name)
+            return original(program)
+
+        return call
+
+    for name in ("evaluate", "evaluate_memoized"):
+        monkeypatch.setattr(engine, name, recorded(name))
+    # a137273 is Markov for n <= 2 only
+    assert sweep("a137273", {}, "n", range(6)) == [expected("a137273", {"n": n}) for n in range(6)]
+    assert used == ["evaluate_memoized"] * 3 + ["evaluate"] * 3

@@ -1,5 +1,8 @@
 """Row process: filtering, length scheduling, traces, power strategies."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from moessner.errors import PreconditionError
@@ -166,6 +169,20 @@ def test_forward_intermediate():
         forward_intermediate(2, 3, 0)
     with pytest.raises(PreconditionError):
         forward_intermediate(2, 1, -1)
+
+
+def test_forward_intermediate_keeps_no_memo():
+    forward_intermediate(2, 0, 3)  # first call outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert forward_intermediate(4, 0, 60) == pow_fast(61, 4)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000  # a memo kept from this call would hold hundreds of entries
 
 
 def test_process_matches_streamless_chain():
