@@ -7,14 +7,10 @@ history. Empty sums (bound below the lower bound) are 0 by convention, which
 several presets rely on to terminate chains whose bounds go negative.
 
 Three evaluators:
-  evaluate          plain value, one walk with bounds and body compiled to
-                    one generated function each (expr.compile_expr); an
-                    explicit stack holds levels 1..d-1, and a plain loop
-                    runs i_{d-1} and sums level d in place
-  evaluate_counting value plus exact addition/leaf tallies: the same walk,
-                    handed closures that tally as they run (each bound adds
-                    the additions its sum folds, the innermost one also the
-                    leaves; the body adds the count additions_expr gives)
+  evaluate          plain value: the whole sum generated as one Python `for`
+                    nest over local indices (_nest), bounds and body inlined
+  evaluate_counting value plus exact addition/leaf tallies, added inline by
+                    the same generated nest
   evaluate_memoized value via dense per-level tables, for Markov programs
 
 validate and is_markov read one analysis per program, SummationProgram._summary;
@@ -33,6 +29,8 @@ from .errors import DomainError, ParameterError, PreconditionError, ValidationEr
 from .expr import (
     Expr,
     Lit,
+    Reads,
+    Source,
     additions_expr,
     compile_expr,
     eval_expr,
@@ -67,6 +65,7 @@ class _Summary(NamedTuple):
     params: FrozenSet[str]  # parameter names the expressions read
     reads_table: bool
     markov: bool
+    running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,15 @@ class SummationProgram:
     def _summary(self) -> _Summary:
         """One validate_expr walk per expression; a structural error raises and caches nothing."""
         params: set = set()
-        reads_table, markov = False, True
+        reads_table, markov, sum_to, prod_to = False, True, 0, 0
         for level, role, expr in _exprs(self):
             refs = validate_expr(expr, level, role=role)
             params |= refs["params"]
             reads_table = reads_table or refs["table"]
             whole_history = refs["custom"] or refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and refs["hist"] <= {level - 1}
-        return _Summary(frozenset(params), reads_table, markov)
+            sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
+        return _Summary(frozenset(params), reads_table, markov, (sum_to, prod_to))
 
 
 def _exprs(program: SummationProgram) -> Iterator[Tuple[int, str, Expr]]:
@@ -155,75 +155,7 @@ def evaluate(program: SummationProgram) -> int:
     validate(program)
     if program.depth == 0:
         return _body_guarded(program, ())
-    return _walk(program, *_compiled(program))
-
-
-def _compiled(program: SummationProgram) -> Tuple[List[Callable], Optional[Callable]]:
-    """Each bound's function and the body's, compiled once per call; a Lit body
-    gives None, and a negative one is refused before any sum is opened."""
-    params, body = program.params, program.body
-    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
-    if not isinstance(body, Lit):
-        return bound_fns, compile_expr(body, params, program.depth + 1)
-    if body.value < 0:
-        raise DomainError(f"body evaluated to {body.value} at history ()")
-    return bound_fns, None
-
-
-def _walk(program: SummationProgram, bound_fns: List[Callable], body_fn: Optional[Callable]) -> int:
-    """The level-stack walk behind evaluate and evaluate_counting.
-
-    bound_fns[k] gives the upper bound of level k+1 from the open indices;
-    body_fn gives the body's value at a full history, and is None when the
-    body is a Lit, whose leaves are then summed by multiplication. The stack
-    holds levels 1..d-1 only: once they are open, a plain loop runs i_{d-1}
-    to its end and sums level d at each step, so no level is pushed or popped
-    per innermost sum. Bounds and body are called in depth-first order.
-    """
-    depth = program.depth
-    body_const = program.body.value if body_fn is None else None
-    lowers = [spec.lower for spec in program.levels]
-    inner_bound, inner_lo = bound_fns[-1], lowers[-1]
-
-    total = 0
-    idx: List[int] = []
-    hi_stack: List[int] = []
-    # the plain loop steps i_{d-1} in place up to its bound; a depth-1 walk has
-    # no i_{d-1} and makes its one step on a spare slot
-    step, last = (idx, hi_stack) if depth > 1 else ([0], [0])
-    while True:
-        # open levels downward to d-1, or until an empty sum cuts off
-        opened = len(idx)
-        while opened < depth - 1:
-            lo = lowers[opened]
-            hi = bound_fns[opened](idx)
-            if hi < lo:
-                break
-            idx.append(lo)
-            hi_stack.append(hi)
-            opened += 1
-        else:  # no cut: levels 1..d-1 are open
-            for step[-1] in range(step[-1], last[-1] + 1):
-                hi = inner_bound(idx)
-                if hi < inner_lo:
-                    continue
-                if body_const is not None:
-                    total += (hi - inner_lo + 1) * body_const
-                    continue
-                idx.append(inner_lo)
-                for idx[-1] in range(inner_lo, hi + 1):
-                    value = body_fn(idx)
-                    if value < 0:
-                        raise DomainError(f"body evaluated to {value} at history {tuple(idx)}")
-                    total += value
-                idx.pop()
-        # advance the deepest open level; pop the exhausted ones (i_{d-1} always is)
-        while idx and idx[-1] >= hi_stack[-1]:
-            idx.pop()
-            hi_stack.pop()
-        if not idx:
-            return total
-        idx[-1] += 1
+    return _nest(program)(0)
 
 
 def evaluate_counting(program: SummationProgram) -> EvalReport:
@@ -235,45 +167,90 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     evaluations.
     """
     validate(program)
-    depth = program.depth
-    if depth == 0:
+    if program.depth == 0:
         value, adds = eval_expr_counted(program.body, program.params, 1, ())
         if value < 0:
             raise DomainError(f"body evaluated to {value} at history ()")
         return EvalReport(value=value, additions=adds, leaves=1)
+    return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
 
-    additions = leaves = 0
 
-    def tallied(bound_fn: Callable, lo: int, innermost: bool) -> Callable:
-        def bound(h: Any) -> int:
-            nonlocal additions, leaves
-            hi = bound_fn(h)
-            if hi >= lo:
-                additions += hi - lo  # this sum folds hi-lo+1 terms
-                if innermost:
-                    leaves += hi - lo + 1
-            return hi
+def _lit_body(program: SummationProgram) -> Optional[int]:
+    """The body's value if it is a Lit, refused before any sum opens when negative; else None."""
+    if isinstance(program.body, Lit) and program.body.value < 0:
+        raise DomainError(f"body evaluated to {program.body.value} at history ()")
+    return program.body.value if isinstance(program.body, Lit) else None
 
-        return bound
 
-    bound_fns, value_fn = _compiled(program)
-    bound_fns = [
-        tallied(fn, spec.lower, k == depth) for k, (fn, spec) in enumerate(zip(bound_fns, program.levels), 1)
-    ]
-    per_leaf = additions_expr(program.body)
-    if isinstance(per_leaf, Lit):
-        body_fn = value_fn  # fixed cost: leaves * per_leaf, added at the end
-    else:
-        adds_fn = compile_expr(per_leaf, program.params, depth + 1)
-        per_leaf = Lit(0)
+def _negative(value: int, history: Tuple[int, ...]) -> None:
+    raise DomainError(f"body evaluated to {value} at history {history}")
 
-        def body_fn(h: Any) -> int:
-            nonlocal additions
-            additions += adds_fn(h)
-            return value_fn(h)
 
-    value = _walk(program, bound_fns, body_fn)
-    return EvalReport(value=value, additions=additions + leaves * per_leaf.value, leaves=leaves)
+_BLOCK = 16  # levels per generated function: CPython allows 20 nested blocks per function
+_MAX_DEPTH = 500 * _BLOCK  # the functions call each other, one Python frame per block
+
+
+def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callable:
+    """The whole sum as generated Python: per level k, `b{k} = <bound>` and then
+    `for i{k} in range(lower, b{k} + 1):` over local indices, bounds and body
+    inlined by expr.Source.emit, with running locals s{k} / p{k} where SumHist
+    / ProdHist are read. A Lit body is summed by one multiplication per
+    innermost sum. Every _BLOCK levels, the nest calls the next generated function
+    with the indices so far as one tuple h. The entry takes and returns `total`, or
+    (total, adds, leaves) counted inline given per_leaf, the body's additions_expr.
+    Bounds and body run in the reference's order."""
+    if program.depth > _MAX_DEPTH:
+        raise PreconditionError(f"depth {program.depth} is past the {_MAX_DEPTH} levels the walk can nest")
+    depth, body, const = program.depth, program.body, _lit_body(program)
+    sum_to, prod_to = program._summary.running
+    src = Source(program.params)
+    src.env["_negative"] = _negative
+    acc = "total" if per_leaf is None else "total, adds, leaves"
+
+    def reads(first: int, k: int) -> Reads:  # at level k, in the block that starts at level first
+        def hist(j: int) -> str:  # indices of earlier blocks arrive in the tuple h
+            return f"i{j}" if j >= first else f"h[{j - 1}]"
+
+        seq = f"({'*h, ' * (first > 1)}{''.join(f'i{j}, ' for j in range(first, k))})"
+        return Reads(k, hist(k - 1), hist, f"s{k}" if k > 1 else "0", f"p{k}" if k > 1 else "1", seq)
+
+    def carried(k: int, history: str) -> str:  # the arguments of the block that starts at level k
+        running = [f"s{k}"] * (1 < k <= sum_to) + [f"p{k}"] * (1 < k <= prod_to)
+        return ", ".join([history] * (k > 1) + running + [acc])
+
+    lines = []
+    for first in range(1, depth + 1, _BLOCK):
+        last, pad = min(first + _BLOCK - 1, depth), "    "
+        lines.append(f"def _b{first}({carried(first, 'h')}):")
+        for k in range(first, last + 1):
+            lo, b, at = program.levels[k - 1].lower, f"b{k}", reads(first, k)
+            terms, folds = (f"({b} + 1)", b) if lo == 0 else (b, f"{b} - 1")  # m terms, m - 1 additions
+            lines.append(f"{pad}{b} = {src.emit(program.levels[k - 1].bound, at)}")
+            opened = [f"adds += {folds}"] * (per_leaf is not None)
+            if k == depth:  # a fixed cost per leaf is added per sum here, a varying one at each leaf below
+                opened += [f"leaves += {terms}"] * (per_leaf is not None)
+                if isinstance(per_leaf, Lit) and per_leaf.value:
+                    opened.append(f"adds += {terms} * {src.bind(per_leaf.value)}")
+                if const is not None:
+                    opened.append(f"total += {terms} * {src.bind(const)}")
+            lines += [f"{pad}if {b} >= {lo}:"] * bool(opened) + [f"{pad}    {line}" for line in opened]
+            if k == depth and const is not None:
+                break
+            lines.append(f"{pad}for i{k} in range({lo}, {b} + 1):")
+            pad += "    "
+            lines += [f"{pad}s{k + 1} = {at.sum} + i{k}"] * (k < sum_to)
+            lines += [f"{pad}p{k + 1} = {at.prod} * i{k}"] * (k < prod_to)
+        if last < depth:
+            lines.append(f"{pad}{acc} = _b{last + 1}({carried(last + 1, reads(first, last + 1).seq)})")
+        elif const is None:
+            at = reads(first, depth + 1)
+            if per_leaf is not None and not isinstance(per_leaf, Lit):
+                lines.append(f"{pad}adds += {src.emit(per_leaf, at)}")
+            lines += [f"{pad}v = {src.emit(body, at)}", f"{pad}if v < 0:"]
+            lines += [f"{pad}    _negative(v, {at.seq})", f"{pad}total += v"]
+        lines.append(f"    return {acc}")
+    src.run("\n".join(lines), "exec")
+    return src.env["_b1"]
 
 
 def is_markov(program: SummationProgram) -> bool:
@@ -306,7 +283,9 @@ def evaluate_memoized(program: SummationProgram) -> int:
         return _body_guarded(program, ())
 
     # Markov: a bound at level k reads only the last of its k-1 history slots
-    bound_fns, body_fn = _compiled(program)
+    params, const = program.params, _lit_body(program)
+    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
+    body_fn = (lambda h: const) if const is not None else compile_expr(program.body, params, depth + 1)
 
     # forward pass: contiguous reachable range per level
     lo1 = program.levels[0].lower
@@ -332,7 +311,6 @@ def evaluate_memoized(program: SummationProgram) -> int:
 
     # backward pass: table of sub-sum values per possible previous index
     lo_d, hi_d = ranges[depth - 1]
-    body_fn = body_fn or (lambda h: program.body.value)
     history = [0] * depth  # the body reads only the innermost index
     table = []
     for history[-1] in range(lo_d, hi_d + 1):

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from types import CodeType
-from typing import Any, Callable, Dict, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union
 
 from .errors import ParameterError, ValidationError
 
@@ -185,8 +185,8 @@ _MAX_NESTING = 40
 
 
 @functools.lru_cache(maxsize=1024)
-def _shape_code(text: str) -> CodeType:
-    return compile(text, "<moessner expr>", "eval")
+def _shape_code(text: str, mode: str) -> CodeType:
+    return compile(text, "<moessner>", mode)
 
 
 def _missing_param(name: str) -> int:
@@ -210,35 +210,45 @@ _HELPERS = {
 _BINOPS = {Add: "+", Sub: "-", Mul: "*"}
 
 
-def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]:
-    """Generate one function of a history sequence, baking in params and level.
+class Reads(NamedTuple):
+    """Where generated text stands: its level, and how it reads the enclosing indices."""
 
-    Behaves exactly like eval_expr(expr, params, level, history) but pays the
-    node dispatch once instead of per call: the whole expression becomes one
-    Python expression, `lambda h: ...`, with no call per node. The returned
-    function accepts any sequence of enclosing index values (the evaluators
-    pass a mutable list and only rely on its contents at call time).
-    Missing-parameter and table errors stay lazy: they fire when the node is
-    reached, like the interpreter. Custom callables still receive a tuple.
+    level: int
+    prev: str  # i_{level-1}
+    hist: Callable[[int], str]  # i_j, for 1-based j
+    sum: str  # i_1 + ... + i_{level-1}
+    prod: str  # i_1 * ... * i_{level-1}
+    seq: str  # the history as a tuple, for Custom and for subtrees compiled apart
 
-    The generated text holds no value from the expression or params: every
-    literal, parameter value, history offset, divisor, the level, the table
-    and each Custom callable is bound by name in the function's globals. The
-    text thus depends only on the expression's shape, and each shape is
-    compiled once per process.
+
+class Source:
+    """Generated text in the making, and the globals it reads.
+
+    The text holds no user value: every literal, parameter value, divisor,
+    level, the table and each Custom callable is bound by name in `env`, and
+    only validated structure (index positions, lower bounds) is spelled out.
+    The text thus depends only on shapes; `run` compiles each text once.
     """
-    env: Dict[str, Any] = dict(_HELPERS)
-    slots = itertools.count()
 
-    def bind(value: Any) -> str:
-        name = f"_v{next(slots)}"
-        env[name] = value
+    def __init__(self, params: Params) -> None:
+        self.params = params
+        self.env: Dict[str, Any] = dict(_HELPERS)
+        self._slots = itertools.count()
+
+    def bind(self, value: Any) -> str:
+        name = f"_v{next(self._slots)}"
+        self.env[name] = value
         return name
 
-    def emit(e: Expr, nesting: int) -> str:
-        kind = type(e)
+    def run(self, text: str, mode: str = "eval") -> Any:
+        """Evaluate (or, in "exec" mode, run) text in env, compiling each distinct text once."""
+        return eval(_shape_code(text, mode), self.env)
+
+    def emit(self, e: Expr, at: Reads, nesting: int = 0) -> str:
+        """One Python expression equal to eval_expr(e, params, at.level, history)."""
+        kind, params, bind = type(e), self.params, self.bind
         if nesting >= _MAX_NESTING and _CHILDREN.get(kind):
-            return f"{bind(compile_expr(e, params, level))}(h)"
+            return f"{bind(compile_expr(e, params, at.level))}({at.seq})"
         nesting += 1
         if kind is Lit:
             return bind(e.value)
@@ -247,35 +257,47 @@ def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]
                 return bind(params[e.name])
             return f"_missing_param({bind(e.name)})"
         if kind is Level:
-            return bind(level)
+            return bind(at.level)
         if kind is Prev:
-            return "h[-1]"
+            return at.prev
         if kind is Hist:
-            return f"h[{bind(e.index - 1)}]"
+            return at.hist(e.index)
         if kind is SumHist:
-            return "sum(h)"
+            return at.sum
         if kind is ProdHist:
-            return "_prod(h)"
+            return at.prod
         if kind is Table:
-            index = emit(e.index, nesting)
+            index = self.emit(e.index, at, nesting)
             table = params.get("f")
             if table is None:
                 return f"_missing_table({index})"
             f, n = bind(table), bind(len(table))
-            i = f"_i{next(slots)}"  # a local of the lambda: the index, read twice
+            i = f"_i{next(self._slots)}"  # a local of the generated function: the index, read twice
             return f"({f}[{i}] if 0 <= ({i} := {index}) < {n} else _table_miss({i}, {n}))"
         if kind in _BINOPS:
-            return f"({emit(e.lhs, nesting)} {_BINOPS[kind]} {emit(e.rhs, nesting)})"
+            return f"({self.emit(e.lhs, at, nesting)} {_BINOPS[kind]} {self.emit(e.rhs, at, nesting)})"
         if kind is FloorDiv:
-            return f"({emit(e.num, nesting)} // {bind(e.div)})"
+            return f"({self.emit(e.num, at, nesting)} // {bind(e.div)})"
         if kind is IfZero:
-            cond = emit(e.cond, nesting)
-            return f"({emit(e.then, nesting)} if {cond} == 0 else {emit(e.orelse, nesting)})"
+            cond, then, orelse = (self.emit(c, at, nesting) for c in (e.cond, e.then, e.orelse))
+            return f"({then} if {cond} == 0 else {orelse})"
         if kind is Custom:
-            return f"{bind(e.fn)}({bind(params)}, {bind(level)}, tuple(h))"
+            return f"{bind(e.fn)}({bind(params)}, {bind(at.level)}, {at.seq})"
         raise ValidationError(f"not an expression node: {e!r}")
 
-    return eval(_shape_code("lambda h: " + emit(expr, 0)), env)
+
+def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]:
+    """Generate one function of a history sequence, baking in params and level.
+
+    Behaves exactly like eval_expr(expr, params, level, history) but pays the
+    node dispatch once instead of per call: the whole expression becomes one
+    Python expression, `lambda h: ...`, over any sequence of enclosing index
+    values. Missing-parameter and table errors stay lazy: they fire when the
+    node is reached, like the interpreter's. Custom callables get a tuple.
+    """
+    src = Source(params)
+    at = Reads(level, "h[-1]", lambda j: f"h[{src.bind(j - 1)}]", "sum(h)", "_prod(h)", "tuple(h)")
+    return src.run("lambda h: " + src.emit(expr, at))
 
 
 def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) -> Tuple[int, int]:

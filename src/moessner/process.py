@@ -2,8 +2,8 @@
 
 run_process is the triangle formulation over finite rows; the prefix length
 bookkeeping (required_length) replaces conceptually infinite streams.
-forward_intermediate is the same chain expressed streamlessly, memoized per
-call on (stage, index). dp_power / naive_power / log_add_power_prefix are
+forward_stages is the same chain expressed streamlessly, memoized on
+(stage, index). dp_power / naive_power / log_add_power_prefix are
 the three power strategies whose exact addition counts the tests pin down.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .counting import log_add_power_prefix, log_add_power_prefix_counted  # noqa: F401  (re-exported)
 from .elision import is_dropped, keep_index
@@ -106,17 +106,11 @@ def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[Lis
     return row[:m], ProcessTrace(exponent=n, init=init, steps=tuple(steps))
 
 
-def forward_intermediate(n: int, j: int, x: int) -> int:
-    """Stage-j function of the streamless chain for exponent n.
-
-    Stage n is constant 1; stage j sums stage j+1 over surviving positions:
-    f_j(x) = sum_{i=0}^{x} f_{j+1}(keep_index(j+1, i)). Stage 0 enumerates
-    (x+1)^n. Memoized on (stage, index) within one call; nothing outlives it.
-    """
-    if j > n:
-        raise PreconditionError(f"stage j={j} exceeds exponent n={n}")
-    if x < 0:
-        raise PreconditionError(f"negative index {x}")
+def forward_stages(n: int) -> Callable[[int, int], int]:
+    """The streamless chain for exponent n as one function of (stage j, index x):
+    stage n is constant 1, stage j sums stage j+1 over surviving positions,
+    f_j(x) = sum_{i=0}^{x} f_{j+1}(keep_index(j+1, i)), and stage 0 enumerates
+    (x+1)^n. The memo lives as long as the returned function does."""
 
     @lru_cache(maxsize=None)
     def stage(j: int, x: int) -> int:
@@ -124,7 +118,16 @@ def forward_intermediate(n: int, j: int, x: int) -> int:
             return 1
         return sum(stage(j + 1, keep_index(j + 1, i)) for i in range(x + 1))
 
-    return stage(j, x)
+    return stage
+
+
+def forward_intermediate(n: int, j: int, x: int) -> int:
+    """forward_stages(n)(j, x) on a chain of its own, which nothing keeps after the call."""
+    if j > n:
+        raise PreconditionError(f"stage j={j} exceeds exponent n={n}")
+    if x < 0:
+        raise PreconditionError(f"negative index {x}")
+    return forward_stages(n)(j, x)
 
 
 def dp_power(x: int, n: int) -> EvalReport:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -616,3 +617,126 @@ def test_negative_body_names_first_history_in_walk_order():
         for evaluator in (evaluate, evaluate_counting):
             with pytest.raises(DomainError, match=r"body evaluated to -1 at history " + history):
                 evaluator(prog)
+
+
+# Programs deeper than one generated block (engine._BLOCK levels) run as a
+# chain of generated functions; these compare them with the references on
+# both sides of each block boundary.
+_K = engine._BLOCK
+
+
+def _empty_sum_levels(program):
+    """The levels at which some sum of the walk is empty."""
+    levels = set()
+
+    def go(level, history):
+        if level <= program.depth:
+            spec = program.levels[level - 1]
+            hi = eval_expr(spec.bound, program.params, level, history)
+            if hi < spec.lower:
+                levels.add(level)
+            for i in range(spec.lower, hi + 1):
+                go(level + 1, history + (i,))
+
+    go(1, ())
+    return levels
+
+
+def _zigzag_step(k):
+    """(lower, c) with i_k in lower..c-i_{k-1}: in 1..2-i_{k-1}, 1 follows 1 and a 2
+    cuts the next sum; the level before each block boundary branches into 0..3-i_{k-1}."""
+    return (0, 3) if k % _K == _K - 1 else (1, 2)
+
+
+def _zigzag_level(k):
+    if k == 1:
+        return LevelSpec(1, Lit(2))
+    lower, c = _zigzag_step(k)
+    return LevelSpec(lower, Sub(Lit(c), Prev()))
+
+
+def _sum_hist_level(k):
+    # i_1 + ... + i_k <= 2; levels K and K+1 must take at least 1
+    return LevelSpec(int(k in (_K, _K + 1)), Sub(Lit(2), SumHist()))
+
+
+def _prod_hist_level(k):
+    # positive_integers with a lower bound 1 at every K-th level
+    return LevelSpec(int(k % _K == 0), Lit(1) if k == 1 else ProdHist())
+
+
+_DEEP_BODIES = [
+    Lit(2),
+    Add(Mul(Hist(1), Lit(3)), Prev()),
+    Add(SumHist(), ProdHist()),
+    IfZero(Prev(), Add(Hist(1), Lit(1)), Add(Add(SumHist(), Prev()), Lit(1))),
+]
+
+
+@pytest.mark.parametrize("depth", [_K - 1, _K, _K + 1, 2 * _K + 1])
+@pytest.mark.parametrize("level", [_zigzag_level, _sum_hist_level, _prod_hist_level], ids=lambda f: f.__name__)
+def test_deep_nests_match_reference_across_blocks(depth, level):
+    levels = tuple(level(k) for k in range(1, depth + 1))
+    for body in _DEEP_BODIES:
+        prog = SummationProgram(depth, levels, body)
+        assert evaluate(prog) == reference_evaluate(prog)
+        assert evaluate_counting(prog) == reference_counting(prog)
+    cuts = _empty_sum_levels(SummationProgram(depth, levels, Lit(1)))
+    if depth > _K:  # empty sums at the last level of a block, and (but for ProdHist) at the first of the next
+        assert ({_K} if level is _prod_hist_level else {_K, _K + 1}) <= cuts
+
+
+@pytest.mark.parametrize("depth", [_K + 1, _K + 2])
+def test_walk_order_holds_across_blocks(depth):
+    def level(log, k):  # _zigzag_level(k) as a logged Custom bound
+        lower, c = (1, 2) if k == 1 else _zigzag_step(k)
+        return LevelSpec(lower, _logged(log, lambda h: c - h[-1] if h else c))
+
+    def program(log):
+        levels = tuple(level(log, k) for k in range(1, depth + 1))
+        return SummationProgram(depth, levels, _logged(log, lambda h: sum(h) % 3 + 1))
+
+    want_log, got_log, counted_log = [], [], []
+    want = reference_evaluate(program(want_log))
+    assert evaluate(program(got_log)) == want
+    assert evaluate_counting(program(counted_log)) == reference_counting(program([]))
+    assert got_log == want_log
+    assert counted_log == want_log
+    assert {(k, len(h)) for k, h in want_log} >= {(_K + 1, _K), (depth + 1, depth)}
+
+
+def test_negative_body_names_a_history_spanning_two_blocks():
+    # i1 in 0..1 in the first block, i_{K+2} in 0..2 in the second; all others 0
+    depth = _K + 2
+    levels = (LevelSpec(0, Lit(1)),) + (LevelSpec(0, Lit(0)),) * _K + (LevelSpec(0, Lit(2)),)
+    prog = SummationProgram(depth, levels, Sub(Lit(2), Add(Hist(1), Prev())))
+    history = re.escape(str((1,) + (0,) * _K + (2,)))
+    for evaluator in (evaluate, evaluate_counting):
+        with pytest.raises(DomainError, match=r"body evaluated to -1 at history " + history + "$"):
+            evaluator(prog)
+
+
+def test_deep_expression_chains_in_bounds_and_body():
+    # 600 nested nodes, past the parser's limit for one expression: the bound is
+    # 300*i1 - 599 (so i2 in 0..1 at i1 = 2, empty before), the body 300*i2
+    def chain(base):
+        expr = Lit(base)
+        for i in range(600):
+            expr = Sub(expr, Lit(i % 5)) if i % 2 else Add(Prev(), expr)
+        return expr
+
+    prog = SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, chain(1))), chain(600))
+    assert evaluate(prog) == reference_evaluate(prog) == 300
+    assert evaluate_counting(prog) == reference_counting(prog)
+    # the outer sum folds 3 terms, the inner one 2, and each of the 2 leaves costs 300
+    assert evaluate_counting(prog).additions == 2 + 1 + 2 * 300
+
+
+def test_walk_refuses_programs_deeper_than_its_call_chain():
+    def flat(depth):
+        return SummationProgram(depth, (LevelSpec(0, Lit(1)),) + (LevelSpec(0, Lit(0)),) * (depth - 1), Hist(1))
+
+    assert evaluate(flat(3 * _K)) == 1
+    for evaluator in (evaluate, evaluate_counting):
+        with pytest.raises(PreconditionError, match=f"depth {engine._MAX_DEPTH + 1} is past"):
+            evaluator(flat(engine._MAX_DEPTH + 1))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from moessner import inverse, process
 from moessner.errors import PreconditionError
 from moessner.inverse import EnumeratedFn, check_roundtrip, inverse_step, run_inverse, seed
 from moessner.process import forward_intermediate
@@ -76,3 +77,21 @@ def test_inverse_stages_match_forward_stages():
 def test_check_roundtrip():
     for n in range(5):
         assert check_roundtrip(n, 16)
+
+
+def test_check_roundtrip_builds_one_forward_chain(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(process.forward_stages(n))
+        return built[-1]
+
+    monkeypatch.setattr(inverse, "forward_stages", counted)
+    assert check_roundtrip(6, 32)
+    assert len(built) == 1
+    # every (stage, index) point is computed once: as often as one pass over a fresh chain does
+    fresh = process.forward_stages(6)
+    for t in range(7):
+        for x in range(32):
+            fresh(t, x)
+    assert built[0].cache_info().misses == fresh.cache_info().misses
