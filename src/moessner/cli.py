@@ -20,7 +20,6 @@ from . import oeis, presets
 from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural  # noqa: F401
 from .errors import MoessnerError, ParameterError
 from .inverse import run_inverse
-from .oracles import pow_fast
 from .polygonal import polygonal_closed, quotient_sum
 from .process import dp_power, run_process
 from .rules import InitRule
@@ -146,10 +145,9 @@ def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
             value, additions = lively.value, lively.additions
             reference, ref_additions = stolid.value, stolid.additions
         else:  # dp; argparse choices allow nothing else
-            x, n = params.get("x", 0), params.get("n", 0)
-            report = dp_power(x, n)
+            reference = presets.expected("moessner", params)
+            report = dp_power(params["x"], params["n"])
             value, additions = report.value, report.additions
-            reference = pow_fast(x + 1, n)
         rows.append(
             {
                 "params": params,

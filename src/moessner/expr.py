@@ -184,7 +184,7 @@ def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) 
 _MAX_NESTING = 40
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=64)
 def _shape_code(text: str, mode: str) -> CodeType:
     return compile(text, "<moessner>", mode)
 

@@ -56,8 +56,8 @@ def inverse_step(f: EnumeratedFn, t: int, n: int) -> EnumeratedFn:
     f'(x) = C(n, n-1-t) * (x//p + 1)^(n-1-t)      when x % p == p-1
           = (backward difference of f) at (p-1)*(x//p) + x % p   otherwise
     """
-    if t >= n:
-        raise PreconditionError(f"step t={t} out of range for exponent n={n}")
+    if not 0 <= t < n:
+        raise PreconditionError(f"step t={t} out of range 0..{n - 1} for exponent n={n}")
     p = t + 2
     coeff = binomial(n, n - 1 - t)
     power = n - 1 - t

@@ -1,7 +1,8 @@
 """Row-based sequence generation: filter every p-th element, then prefix sums.
 
 run_process is the triangle formulation over finite rows; the prefix length
-bookkeeping (required_length) replaces conceptually infinite streams.
+bookkeeping (required_length) replaces conceptually infinite streams. It and
+dp_power share one pass loop (_passes): strike by slice, sum by accumulate.
 forward_stages is the same chain expressed streamlessly, memoized on
 (stage, index). dp_power / naive_power / log_add_power_prefix are
 the three power strategies whose exact addition counts the tests pin down.
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .counting import log_add_power_prefix, log_add_power_prefix_counted  # noqa: F401  (re-exported)
-from .elision import is_dropped, keep_index
+from .elision import keep_index
 from .engine import EvalReport
 from .errors import PreconditionError
 from .rules import InitRule
@@ -54,16 +56,21 @@ def drop_every(row: Sequence[int], p: int) -> List[int]:
     """Keep the elements whose index survives period p (drops x with x % p == p-1)."""
     if p < 2:
         raise PreconditionError(f"drop period must be >= 2, got {p}")
-    return [v for x, v in enumerate(row) if not is_dropped(p - 1, x)]
+    kept = list(row)
+    del kept[p - 1 :: p]
+    return kept
 
 
 def prefix_sums(row: Sequence[int]) -> List[int]:
-    out = []
-    acc = 0
-    for v in row:
-        acc += v
-        out.append(acc)
-    return out
+    return list(accumulate(row))
+
+
+def _passes(row: Sequence[int], rounds: int) -> Iterator[Tuple[int, List[int], List[int]]]:
+    """(period, filtered, summed) for each pass, periods rounds+1 down to 2."""
+    for p in range(rounds + 1, 1, -1):
+        filtered = drop_every(row, p)
+        row = prefix_sums(filtered)
+        yield p, filtered, row
 
 
 def iteration_count(n: int, init: InitRule) -> int:
@@ -93,17 +100,13 @@ def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[Lis
     if n < 0:
         raise PreconditionError(f"exponent must be >= 0, got {n}")
     rounds = iteration_count(n, init)
-    length = required_length(n, m, iterations=rounds)
-    row = init.row(length)
+    before = tuple(init.row(required_length(n, m, iterations=rounds)))
     steps = []
-    for t in range(rounds - 1, -1, -1):
-        p = t + 2
-        before = tuple(row)
-        filtered = drop_every(row, p)
-        row = prefix_sums(filtered)
-        steps.append(ProcessStep(period=p, before=before, filtered=tuple(filtered), summed=tuple(row)))
-    assert len(row) >= m, f"length schedule bug: {len(row)} < {m}"
-    return row[:m], ProcessTrace(exponent=n, init=init, steps=tuple(steps))
+    for p, filtered, summed in _passes(before, rounds):
+        steps.append(ProcessStep(period=p, before=before, filtered=tuple(filtered), summed=tuple(summed)))
+        before = steps[-1].summed  # one tuple per row, shared with the next step
+    assert len(before) >= m, f"length schedule bug: {len(before)} < {m}"
+    return list(before[:m]), ProcessTrace(exponent=n, init=init, steps=tuple(steps))
 
 
 def forward_stages(n: int) -> Callable[[int, int], int]:
@@ -123,8 +126,8 @@ def forward_stages(n: int) -> Callable[[int, int], int]:
 
 def forward_intermediate(n: int, j: int, x: int) -> int:
     """forward_stages(n)(j, x) on a chain of its own, which nothing keeps after the call."""
-    if j > n:
-        raise PreconditionError(f"stage j={j} exceeds exponent n={n}")
+    if not 0 <= j <= n:
+        raise PreconditionError(f"stage j={j} out of range 0..{n} for exponent n={n}")
     if x < 0:
         raise PreconditionError(f"negative index {x}")
     return forward_stages(n)(j, x)
@@ -143,11 +146,8 @@ def dp_power(x: int, n: int) -> EvalReport:
     length = required_length(n, m)
     row = [1] * length
     additions = 0
-    for t in range(n - 1, -1, -1):
-        row = drop_every(row, t + 2)
-        if row:
-            additions += len(row) - 1
-        row = prefix_sums(row)
+    for _, filtered, row in _passes(row, n):
+        additions += max(len(filtered) - 1, 0)
     return EvalReport(value=row[m - 1], additions=additions, leaves=length)
 
 

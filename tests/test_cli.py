@@ -229,6 +229,23 @@ def test_compare_dp(capsys):
     assert lines[-1] == "1/1 match"
 
 
+def test_compare_dp_checks_the_preset_parameters(capsys):
+    for params, error in (
+        ("q=5", "error: moessner got unexpected parameter(s): ['q']"),
+        ("n=3", "error: moessner is missing parameter(s): ['x']"),
+    ):
+        code, out, err = run_cli(
+            capsys, "compare", "--preset", "moessner", "--params", params, "--against", "dp"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [error]
+    code, out, err = run_cli(
+        capsys, "compare", "--preset", "moessner", "--params", "x=7,n=5", "--against", "dp"
+    )
+    assert (code, err) == (0, "")
+    assert out == "n=5,x=7 | value 32768 vs 32768 | additions 105 vs n/a | match\n1/1 match\n"
+
+
 def test_compare_memoized(capsys):
     code, out, _ = run_cli(
         capsys, "compare", "--preset", "fibonacci", "--count", "8", "--against", "memoized"

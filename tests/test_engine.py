@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moessner import engine
+from moessner import expr as expr_module
 from moessner.engine import (
     EvalReport,
     LevelSpec,
@@ -730,6 +731,12 @@ def test_deep_expression_chains_in_bounds_and_body():
     assert evaluate_counting(prog) == reference_counting(prog)
     # the outer sum folds 3 terms, the inner one 2, and each of the 2 leaves costs 300
     assert evaluate_counting(prog).additions == 2 + 1 + 2 * 300
+
+
+def test_nest_code_cache_is_bounded():
+    for n in range(1, 101):
+        assert evaluate(build("positive_integers", {"n": n})) == n + 1
+    assert expr_module._shape_code.cache_info().currsize <= 64
 
 
 def test_walk_refuses_programs_deeper_than_its_call_chain():

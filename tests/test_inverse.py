@@ -39,6 +39,9 @@ def test_inverse_step_range_check():
         inverse_step(f, 2, 2)
     with pytest.raises(PreconditionError):
         inverse_step(f, 5, 2)
+    for t in (-1, -2):
+        with pytest.raises(PreconditionError, match=r"out of range 0\.\.1"):
+            inverse_step(f, t, 2)
 
 
 def test_run_inverse_chains():

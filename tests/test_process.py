@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from moessner.elision import is_dropped
 from moessner.errors import PreconditionError
 from moessner.oracles import binomial, pow_fast
 from moessner.process import (
@@ -29,6 +30,14 @@ def test_drop_every():
     assert drop_every([], 3) == []
     with pytest.raises(PreconditionError):
         drop_every(row, 1)
+
+
+def test_drop_every_strikes_the_elision_positions():
+    for p in range(2, 10):
+        for length in range(41):
+            assert drop_every(list(range(length)), p) == [
+                x for x in range(length) if not is_dropped(p - 1, x)
+            ]
 
 
 def test_prefix_sums():
@@ -169,6 +178,8 @@ def test_forward_intermediate():
         forward_intermediate(2, 3, 0)
     with pytest.raises(PreconditionError):
         forward_intermediate(2, 1, -1)
+    with pytest.raises(PreconditionError, match=r"stage j=-1 out of range 0\.\.3"):
+        forward_intermediate(3, -1, 2)
 
 
 def test_forward_intermediate_keeps_no_memo():
@@ -203,6 +214,23 @@ def test_dp_power():
             assert r.leaves == required_length(n, x + 1)
     with pytest.raises(PreconditionError):
         dp_power(-1, 3)
+
+
+def test_dp_power_matches_run_process():
+    for x in range(13):
+        for n in range(1, 7):
+            final, trace = run_process(n, x + 1)
+            r = dp_power(x, n)
+            assert r.value == final[x]
+            assert r.additions == sum(max(len(s.filtered) - 1, 0) for s in trace.steps)
+            assert r.leaves == len(trace.steps[0].before)
+
+
+def test_trace_shares_each_row_between_steps():
+    for init in (InitRule.const(1), InitRule.indicator(2, 3)):
+        _, trace = run_process(4, 6, init)
+        for a, b in zip(trace.steps, trace.steps[1:]):
+            assert a.summed is b.before
 
 
 def test_naive_power():
