@@ -293,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    def add_format(p: argparse.ArgumentParser, choices=("plain", "csv", "json")) -> None:
+        p.add_argument("--format", choices=choices, default="plain")
 
     p_eval = sub.add_parser("eval", help="evaluate a preset at one parameter point")
     p_eval.add_argument("--preset", required=True)
@@ -325,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc.add_argument("--exponent", type=int, required=True)
     p_proc.add_argument("--prefix", type=int, required=True, help="how many final values to produce")
     p_proc.add_argument("--init", default="ones", help="ones | successor | const:C | indicator:A:D")
-    add_format(p_proc)
+    add_format(p_proc, ("plain", "json"))
     p_proc.set_defaults(handler=_cmd_process)
 
     p_inv = sub.add_parser("inverse", help="run the inverse process from a power row down to ones")
     p_inv.add_argument("--exponent", type=int, required=True)
     p_inv.add_argument("--prefix", type=int, required=True, help="entries to show per row")
-    add_format(p_inv)
+    add_format(p_inv, ("plain", "json"))
     p_inv.set_defaults(handler=_cmd_inverse)
 
     p_poly = sub.add_parser("polygonal", help="check the floored-quotient sum against its closed form")

@@ -4,8 +4,9 @@ run_process is the triangle formulation over finite rows; the prefix length
 bookkeeping (required_length) replaces conceptually infinite streams. It and
 dp_power share one pass loop (_passes): strike by slice, sum by accumulate.
 forward_stages is the same chain expressed streamlessly, memoized on
-(stage, index). dp_power / naive_power / log_add_power_prefix are
-the three power strategies whose exact addition counts the tests pin down.
+(stage, index). dp_power and naive_power here and log_add_power_prefix in
+counting are the three power strategies whose exact addition counts the
+tests pin down.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .counting import log_add_power_prefix, log_add_power_prefix_counted  # noqa: F401  (re-exported)
 from .elision import keep_index
 from .engine import EvalReport
 from .errors import PreconditionError

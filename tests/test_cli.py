@@ -1,8 +1,10 @@
 """CLI surface: output formats, exit codes, error reporting."""
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -340,6 +342,45 @@ def test_inverse_json(capsys):
         ["1", "2", "3", "4"],
         ["1", "1", "1", "1"],
     ]
+
+
+# one small call per subcommand that takes --format; every format it offers must do what it says
+_FORMAT_ARGVS = {
+    "eval": ["eval", "--preset", "moessner", "--params", "x=2", "--count", "3"],
+    "prefix": ["prefix", "--preset", "moessner", "--params", "x=2", "--vary", "n", "--from", "0", "--to", "3"],
+    "process": ["process", "--exponent", "2", "--prefix", "3"],
+    "inverse": ["inverse", "--exponent", "2", "--prefix", "3"],
+}
+
+
+def _offered_formats():
+    (subcommands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if "--format" in action.option_strings:
+                yield name, action.choices
+
+
+def test_every_subcommand_with_a_format_is_guarded():
+    assert {name for name, _ in _offered_formats()} == set(_FORMAT_ARGVS)
+
+
+@pytest.mark.parametrize(
+    "command,fmt",
+    [(name, fmt) for name, choices in _offered_formats() for fmt in choices if fmt != "plain"],
+)
+def test_offered_formats_are_honoured(capsys, command, fmt):
+    argv = _FORMAT_ARGVS[command]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        json.loads(out)
+    else:
+        assert fmt == "csv"
+        assert re.fullmatch(r"\w+(,\w+)+", out.splitlines()[0])
+        assert out != plain
 
 
 def test_polygonal(capsys):

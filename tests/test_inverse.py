@@ -4,37 +4,19 @@ import pytest
 
 from moessner import inverse, process
 from moessner.errors import PreconditionError
-from moessner.inverse import EnumeratedFn, check_roundtrip, inverse_step, run_inverse, seed
-from moessner.process import forward_intermediate
-
-
-def test_enumerated_fn_memoizes():
-    calls = []
-
-    def probe(i):
-        calls.append(i)
-        return i * i
-
-    f = EnumeratedFn(probe, tag="probe")
-    assert f(3) == 9
-    assert f(3) == 9
-    assert calls == [3]
-    assert f.prefix(4) == [0, 1, 4, 9]
-    assert sorted(calls) == [0, 1, 2, 3]
-    assert "probe" in repr(f)
-    with pytest.raises(PreconditionError):
-        f(-1)
+from moessner.inverse import check_roundtrip, inverse_step, run_inverse, seed
+from moessner.process import forward_intermediate, run_process
 
 
 def test_seed():
-    assert seed(2).prefix(5) == [1, 4, 9, 16, 25]
-    assert seed(0).prefix(3) == [1, 1, 1]
+    assert seed(2, 5) == [1, 4, 9, 16, 25]
+    assert seed(0, 3) == [1, 1, 1]
     with pytest.raises(PreconditionError):
-        seed(-1)
+        seed(-1, 3)
 
 
 def test_inverse_step_range_check():
-    f = seed(2)
+    f = seed(2, 4)
     with pytest.raises(PreconditionError):
         inverse_step(f, 2, 2)
     with pytest.raises(PreconditionError):
@@ -98,3 +80,14 @@ def test_check_roundtrip_builds_one_forward_chain(monkeypatch):
         for x in range(32):
             fresh(t, x)
     assert built[0].cache_info().misses == fresh.cache_info().misses
+
+
+def test_inverse_step_undoes_each_process_pass():
+    # the row passes of both directions, checked against each other on every trace step
+    for n in range(1, 9):
+        for m in (1, 2, 5, 13):
+            _, trace = run_process(n, m)
+            assert [step.period for step in trace.steps] == list(range(n + 1, 1, -1))
+            for step in trace.steps:
+                undone = inverse_step(list(step.summed), step.period - 2, n)
+                assert undone == list(step.before[: len(step.summed)])
