@@ -11,7 +11,9 @@ Three evaluators:
                     nest over local indices (_nest), bounds and body inlined
   evaluate_counting value plus exact addition/leaf tallies, added inline by
                     the same generated nest
-  evaluate_memoized value via dense per-level tables, for Markov programs
+  evaluate_memoized value via dense per-level tables, for Markov programs: one
+                    generated comprehension per distinct level row, gathered
+                    back out of running prefix sums with map
 
 validate and is_markov read one analysis per program, SummationProgram._summary;
 presets.sweep is the one caller that chooses an evaluator.
@@ -64,6 +66,7 @@ class EvalReport:
 class _Summary(NamedTuple):
     params: FrozenSet[str]  # parameter names the expressions read
     reads_table: bool
+    reads_level: bool
     markov: bool
     running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
 
@@ -88,15 +91,16 @@ class SummationProgram:
     def _summary(self) -> _Summary:
         """One validate_expr walk per expression; a structural error raises and caches nothing."""
         params: set = set()
-        reads_table, markov, sum_to, prod_to = False, True, 0, 0
+        reads_table, reads_level, markov, sum_to, prod_to = False, False, True, 0, 0
         for level, role, expr in _exprs(self):
             refs = validate_expr(expr, level, role=role)
             params |= refs["params"]
             reads_table = reads_table or refs["table"]
+            reads_level = reads_level or refs["level"]
             whole_history = refs["custom"] or refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and refs["hist"] <= {level - 1}
             sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
-        return _Summary(frozenset(params), reads_table, markov, (sum_to, prod_to))
+        return _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to))
 
 
 def _exprs(program: SummationProgram) -> Iterator[Tuple[int, str, Expr]]:
@@ -270,7 +274,14 @@ def evaluate_memoized(program: SummationProgram) -> int:
 
     For a Markov program the sub-sum below level k depends only on i_{k-1},
     and the reachable values of each index form one contiguous range, so
-    every distinct sub-sum is computed once from running prefix sums.
+    every distinct sub-sum is computed once from running prefix sums. Each
+    level k >= 2 is one generated row (_row): level k's bound per reachable
+    i_{k-1}, as a position in level k's prefix array, 0 for an empty sum; the
+    largest position is level k's width. The body row holds the innermost
+    values. Going back out, a level's table is its positions gathered from the
+    prefix sums of the table below. Rows are reused within a call by
+    (expression, the level's lower or the body, and the level number where the
+    program reads Level).
     """
     validate(program)
     if not is_markov(program):
@@ -281,48 +292,62 @@ def evaluate_memoized(program: SummationProgram) -> int:
     depth = program.depth
     if depth == 0:
         return _body_guarded(program, ())
+    const = _lit_body(program)
+    reads_level = program._summary.reads_level
+    rows: Dict[Tuple[Expr, Optional[int], Optional[int]], Callable[[int, int], List[int]]] = {}
 
-    # Markov: a bound at level k reads only the last of its k-1 history slots
-    params, const = program.params, _lit_body(program)
-    bound_fns = [compile_expr(spec.bound, params, k) for k, spec in enumerate(program.levels, 1)]
-    body_fn = (lambda h: const) if const is not None else compile_expr(program.body, params, depth + 1)
+    def row(expr: Expr, k: int, lower: Optional[int]) -> Callable[[int, int], List[int]]:  # lower None: the body
+        key = (expr, lower, k if reads_level else None)
+        try:
+            fn = rows.get(key)
+        except RecursionError:  # an expression too deep to hash gets a row of its own
+            return _row(program.params, expr, k, lower)
+        if fn is None:
+            fn = rows[key] = _row(program.params, expr, k, lower)
+        return fn
 
-    # forward pass: contiguous reachable range per level
-    lo1 = program.levels[0].lower
-    b1 = bound_fns[0](())
-    if b1 < lo1:
+    # forward pass: contiguous reachable range per level, lo..hi
+    lo = program.levels[0].lower
+    hi = compile_expr(program.levels[0].bound, program.params, 1)(())
+    if hi < lo:
         return 0
-    ranges: List[Tuple[int, int]] = [(lo1, b1)]
-    bounds: List[List[int]] = []  # bounds[k-2]: level k's bound per index of level k-1, reused below
-    history: List[int] = []  # one slot more per level; bounds read only the last
-    for k in range(2, depth + 1):
-        plo, phi = ranges[-1]
-        lo = program.levels[k - 1].lower
-        bound_fn = bound_fns[k - 1]
-        history.append(0)
-        level_bounds = []
-        for history[-1] in range(plo, phi + 1):
-            level_bounds.append(bound_fn(history))
-        hi = max(level_bounds)
-        if hi < lo:
+    positions: List[List[int]] = []  # positions[k-2]: level k's prefix position per index of level k-1
+    for k, spec in enumerate(program.levels[1:], 2):
+        positions.append(row(spec.bound, k, spec.lower)(lo, hi))
+        top = max(positions[-1])
+        if top == 0:
             return 0  # level k is empty under every reachable parent
-        ranges.append((lo, hi))
-        bounds.append(level_bounds)
+        lo, hi = spec.lower, spec.lower + top - 1
 
     # backward pass: table of sub-sum values per possible previous index
-    lo_d, hi_d = ranges[depth - 1]
-    history = [0] * depth  # the body reads only the innermost index
-    table = []
-    for history[-1] in range(lo_d, hi_d + 1):
-        value = body_fn(history)
-        if value < 0:  # the table knows the innermost index, not a full history
-            raise DomainError(f"body evaluated to {value} at i{depth}={history[-1]}")
-        table.append(value)
-    for k in range(depth, 1, -1):
-        lo_k = ranges[k - 1][0]
+    table = [const] * (hi - lo + 1) if const is not None else row(program.body, depth + 1, None)(lo, hi)
+    for level_positions in reversed(positions):
         prefix = [0, *accumulate(table)]
-        table = [prefix[b - lo_k + 1] if b >= lo_k else 0 for b in bounds[k - 2]]
+        table = list(map(prefix.__getitem__, level_positions))
     return sum(table)
+
+
+def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) -> Callable[[int, int], List[int]]:
+    """`lambda lo, hi: [...]` over i_{k-1} = v in lo..hi: the bound of a level with
+    the given lower as a prefix position, max(bound - lower + 1, 0), or (lower
+    None) the body's value, refused when negative. A Markov expression reads the
+    history only through v; a subtree past expr._MAX_NESTING gets it as a tuple
+    of zeros ending in v, which is built only then."""
+    src = Source(params)
+    # SumHist and ProdHist are not Markov, so their fields are never read
+    value = src.emit(expr, Reads(k, "v", lambda j: "v", "", "", "(*_zeros, v)"))
+    if "_zeros" in value:
+        src.env["_zeros"] = (0,) * (k - 2)
+    if lower is None:
+        src.env["_negative_at"] = _negative_at
+        cell = f"w if (w := {value}) >= 0 else _negative_at(w, {src.bind(k - 1)}, v)"
+    else:
+        cell = f"w if (w := {value}{' + 1' * (lower == 0)}) > 0 else 0"
+    return src.run(f"lambda lo, hi: [{cell} for v in range(lo, hi + 1)]")
+
+
+def _negative_at(value: int, level: int, index: int) -> None:
+    raise DomainError(f"body evaluated to {value} at i{level}={index}")  # the table knows only i_level
 
 
 def unfold_display(program: SummationProgram) -> str:

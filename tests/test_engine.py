@@ -397,6 +397,56 @@ def test_memoized_rejects_non_markov():
         evaluate_memoized(build("a137273", {"n": 4}))
 
 
+def test_memoized_reuses_rows_only_where_they_are_equal():
+    step = Add(Prev(), Lit(1))
+    # one bound at levels of lower 0 and lower 1: prefix positions bound + 1 and bound
+    lowers = SummationProgram(
+        4, (LevelSpec(0, Lit(2)), LevelSpec(0, step), LevelSpec(1, step), LevelSpec(0, step)), Prev()
+    )
+    # one Level-reading bound at several levels: i_k in 0..k - i_{k-1}
+    by_level = SummationProgram(
+        5, (LevelSpec(0, Lit(3)),) + (LevelSpec(0, Sub(Level(), Prev())),) * 4, Add(Prev(), Lit(1))
+    )
+    # a body equal to a bound: values, not positions
+    body_as_bound = SummationProgram(3, (LevelSpec(0, Lit(3)), LevelSpec(0, step), LevelSpec(0, step)), step)
+    for prog in (lowers, by_level, body_as_bound):
+        assert evaluate_memoized(prog) == evaluate(prog) == reference_evaluate(prog)
+
+
+def test_memoized_keeps_the_walk_errors_and_deep_expressions():
+    def chain(base, leaf):  # 600 nested nodes: 300 * leaf + base - 600
+        expr = Lit(base)
+        for i in range(600):
+            expr = Sub(expr, Lit(i % 5)) if i % 2 else Add(leaf, expr)
+        return expr
+
+    # i1 in 0..2, i2 in 0..300*i1 - 599 (0..1 at i1 = 2), i3 in 0..300*i2 - 1 read
+    # through Hist(2), and the body 300*i3: every subtree past the nesting limit
+    prog = SummationProgram(
+        3,
+        (LevelSpec(0, Lit(2)), LevelSpec(0, chain(1, Prev())), LevelSpec(0, chain(599, Hist(2)))),
+        chain(600, Prev()),
+    )
+    assert evaluate_memoized(prog) == evaluate(prog) == reference_evaluate(prog) == 300 * 299 * 300 // 2
+
+    miss = SummationProgram(2, (LevelSpec(0, Lit(3)), LevelSpec(0, Table(Prev()))), Lit(1), {"f": (1, 2)})
+    errors = []
+    for evaluator in (evaluate, evaluate_memoized):
+        with pytest.raises(ParameterError) as caught:
+            evaluator(miss)
+        errors.append(str(caught.value))
+    assert errors == ["table index 2 outside f of length 2"] * 2
+
+
+def test_memoized_compiles_one_text_per_row_shape():
+    # euler_zigzag's bounds differ at every level, in literals only
+    for name, params in (("fibonacci", {"n": 8000}), ("catalan", {"n": 200}), ("euler_zigzag", {"n": 200})):
+        prog = build(name, params)
+        expr_module._shape_code.cache_clear()
+        evaluate_memoized(prog)
+        assert expr_module._shape_code.cache_info().misses <= 3, name
+
+
 def test_unfold_display():
     assert (
         unfold_display(build("moessner", {"x": 3, "n": 3}))
