@@ -11,9 +11,10 @@ Three evaluators:
                     nest over local indices (_nest), bounds and body inlined
   evaluate_counting value plus exact addition/leaf tallies, added inline by
                     the same generated nest
-  evaluate_memoized value via dense per-level tables, for Markov programs: one
-                    generated comprehension per distinct level row, gathered
-                    back out of running prefix sums with map
+  evaluate_memoized value via dense per-level tables, for Markov programs: the
+                    root's entry of level_tables, one generated comprehension
+                    per distinct level row, gathered back out of running
+                    prefix sums with map
 
 validate and is_markov read one analysis per program, SummationProgram._summary;
 presets.sweep is the one caller that chooses an evaluator.
@@ -34,7 +35,7 @@ from .expr import (
     Reads,
     Source,
     additions_expr,
-    compile_expr,
+    compile_expr,  # noqa: F401  (unused here, but perfbench/tracer.py wraps engine.compile_expr by name)
     eval_expr,
     eval_expr_counted,
     expr_from_dict,
@@ -269,19 +270,21 @@ def is_markov(program: SummationProgram) -> bool:
     return program._summary.markov
 
 
-def evaluate_memoized(program: SummationProgram) -> int:
-    """evaluate(program) via dense per-level value tables.
+def level_tables(program: SummationProgram) -> Iterator[List[int]]:
+    """Each level's table of sub-sum values, innermost first, for a Markov program.
 
-    For a Markov program the sub-sum below level k depends only on i_{k-1},
-    and the reachable values of each index form one contiguous range, so
-    every distinct sub-sum is computed once from running prefix sums. Each
-    level k >= 2 is one generated row (_row): level k's bound per reachable
-    i_{k-1}, as a position in level k's prefix array, 0 for an empty sum; the
-    largest position is level k's width. The body row holds the innermost
-    values. Going back out, a level's table is its positions gathered from the
-    prefix sums of the table below. Rows are reused within a call by
-    (expression, the level's lower or the body, and the level number where the
-    program reads Level).
+    The sub-sum below level k depends only on i_{k-1}, and the reachable
+    values of each index form one contiguous range, so every distinct sub-sum
+    is computed once from running prefix sums. Above level 1 stands a root
+    with the one index 0. Each level is one generated row (_row): its bound
+    per reachable index of the level above, as a prefix position, 0 for an
+    empty sum; the largest is the level's width. The body row comes first
+    (empty below a level empty everywhere); each next table gathers its
+    level's positions from the prefix sums of the one before, and the root's
+    one entry is the whole sum. Every bound runs before any body, so a bound
+    error wins over a negative body that the walk may meet first. Rows are
+    reused within a call by (expression, lower or body, and the level number
+    where the program reads Level).
     """
     validate(program)
     if not is_markov(program):
@@ -289,9 +292,9 @@ def evaluate_memoized(program: SummationProgram) -> int:
             "memoized evaluation requires a Markov program "
             "(bounds read at most the previous index; body at most the innermost)"
         )
-    depth = program.depth
-    if depth == 0:
-        return _body_guarded(program, ())
+    if program.depth == 0:
+        yield [_body_guarded(program, ())]
+        return
     const = _lit_body(program)
     reads_level = program._summary.reads_level
     rows: Dict[Tuple[Expr, Optional[int], Optional[int]], Callable[[int, int], List[int]]] = {}
@@ -306,25 +309,30 @@ def evaluate_memoized(program: SummationProgram) -> int:
             fn = rows[key] = _row(program.params, expr, k, lower)
         return fn
 
-    # forward pass: contiguous reachable range per level, lo..hi
-    lo = program.levels[0].lower
-    hi = compile_expr(program.levels[0].bound, program.params, 1)(())
-    if hi < lo:
-        return 0
-    positions: List[List[int]] = []  # positions[k-2]: level k's prefix position per index of level k-1
-    for k, spec in enumerate(program.levels[1:], 2):
+    # forward pass: contiguous reachable range per level, lo..hi, from the root's 0..0
+    lo = hi = 0
+    positions: List[List[int]] = []  # positions[k-1]: level k's prefix position per index of level k-1
+    for k, spec in enumerate(program.levels, 1):
         positions.append(row(spec.bound, k, spec.lower)(lo, hi))
         top = max(positions[-1])
-        if top == 0:
-            return 0  # level k is empty under every reachable parent
         lo, hi = spec.lower, spec.lower + top - 1
+        if top == 0:
+            break  # level k is empty under every reachable parent, and so is lo..hi
 
     # backward pass: table of sub-sum values per possible previous index
-    table = [const] * (hi - lo + 1) if const is not None else row(program.body, depth + 1, None)(lo, hi)
+    table = [const] * (hi - lo + 1) if const is not None else row(program.body, program.depth + 1, None)(lo, hi)
+    yield table
     for level_positions in reversed(positions):
         prefix = [0, *accumulate(table)]
         table = list(map(prefix.__getitem__, level_positions))
-    return sum(table)
+        yield table
+
+
+def evaluate_memoized(program: SummationProgram) -> int:
+    """evaluate(program) as the root's one entry in level_tables(program)."""
+    for table in level_tables(program):
+        pass
+    return table[0]
 
 
 def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) -> Callable[[int, int], List[int]]:
@@ -332,7 +340,7 @@ def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) ->
     the given lower as a prefix position, max(bound - lower + 1, 0), or (lower
     None) the body's value, refused when negative. A Markov expression reads the
     history only through v; a subtree past expr._MAX_NESTING gets it as a tuple
-    of zeros ending in v, which is built only then."""
+    of zeros ending in v, which is built only then. At level 1, v is the root's 0."""
     src = Source(params)
     # SumHist and ProdHist are not Markov, so their fields are never read
     value = src.emit(expr, Reads(k, "v", lambda j: "v", "", "", "(*_zeros, v)"))

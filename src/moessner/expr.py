@@ -321,9 +321,7 @@ def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int
         cv, ca = eval_expr_counted(expr.cond, params, level, history)
         bv, ba = eval_expr_counted(expr.then if cv == 0 else expr.orelse, params, level, history)
         return bv, ca + ba
-    if isinstance(expr, Table):
-        # index arithmetic is addressing, not data: not counted
-        return eval_expr(expr, params, level, history), 0
+    # leaves cost nothing, and a Table's index arithmetic is addressing, not data: not counted
     return eval_expr(expr, params, level, history), 0
 
 

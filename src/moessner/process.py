@@ -3,22 +3,23 @@
 run_process is the triangle formulation over finite rows; the prefix length
 bookkeeping (required_length) replaces conceptually infinite streams. It and
 dp_power share one pass loop (_passes): strike by slice, sum by accumulate.
-forward_stages is the same chain expressed streamlessly, memoized on
-(stage, index). dp_power and naive_power here and log_add_power_prefix in
-counting are the three power strategies whose exact addition counts the
-tests pin down.
+forward_stages is the same chain read off the `moessner` program's level
+tables (engine.level_tables): those tables are run_process's filtered rows,
+and their running sums its summed rows. dp_power and naive_power here and
+log_add_power_prefix in counting are the three power strategies whose exact
+addition counts the tests pin down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elision import keep_index
-from .engine import EvalReport
+from .engine import EvalReport, level_tables
 from .errors import PreconditionError
+from .presets import build
 from .rules import InitRule
 
 
@@ -109,28 +110,22 @@ def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[Lis
     return list(before[:m]), ProcessTrace(exponent=n, init=init, steps=tuple(steps))
 
 
-def forward_stages(n: int) -> Callable[[int, int], int]:
-    """The streamless chain for exponent n as one function of (stage j, index x):
-    stage n is constant 1, stage j sums stage j+1 over surviving positions,
-    f_j(x) = sum_{i=0}^{x} f_{j+1}(keep_index(j+1, i)), and stage 0 enumerates
-    (x+1)^n. The memo lives as long as the returned function does."""
-
-    @lru_cache(maxsize=None)
-    def stage(j: int, x: int) -> int:
-        if j == n:
-            return 1
-        return sum(stage(j + 1, keep_index(j + 1, i)) for i in range(x + 1))
-
-    return stage
+def forward_stages(n: int, length: int) -> List[List[int]]:
+    """Stage rows f_0..f_n of the exponent-n chain, `length` entries each: f_n is 1
+    and f_j(x) = sum_{i=0}^{x} f_{j+1}(keep_index(j+1, i)), so f_0(x) = (x+1)^n.
+    Row j < n is the running sum of the `moessner` program's table at level j+2,
+    at x = length - 1, cut to length as it is yielded."""
+    tables = islice(level_tables(build("moessner", {"x": length - 1, "n": n})), n)  # all but the root's
+    return [list(islice(accumulate(table), length)) for table in tables][::-1] + [[1] * length]
 
 
 def forward_intermediate(n: int, j: int, x: int) -> int:
-    """forward_stages(n)(j, x) on a chain of its own, which nothing keeps after the call."""
+    """f_j(x) of the exponent-n chain: forward_stages(n, x + 1)[j][x]."""
     if not 0 <= j <= n:
         raise PreconditionError(f"stage j={j} out of range 0..{n} for exponent n={n}")
     if x < 0:
         raise PreconditionError(f"negative index {x}")
-    return forward_stages(n)(j, x)
+    return forward_stages(n, x + 1)[j][x]
 
 
 def dp_power(x: int, n: int) -> EvalReport:

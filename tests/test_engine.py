@@ -244,8 +244,9 @@ def test_negative_body_raises_with_history():
     with pytest.raises(DomainError):
         evaluate_counting(prog)
     prog0 = SummationProgram(0, (), Sub(Lit(0), Lit(3)))
-    with pytest.raises(DomainError, match=r"at history \(\)"):
-        evaluate(prog0)
+    for evaluator in (evaluate, evaluate_memoized):
+        with pytest.raises(DomainError, match=r"body evaluated to -3 at history \(\)$"):
+            evaluator(prog0)
     lit_neg = SummationProgram(1, (LevelSpec(0, Lit(2)),), Lit(-4))
     with pytest.raises(DomainError):
         evaluate(lit_neg)
@@ -370,6 +371,19 @@ def test_malformed_program_raises_on_every_call():
         for check in (validate, is_markov, evaluate, evaluate_counting, evaluate_memoized):
             with pytest.raises(ValidationError, match="Prev is undefined"):
                 check(bad)
+
+
+def test_memoized_runs_every_bound_before_any_body():
+    # i1 in 0..1, i2 in 0..f[i1]: the walk meets the body -1 at (0, 1) before
+    # reading f[1]; the tables evaluate level 2's bound at i1 = 0 and 1 first
+    prog = SummationProgram(
+        2, (LevelSpec(0, Lit(1)), LevelSpec(0, Table(Prev()))), Sub(Lit(0), Prev()), {"f": (1,)}
+    )
+    for walk in (evaluate, evaluate_counting):
+        with pytest.raises(DomainError, match=r"body evaluated to -1 at history \(0, 1\)$"):
+            walk(prog)
+    with pytest.raises(ParameterError, match=r"^table index 1 outside f of length 1$"):
+        evaluate_memoized(prog)
 
 
 MEMOIZED_GRID = [

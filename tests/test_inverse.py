@@ -2,7 +2,8 @@
 
 import pytest
 
-from moessner import inverse, process
+from moessner import process
+from moessner.engine import level_tables
 from moessner.errors import PreconditionError
 from moessner.inverse import check_roundtrip, inverse_step, run_inverse, seed
 from moessner.process import forward_intermediate, run_process
@@ -64,22 +65,17 @@ def test_check_roundtrip():
         assert check_roundtrip(n, 16)
 
 
-def test_check_roundtrip_builds_one_forward_chain(monkeypatch):
-    built = []
+def test_check_roundtrip_reads_one_table_pass(monkeypatch):
+    calls = []
 
-    def counted(n):
-        built.append(process.forward_stages(n))
-        return built[-1]
+    def counted(program):
+        calls.append(program)
+        return level_tables(program)
 
-    monkeypatch.setattr(inverse, "forward_stages", counted)
+    monkeypatch.setattr(process, "level_tables", counted)
     assert check_roundtrip(6, 32)
-    assert len(built) == 1
-    # every (stage, index) point is computed once: as often as one pass over a fresh chain does
-    fresh = process.forward_stages(6)
-    for t in range(7):
-        for x in range(32):
-            fresh(t, x)
-    assert built[0].cache_info().misses == fresh.cache_info().misses
+    assert len(calls) == 1
+    assert (calls[0].depth, calls[0].params["x"]) == (6, 31)
 
 
 def test_inverse_step_undoes_each_process_pass():

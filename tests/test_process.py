@@ -6,8 +6,10 @@ import tracemalloc
 import pytest
 
 from moessner.elision import is_dropped
+from moessner.engine import evaluate, level_tables
 from moessner.errors import PreconditionError
 from moessner.oracles import binomial, pow_fast
+from moessner.presets import build
 from moessner.process import (
     ProcessTrace,
     dp_power,
@@ -194,6 +196,36 @@ def test_forward_intermediate_keeps_no_memo():
     finally:
         tracemalloc.stop()
     assert retained < 10_000  # a memo kept from this call would hold hundreds of entries
+
+
+def test_forward_intermediate_runs_past_the_recursion_limit():
+    # one stage per level of a table pass, not one Python frame per stage
+    assert forward_intermediate(1100, 0, 1) == 2**1100
+
+
+TABLE_CASES = (
+    [("moessner", {"x": x, "n": n}) for n in range(7) for x in (0, 3, 10)]
+    + [("moessner_init", {"x": x, "n": n, "init": init})
+       for init in ("const:3", "successor") for n in range(5) for x in (0, 3, 10)]
+    + [("moessner_init_plus", {"x": x, "n": n, "init": "indicator:2:5"}) for n in range(5) for x in (0, 3, 10)]
+)
+
+
+@pytest.mark.parametrize("name,params", TABLE_CASES, ids=lambda v: str(v))
+def test_level_tables_are_the_filtered_rows(name, params):
+    # the memo's tables, innermost first, are the process's filtered rows, and
+    # their running sums its summed rows; the root's one entry is the value
+    program = build(name, params)
+    *tables, root = level_tables(program)
+    x = params["x"]
+    final, trace = run_process(params["n"], x + 1, InitRule.parse(params.get("init", "ones")))
+    assert len(tables) == len(trace.steps) == program.depth
+    for table, step in zip(tables, trace.steps):
+        width = min(len(table), len(step.filtered))
+        assert width >= x + 1
+        assert table[:width] == list(step.filtered[:width])
+        assert prefix_sums(table)[:width] == list(step.summed[:width])
+    assert root == [final[x]] == [evaluate(program)]
 
 
 def test_process_matches_streamless_chain():
