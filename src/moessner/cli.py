@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 from . import oeis, presets
 # is_markov is unused here, but perfbench/tracer.py wraps cli.is_markov by name
 from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural  # noqa: F401
-from .errors import MoessnerError, ParameterError
+from .errors import ConsistencyError, MoessnerError, ParameterError
 from .inverse import run_inverse
 from .polygonal import polygonal_closed, quotient_sum
 from .process import dp_power, run_process
@@ -58,7 +58,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.count_adds:
             report = evaluate_counting(program)
             if value not in (None, report.value):
-                raise MoessnerError("memoized value disagrees with counted evaluation")
+                raise ConsistencyError(f"memoized value {value} disagrees with counted value {report.value}")
             value, additions = report.value, report.additions
         elif value is None:
             value = evaluate(program)

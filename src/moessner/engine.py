@@ -17,7 +17,8 @@ Three evaluators:
                     prefix sums with map
 
 validate and is_markov read one analysis per program, SummationProgram._summary;
-presets.sweep is the one caller that chooses an evaluator.
+presets.sweep is the one caller that chooses an evaluator. Depth 0 is the
+zero-level case of all three; expr.eval_expr and eval_expr_counted are references.
 """
 
 from __future__ import annotations
@@ -30,21 +31,20 @@ from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Name
 
 from .errors import DomainError, ParameterError, PreconditionError, ValidationError
 from .expr import (
+    PARAM_NAMES,
     Expr,
     Lit,
     Reads,
     Source,
     additions_expr,
-    compile_expr,  # noqa: F401  (unused here, but perfbench/tracer.py wraps engine.compile_expr by name)
-    eval_expr,
-    eval_expr_counted,
+    compile_expr, eval_expr, eval_expr_counted,  # noqa: F401  (unused here, but perfbench/tracer.py wraps them by name)
     expr_from_dict,
     expr_to_dict,
     render_expr,
     validate_expr,
 )
 
-ALLOWED_PARAM_KEYS = {"x", "n", "a", "d", "k", "f"}
+ALLOWED_PARAM_KEYS = {*PARAM_NAMES, "f"}
 
 
 @dataclass(frozen=True)
@@ -148,18 +148,9 @@ def validate(program: SummationProgram) -> None:
         raise ParameterError("program reads the table parameter 'f' but none was given")
 
 
-def _body_guarded(program: SummationProgram, history: Tuple[int, ...]) -> int:
-    value = eval_expr(program.body, program.params, program.depth + 1, history)
-    if value < 0:
-        raise DomainError(f"body evaluated to {value} at history {history}")
-    return value
-
-
 def evaluate(program: SummationProgram) -> int:
     """The value of the nested sum, depth-first, empty-sum convention."""
     validate(program)
-    if program.depth == 0:
-        return _body_guarded(program, ())
     return _nest(program)(0)
 
 
@@ -169,14 +160,9 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     Each materialized sum of m >= 1 terms costs m - 1 additions (empty sums
     cost nothing); additions inside body evaluations are counted per leaf;
     bound arithmetic is never counted. leaves is the number of body
-    evaluations.
+    evaluations: at depth 0, with no sum, one leaf and the body's additions.
     """
     validate(program)
-    if program.depth == 0:
-        value, adds = eval_expr_counted(program.body, program.params, 1, ())
-        if value < 0:
-            raise DomainError(f"body evaluated to {value} at history ()")
-        return EvalReport(value=value, additions=adds, leaves=1)
     return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
 
 
@@ -200,13 +186,15 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
     `for i{k} in range(lower, b{k} + 1):` over local indices, bounds and body
     inlined by expr.Source.emit, with running locals s{k} / p{k} where SumHist
     / ProdHist are read. A Lit body is summed by one multiplication per
-    innermost sum. Every _BLOCK levels, the nest calls the next generated function
-    with the indices so far as one tuple h. The entry takes and returns `total`, or
-    (total, adds, leaves) counted inline given per_leaf, the body's additions_expr.
-    Bounds and body run in the reference's order."""
+    innermost sum; depth 0 has none, so its one block emits the one leaf, its
+    count and its cost at the root. Every _BLOCK levels, the nest calls the next
+    generated function with the indices so far as one tuple h. The entry takes
+    and returns `total`, or (total, adds, leaves) counted inline given per_leaf,
+    the body's additions_expr. Bounds and body run in the reference's order."""
     if program.depth > _MAX_DEPTH:
         raise PreconditionError(f"depth {program.depth} is past the {_MAX_DEPTH} levels the walk can nest")
-    depth, body, const = program.depth, program.body, _lit_body(program)
+    depth, body = program.depth, program.body
+    const = _lit_body(program) if depth else None  # added per innermost sum, and depth 0 has none
     sum_to, prod_to = program._summary.running
     src = Source(program.params)
     src.env["_negative"] = _negative
@@ -224,7 +212,7 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
         return ", ".join([history] * (k > 1) + running + [acc])
 
     lines = []
-    for first in range(1, depth + 1, _BLOCK):
+    for first in range(1, max(depth, 1) + 1, _BLOCK):
         last, pad = min(first + _BLOCK - 1, depth), "    "
         lines.append(f"def _b{first}({carried(first, 'h')}):")
         for k in range(first, last + 1):
@@ -249,8 +237,8 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
             lines.append(f"{pad}{acc} = _b{last + 1}({carried(last + 1, reads(first, last + 1).seq)})")
         elif const is None:
             at = reads(first, depth + 1)
-            if per_leaf is not None and not isinstance(per_leaf, Lit):
-                lines.append(f"{pad}adds += {src.emit(per_leaf, at)}")
+            if per_leaf is not None and not (depth and isinstance(per_leaf, Lit)):  # else added per innermost sum
+                lines += [f"{pad}leaves += 1"] * (not depth) + [f"{pad}adds += {src.emit(per_leaf, at)}"]
             lines += [f"{pad}v = {src.emit(body, at)}", f"{pad}if v < 0:"]
             lines += [f"{pad}    _negative(v, {at.seq})", f"{pad}total += v"]
         lines.append(f"    return {acc}")
@@ -292,9 +280,6 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             "memoized evaluation requires a Markov program "
             "(bounds read at most the previous index; body at most the innermost)"
         )
-    if program.depth == 0:
-        yield [_body_guarded(program, ())]
-        return
     const = _lit_body(program)
     reads_level = program._summary.reads_level
     rows: Dict[Tuple[Expr, Optional[int], Optional[int]], Callable[[int, int], List[int]]] = {}
@@ -355,7 +340,8 @@ def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) ->
 
 
 def _negative_at(value: int, level: int, index: int) -> None:
-    raise DomainError(f"body evaluated to {value} at i{level}={index}")  # the table knows only i_level
+    where = f"i{level}={index}" if level else "history ()"  # the table knows only i_level; level 0 is the root
+    raise DomainError(f"body evaluated to {value} at {where}")
 
 
 def unfold_display(program: SummationProgram) -> str:

@@ -20,7 +20,6 @@ from .errors import ParameterError
 from .expr import (
     Add,
     Expr,
-    FloorDiv,
     Hist,
     Lit,
     Mul,
@@ -140,9 +139,7 @@ def _moessner_levels(depth: int) -> List[LevelSpec]:
 
 def _surviving_arg(depth: int) -> Expr:
     """keep_index(depth, i_depth) as an expression; x itself at depth 0."""
-    if depth == 0:
-        return Param("x")
-    return FloorDiv(Mul(Lit(depth + 1), Prev()), depth)
+    return keep_bound(depth + 1) if depth else Param("x")
 
 
 def _catalan_family(

@@ -118,6 +118,15 @@ def test_eval_count_adds_memoized_refuses_before_walking(capsys, monkeypatch):
     assert "Markov" in err
 
 
+def test_eval_count_adds_memoized_reports_a_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_memoized", lambda program: 65)  # moessner x=3,n=3 is 64
+    code, out, err = run_cli(
+        capsys, "eval", "--preset", "moessner", "--params", "x=3,n=3", "--count-adds", "--memoized"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: memoized value 65 disagrees with counted value 64\n"
+
+
 def test_eval_rejects_repeated_parameter(capsys):
     code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,x=5,n=2")
     assert (code, out) == (2, "")

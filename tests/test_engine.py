@@ -173,18 +173,24 @@ _bodies = st.sampled_from(
      FloorDiv(Add(Prev(), Level()), 2),
      Sub(Add(Prev(), Lit(2)), Lit(1))]
 )
+# depth 0: the body stands at level 1, with no enclosing index to read
+_root_bodies = st.sampled_from(
+    [Lit(1), Lit(0), Param("x"), Level(), SumHist(), Add(Param("x"), Level()),
+     Add(Table(Param("x")), Lit(1)),
+     IfZero(Param("x"), Add(Param("x"), Lit(1)), Add(Add(Param("x"), Param("x")), Lit(1)))]
+)
 _TABLE = tuple(i * 7 % 5 for i in range(32))
 
 
 @st.composite
 def _programs(draw):
-    depth = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 4))
     levels = []
     for k in range(1, depth + 1):
         lower = draw(st.sampled_from((0, 1)))
         bound = draw(_bound_head) if k == 1 else draw(_later_bound(k))
         levels.append(LevelSpec(lower, bound))
-    body = draw(_bodies)
+    body = draw(_bodies if depth else _root_bodies)
     x = draw(st.integers(0, 3))
     return SummationProgram(depth, tuple(levels), body, {"x": x, "f": _TABLE})
 
@@ -215,6 +221,59 @@ def test_depth_zero():
     assert evaluate(prog) == 9
     assert evaluate_counting(prog) == EvalReport(value=9, additions=1, leaves=1)
     assert evaluate_memoized(prog) == 9
+
+
+_F0 = (4, 0, 6)
+_BRANCH = IfZero(Param("x"), Add(Param("x"), Lit(1)), Param("x"))  # costs 1 when x = 0, else 0
+
+
+@pytest.mark.parametrize(
+    "body,x",
+    [
+        (Lit(0), 1),
+        (Lit(5), 1),
+        (Add(Param("x"), Lit(2)), 1),  # a constant cost per leaf: additions_expr is Lit(1)
+        (_BRANCH, 0),
+        (_BRANCH, 2),
+        (Table(Param("x")), 2),
+        (Custom(lambda params, level, history: params["x"] + level + len(history), "x+level"), 3),
+    ],
+    ids=["lit0", "lit5", "const_cost", "branch_taken", "branch_not_taken", "table_hit", "custom"],
+)
+def test_depth_zero_matches_the_references(body, x):
+    prog = SummationProgram(0, (), body, {"x": x, "f": _F0})
+    value = eval_expr(body, prog.params, 1, ())
+    adds = eval_expr_counted(body, prog.params, 1, ())[1]
+    assert evaluate(prog) == value
+    assert evaluate_counting(prog) == EvalReport(value=value, additions=adds, leaves=1)
+    if isinstance(body, Custom):
+        with pytest.raises(PreconditionError, match="Markov"):
+            evaluate_memoized(prog)
+    else:
+        assert evaluate_memoized(prog) == value
+
+
+@pytest.mark.parametrize(
+    "body,error,text",
+    [
+        (Lit(-3), DomainError, "body evaluated to -3 at history ()"),
+        (Sub(Param("x"), Lit(4)), DomainError, "body evaluated to -3 at history ()"),
+        (Table(Add(Param("x"), Lit(2))), ParameterError, "table index 3 outside f of length 3"),
+    ],
+    ids=["negative_lit", "negative_expr", "table_miss"],
+)
+def test_depth_zero_errors_match_the_references(body, error, text):
+    prog = SummationProgram(0, (), body, {"x": 1, "f": _F0})
+    if error is ParameterError:
+        with pytest.raises(ParameterError) as ref:
+            eval_expr(body, prog.params, 1, ())
+        assert str(ref.value) == text
+    else:
+        assert eval_expr(body, prog.params, 1, ()) == -3
+    for evaluator in (evaluate, evaluate_counting, evaluate_memoized):
+        with pytest.raises(error) as got:
+            evaluator(prog)
+        assert str(got.value) == text, evaluator.__name__
 
 
 def test_empty_outermost_sum():
