@@ -12,9 +12,10 @@ Three evaluators:
   evaluate_counting value plus exact addition/leaf tallies, added inline by
                     the same generated nest
   evaluate_memoized value via dense per-level tables, for Markov programs: the
-                    root's entry of level_tables, one generated comprehension
-                    per distinct level row, gathered back out of running
-                    prefix sums with map
+                    root's entry of level_tables; a level with an affine bound
+                    is gathered out of running prefix sums by strided slices,
+                    any other by one generated comprehension per distinct row
+                    and map
 
 validate and is_markov read one analysis per program, SummationProgram._summary;
 presets.sweep is the one caller that chooses an evaluator. Depth 0 is the
@@ -32,10 +33,18 @@ from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Name
 from .errors import DomainError, ParameterError, PreconditionError, ValidationError
 from .expr import (
     PARAM_NAMES,
+    Add,
     Expr,
+    FloorDiv,
+    Hist,
+    Level,
     Lit,
+    Mul,
+    Param,
+    Prev,
     Reads,
     Source,
+    Sub,
     additions_expr,
     compile_expr, eval_expr, eval_expr_counted,  # noqa: F401  (unused here, but perfbench/tracer.py wraps them by name)
     expr_from_dict,
@@ -179,6 +188,7 @@ def _negative(value: int, history: Tuple[int, ...]) -> None:
 
 _BLOCK = 16  # levels per generated function: CPython allows 20 nested blocks per function
 _MAX_DEPTH = 500 * _BLOCK  # the functions call each other, one Python frame per block
+_MAX_WIDTH = 10**8  # cells in one level's table; a wider level is refused before it is built
 
 
 def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callable:
@@ -264,15 +274,19 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     The sub-sum below level k depends only on i_{k-1}, and the reachable
     values of each index form one contiguous range, so every distinct sub-sum
     is computed once from running prefix sums. Above level 1 stands a root
-    with the one index 0. Each level is one generated row (_row): its bound
-    per reachable index of the level above, as a prefix position, 0 for an
-    empty sum; the largest is the level's width. The body row comes first
-    (empty below a level empty everywhere); each next table gathers its
-    level's positions from the prefix sums of the one before, and the root's
-    one entry is the whole sum. Every bound runs before any body, so a bound
-    error wins over a negative body that the walk may meet first. Rows are
-    reused within a call by (expression, lower or body, and the level number
-    where the program reads Level).
+    with the one index 0. A level's bound, per reachable index of the level
+    above, is a prefix position, 0 for an empty sum; the largest is the
+    level's width. An affine bound, (a * i_{k-1} + c) // q with a >= 0
+    (_affine), needs no row: its width is its last position, and its table is
+    gathered by one slice per residue of the index mod q (_gather). Any other
+    bound is one generated row of positions (_row), gathered with map. A
+    level wider than _MAX_WIDTH is refused before the next row is built. The
+    body row comes first (empty below a level empty everywhere); each next
+    table gathers its level's positions from the prefix sums of the one
+    before, and the root's one entry is the whole sum. Every bound runs before
+    any body, so a bound error wins over a negative body that the walk may
+    meet first. A level's form or row is reused within a call by (expression,
+    lower, and the level number where the program reads Level).
     """
     validate(program)
     if not is_markov(program):
@@ -281,35 +295,44 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             "(bounds read at most the previous index; body at most the innermost)"
         )
     const = _lit_body(program)
-    reads_level = program._summary.reads_level
-    rows: Dict[Tuple[Expr, Optional[int], Optional[int]], Callable[[int, int], List[int]]] = {}
+    params, reads_level = program.params, program._summary.reads_level
+    forms: Dict[Tuple[Expr, int, Optional[int]], Any] = {}
 
-    def row(expr: Expr, k: int, lower: Optional[int]) -> Callable[[int, int], List[int]]:  # lower None: the body
-        key = (expr, lower, k if reads_level else None)
+    def form(spec: LevelSpec, k: int) -> Any:  # one lookup per level: its affine (a, c, q), or its row
+        key = (spec.bound, spec.lower, k if reads_level else None)
         try:
-            fn = rows.get(key)
+            found = forms.get(key)
         except RecursionError:  # an expression too deep to hash gets a row of its own
-            return _row(program.params, expr, k, lower)
-        if fn is None:
-            fn = rows[key] = _row(program.params, expr, k, lower)
-        return fn
+            return _row(params, spec.bound, k, spec.lower)
+        if found is None:
+            found = forms[key] = _level_form(params, spec.bound, k, spec.lower)
+        return found
 
     # forward pass: contiguous reachable range per level, lo..hi, from the root's 0..0
     lo = hi = 0
-    positions: List[List[int]] = []  # positions[k-1]: level k's prefix position per index of level k-1
+    steps: List[Any] = []  # per level: its positions over lo..hi above, or (lo, width, a, c, q)
     for k, spec in enumerate(program.levels, 1):
-        positions.append(row(spec.bound, k, spec.lower)(lo, hi))
-        top = max(positions[-1])
+        step = form(spec, k)
+        if type(step) is tuple:
+            a, c, q = step
+            top = max((a * hi + c) // q, 0)
+            step = (lo, hi - lo + 1, a, c, q)
+        else:
+            step = step(lo, hi)
+            top = max(step)
+        if top > _MAX_WIDTH:
+            raise PreconditionError(f"level {k} has width {top}, past the {_MAX_WIDTH} cells a table may hold")
+        steps.append(step)
         lo, hi = spec.lower, spec.lower + top - 1
         if top == 0:
             break  # level k is empty under every reachable parent, and so is lo..hi
 
     # backward pass: table of sub-sum values per possible previous index
-    table = [const] * (hi - lo + 1) if const is not None else row(program.body, program.depth + 1, None)(lo, hi)
+    table = [const] * (hi - lo + 1) if const is not None else _row(params, program.body, program.depth + 1, None)(lo, hi)
     yield table
-    for level_positions in reversed(positions):
+    for step in reversed(steps):
         prefix = [0, *accumulate(table)]
-        table = list(map(prefix.__getitem__, level_positions))
+        table = _gather(prefix, *step) if type(step) is tuple else list(map(prefix.__getitem__, step))
         yield table
 
 
@@ -337,6 +360,80 @@ def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) ->
     else:
         cell = f"w if (w := {value}{' + 1' * (lower == 0)}) > 0 else 0"
     return src.run(f"lambda lo, hi: [{cell} for v in range(lo, hi + 1)]")
+
+
+def _level_form(params: Mapping[str, Any], expr: Expr, k: int, lower: int) -> Any:
+    """A level's bound as (a, c, q), its prefix position max((a * v + c) // q, 0)
+    at i_{k-1} = v, where the bound is affine with a >= 0; else its _row."""
+    try:
+        found = _affine(expr, params, k)
+    except RecursionError:  # too deep to analyse: the row splits it
+        found = None
+    if found is None or found[0] < 0:
+        return _row(params, expr, k, lower)
+    a, c, q = found
+    return a, c + q * (1 - lower), q
+
+
+def _affine(expr: Expr, params: Mapping[str, Any], k: int) -> Optional[Tuple[int, int, int]]:
+    """expr at level k as (a, c, q), its value (a * v + c) // q at i_{k-1} = v, q >= 1
+    and q = 1 where a = 0; None for other shapes (IfZero, Table, a product of two
+    index terms, a floor on both sides of a sum). Literals, parameters and the
+    level fold into c. Nested floors multiply q, as n // q // d = n // (q * d),
+    and a whole term m joins a floor's numerator, as n // q + m = (n + m * q) // q."""
+    kind = type(expr)
+    if kind is Lit:
+        return 0, expr.value, 1
+    if kind is Param:
+        return 0, params[expr.name], 1  # validate has checked that it is given
+    if kind is Level:
+        return 0, k, 1
+    if kind is Prev or kind is Hist:  # a Markov bound reads only i_{k-1}
+        return 1, 0, 1
+    if kind is FloorDiv:
+        num = _affine(expr.num, params, k)
+        if num is None:
+            return None
+        a, c, q = num
+        return (a, c, q * expr.div) if a else (0, c // expr.div, 1)
+    if kind not in (Add, Sub, Mul):
+        return None
+    lhs, rhs = _affine(expr.lhs, params, k), _affine(expr.rhs, params, k)
+    if lhs is None or rhs is None:
+        return None
+    if kind is Mul:  # a constant side m scales a whole other side
+        if lhs[0]:
+            lhs, rhs = rhs, lhs
+        (index, m, _), (a, c, q) = lhs, rhs
+        return (m * a, m * c, 1) if index == 0 and q == 1 else None
+    if kind is Sub:
+        a, c, q = rhs
+        if q != 1:
+            return None
+        rhs = -a, -c, 1
+    if lhs[2] != 1:
+        lhs, rhs = rhs, lhs
+    (a1, c1, whole), (a, c, q) = lhs, rhs
+    if whole != 1:
+        return None
+    a, c = a + a1 * q, c + c1 * q  # the whole side joins the other's numerator
+    return (a, c, q) if a else (0, c // q, 1)
+
+
+def _gather(prefix: List[int], lo: int, width: int, a: int, c: int, q: int) -> List[int]:
+    """[prefix[max((a * v + c) // q, 0)] for v in lo..lo+width-1] by slices, for a >= 0.
+
+    Each q steps of v move the position by a, so each residue of v mod q reads
+    one strided slice of prefix; and the empty sums (position 0) are one leading
+    run. A constant position (a = 0) is one repeated entry."""
+    if a == 0:
+        return [prefix[max(c // q, 0)]] * width
+    start = min(max((q - 1 - c) // a + 1 - lo, 0), width)  # the first offset with a nonempty sum
+    out = [0] * width
+    for j in range(start, min(start + q, width)):
+        p = (a * (lo + j) + c) // q
+        out[j::q] = prefix[p:p + a * len(range(j, width, q)):a]
+    return out
 
 
 def _negative_at(value: int, level: int, index: int) -> None:

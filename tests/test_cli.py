@@ -474,6 +474,22 @@ def test_module_entry_point():
     assert result.stdout == "64\n"
 
 
+@pytest.mark.parametrize("preset,n", [("moessner_stolid", 1), ("moessner", 2)])
+def test_eval_memoized_refuses_a_table_too_wide(preset, n):
+    # x = 10^21: the level-1 table alone would have 10^21 + 1 cells
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", "eval", "--preset", preset,
+         "--params", f"x=1000000000000000000000,n={n}", "--memoized"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: level 1 has width 1000000000000000000001, past the 100000000 cells a table may hold\n"
+    )
+
+
 def test_closed_pipe_exits_quietly():
     # about 1.1 MB of rows: far more than a pipe holds, so the reader's close lands mid-output
     proc = subprocess.Popen(

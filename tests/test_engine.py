@@ -18,6 +18,7 @@ from moessner.engine import (
     evaluate_counting,
     evaluate_memoized,
     is_markov,
+    level_tables,
     normalize_params,
     program_from_dict,
     program_from_json,
@@ -160,7 +161,25 @@ def _later_bound(k):
     ]
     if k >= 3:
         opts.append(Add(Hist(k - 2), Hist(k - 1)))
-    return st.sampled_from(opts)
+    return st.one_of(st.sampled_from(opts), _affine_bound(k))
+
+
+def _affine_bound(k):
+    """(a*i_{k-1} + c) // q, with i_{k-1} spelled Prev or Hist(k-1) and c a literal, maybe plus Level or x."""
+
+    def bound(a, prev, c, extra, q):
+        num = Add(Mul(Lit(a), prev), Lit(c))
+        num = num if extra is None else Add(num, extra)
+        return FloorDiv(num, q) if q > 1 else num
+
+    return st.builds(
+        bound,
+        st.integers(0, 4),
+        st.sampled_from((Prev(), Hist(k - 1))),
+        st.integers(-3, 3),
+        st.sampled_from((None, Level(), Param("x"))),
+        st.integers(1, 5),
+    )
 
 
 _bodies = st.sampled_from(
@@ -202,6 +221,19 @@ def test_evaluate_matches_reference_on_random_programs(prog):
     assert evaluate_counting(prog) == reference_counting(prog)
     if is_markov(prog):
         assert evaluate_memoized(prog) == evaluate(prog)
+
+
+def _through_rows(program):
+    """The same program with each bound behind an IfZero that always takes it:
+    the same values, but no bound is affine, so every level is a generated row."""
+    levels = tuple(LevelSpec(spec.lower, IfZero(Lit(1), Lit(0), spec.bound)) for spec in program.levels)
+    return SummationProgram(program.depth, levels, program.body, program.params)
+
+
+@given(_programs().filter(is_markov))
+@settings(max_examples=200, deadline=None)
+def test_memoized_tables_match_the_row_path_on_random_programs(prog):
+    assert list(level_tables(prog)) == list(level_tables(_through_rows(prog)))
 
 
 def test_constant_bounds_commute():
@@ -461,6 +493,96 @@ def test_memoized_agrees_with_plain(name, grid):
     for params in grid:
         prog = build(name, params)
         assert evaluate_memoized(prog) == evaluate(prog), (name, params)
+
+
+@pytest.mark.parametrize("name,grid", MEMOIZED_GRID, ids=lambda v: str(v)[:24])
+def test_memoized_slices_gather_the_tables_rows_do(name, grid):
+    for params in grid:
+        prog = build(name, params)
+        assert list(level_tables(prog)) == list(level_tables(_through_rows(prog))), (name, params)
+
+
+def test_memoized_slices_cut_the_leading_empty_sums():
+    # i1 in 0..7, i2 up to (a*i1 + c) // q: a negative c empties the sums of the first i1, residue by residue
+    for a in range(1, 5):
+        for q in range(1, 6):
+            for c in range(-12, 3):
+                for lower in (0, 1):
+                    bound = FloorDiv(Add(Mul(Lit(a), Prev()), Lit(c)), q)
+                    prog = SummationProgram(2, (LevelSpec(0, Lit(7)), LevelSpec(lower, bound)), Add(Prev(), Lit(1)))
+                    tables = list(level_tables(prog))
+                    assert tables == list(level_tables(_through_rows(prog))), (a, q, c, lower)
+                    assert tables[-1] == [reference_evaluate(prog)], (a, q, c, lower)
+
+
+def test_affine_bounds_generate_no_rows(monkeypatch):
+    made = []
+    row = engine._row
+
+    def counted(params, expr, k, lower):
+        made.append(lower)
+        return row(params, expr, k, lower)
+
+    monkeypatch.setattr(engine, "_row", counted)
+    # fibonacci and euler_zigzag subtract the index (a < 0): their bounds stay rows
+    for name, params, rows in (
+        ("moessner", {"x": 4, "n": 6}, False),
+        ("catalan", {"n": 7}, False),
+        ("binomial", {"x": 5, "n": 4}, False),
+        ("xfold_factorial", {"x": 3, "n": 5}, False),
+        ("fibonacci", {"n": 8}, True),
+        ("euler_zigzag", {"n": 7}, True),
+    ):
+        made.clear()
+        prog = build(name, params)
+        assert evaluate_memoized(prog) == evaluate(prog), name
+        assert any(lower is not None for lower in made) == rows, name
+
+
+@pytest.mark.parametrize(
+    "bound,form",
+    [
+        (Lit(4), (0, 4, 1)),
+        (Add(Param("x"), Level()), (0, 10, 1)),  # x = 7 at level 3
+        (Hist(2), (1, 0, 1)),
+        (Sub(Mul(Lit(3), Prev()), Lit(2)), (3, -2, 1)),
+        (Mul(Sub(Prev(), Param("x")), Lit(2)), (2, -14, 1)),
+        (FloorDiv(Add(FloorDiv(Mul(Lit(3), Prev()), 2), Lit(1)), 4), (3, 2, 8)),  # nested floors: q multiplies
+        (Add(Lit(5), FloorDiv(Prev(), 3)), (1, 15, 3)),
+        (FloorDiv(Sub(Level(), Lit(1)), 2), (0, 1, 1)),
+        (Sub(Prev(), Prev()), (0, 0, 1)),
+        (Sub(Lit(1), Prev()), (-1, 1, 1)),  # a < 0: recognised, then left to a row
+        (Sub(Lit(1), FloorDiv(Prev(), 2)), None),
+        (Add(FloorDiv(Prev(), 2), FloorDiv(Prev(), 3)), None),
+        (Mul(Lit(2), FloorDiv(Prev(), 3)), None),
+        (Mul(Prev(), Prev()), None),
+        (Table(Prev()), None),
+        (IfZero(Lit(1), Lit(0), Prev()), None),
+    ],
+    ids=str,
+)
+def test_affine_forms(bound, form):
+    # (a * v + c) // q at i_2 = v, against the reference interpreter
+    assert engine._affine(bound, {"x": 7, "f": _TABLE}, 3) == form
+    if form is not None:
+        a, c, q = form
+        for v in range(-4, 12):
+            assert (a * v + c) // q == eval_expr(bound, {"x": 7, "f": _TABLE}, 3, (0, v))
+
+
+def test_memoized_refuses_a_level_past_the_width_cap():
+    huge = 10**21  # far past the cap: nothing of that size is ever built
+    wide_row = IfZero(Lit(1), Lit(0), Mul(Lit(huge), Prev()))  # not affine: level 2 is a generated row
+    for prog, level, width in (
+        (build("moessner_stolid", {"x": huge, "n": 1}), 1, huge + 1),
+        (build("moessner", {"x": huge, "n": 2}), 1, huge + 1),
+        (SummationProgram(2, (LevelSpec(1, Param("x")), LevelSpec(0, wide_row)), Prev(), {"x": huge}), 1, huge),
+        (SummationProgram(2, (LevelSpec(0, Lit(1)), LevelSpec(0, Mul(Lit(huge), Prev()))), Lit(1)), 2, huge + 1),
+        (SummationProgram(2, (LevelSpec(0, Lit(1)), LevelSpec(1, wide_row)), Prev()), 2, huge),
+    ):
+        message = f"^level {level} has width {width}, past the {engine._MAX_WIDTH} cells a table may hold$"
+        with pytest.raises(PreconditionError, match=message):
+            evaluate_memoized(prog)
 
 
 def test_memoized_rejects_non_markov():
