@@ -17,7 +17,7 @@ from itertools import accumulate, islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .elision import keep_index
-from .engine import EvalReport, level_tables
+from .engine import _MAX_WIDTH, EvalReport, level_tables
 from .errors import PreconditionError
 from .presets import build
 from .rules import InitRule
@@ -96,12 +96,19 @@ def required_length(n: int, m: int, iterations: Optional[int] = None) -> int:
     return length
 
 
+def _within_width(length: int) -> int:
+    """length, once it is known to fit one row (at most engine._MAX_WIDTH cells)."""
+    if length > _MAX_WIDTH:
+        raise PreconditionError(f"a row of length {length} is past the {_MAX_WIDTH} cells a row may hold")
+    return length
+
+
 def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[List[int], ProcessTrace]:
     """First m values of the process for exponent n, plus the full trace."""
     if n < 0:
         raise PreconditionError(f"exponent must be >= 0, got {n}")
     rounds = iteration_count(n, init)
-    before = tuple(init.row(required_length(n, m, iterations=rounds)))
+    before = tuple(init.row(_within_width(required_length(n, m, iterations=rounds))))
     steps = []
     for p, filtered, summed in _passes(before, rounds):
         steps.append(ProcessStep(period=p, before=before, filtered=tuple(filtered), summed=tuple(summed)))
@@ -138,7 +145,7 @@ def dp_power(x: int, n: int) -> EvalReport:
     if x < 0 or n < 0:
         raise PreconditionError("dp_power needs naturals")
     m = x + 1
-    length = required_length(n, m)
+    length = _within_width(required_length(n, m))
     row = [1] * length
     additions = 0
     for _, filtered, row in _passes(row, n):

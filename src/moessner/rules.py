@@ -80,7 +80,12 @@ class InitRule:
         return y + 1
 
     def row(self, m: int) -> List[int]:
-        return [self.value_at(y) for y in range(m)]
+        """[value_at(y) for y in range(m)], built by repetition rather than per element."""
+        if self.kind == "const":
+            return [self.a] * m
+        if self.kind == "indicator":
+            return [self.a] + [self.d] * (m - 1) if m > 0 else []
+        return list(range(1, m + 1))
 
     def body_expr(self, arg: Expr) -> Tuple[Expr, Dict[str, int]]:
         """Body expression init(arg) plus the engine params it needs."""

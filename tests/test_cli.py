@@ -490,6 +490,22 @@ def test_eval_memoized_refuses_a_table_too_wide(preset, n):
     )
 
 
+@pytest.mark.parametrize(
+    "argv,length",
+    [
+        (["compare", "--preset", "moessner", "--params", "x=1000000000000000000000", "--count", "2", "--against", "dp"],
+         "1000000000000000000001"),
+        (["inverse", "--exponent", "2", "--prefix", "1000000000000000000000"], "1000000000000000000000"),
+        (["process", "--exponent", "3", "--prefix", "1000000000000000000000"], "3999999999999999999997"),
+    ],
+    ids=["compare", "inverse", "process"],
+)
+def test_huge_rows_exit_2_before_they_are_built(capsys, argv, length):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: a row of length {length} is past the 100000000 cells a row may hold\n"
+
+
 def test_closed_pipe_exits_quietly():
     # about 1.1 MB of rows: far more than a pipe holds, so the reader's close lands mid-output
     proc = subprocess.Popen(

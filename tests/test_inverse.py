@@ -6,6 +6,7 @@ from moessner import process
 from moessner.engine import level_tables
 from moessner.errors import PreconditionError
 from moessner.inverse import check_roundtrip, inverse_step, run_inverse, seed
+from moessner.oracles import binomial, pow_fast
 from moessner.process import forward_intermediate, run_process
 
 
@@ -87,3 +88,24 @@ def test_inverse_step_undoes_each_process_pass():
             for step in trace.steps:
                 undone = inverse_step(list(step.summed), step.period - 2, n)
                 assert undone == list(step.before[: len(step.summed)])
+
+
+@pytest.mark.parametrize("n,length", [(60, 600), (30, 1000), (1000, 8)])
+def test_check_roundtrip_at_bench_scale(n, length):
+    assert check_roundtrip(n, length)
+
+
+def test_closed_form_matches_the_oracles():
+    length = 40
+    for n in range(13):
+        row = seed(n, length)
+        assert row == [pow_fast(x + 1, n) for x in range(length)]
+        for t in range(n):
+            p, e = t + 2, n - 1 - t
+            row = inverse_step(row, t, n)
+            assert row[p - 1 :: p] == [binomial(n, e) * pow_fast(q, e) for q in range(1, length // p + 1)]
+
+
+def test_huge_rows_are_refused_before_they_are_built():
+    with pytest.raises(PreconditionError, match=r"^a row of length 10{21} is past the 100000000 cells a row may hold$"):
+        run_inverse(2, 10**21)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from moessner import engine, process
 from moessner.elision import is_dropped
 from moessner.engine import evaluate, level_tables
 from moessner.errors import PreconditionError
@@ -287,3 +288,20 @@ def test_power_strategies_agree():
 def test_run_process_rejects_negative_exponent():
     with pytest.raises(PreconditionError, match="exponent must be >= 0, got -1"):
         run_process(-1, 2)
+
+
+def test_huge_rows_are_refused_before_they_are_built():
+    # about 10^21 cells: the seed row alone could never be allocated
+    with pytest.raises(PreconditionError, match=r"^a row of length 3999999999999999999997 is past the 100000000 cells a row may hold$"):
+        run_process(3, 10**21)
+    with pytest.raises(PreconditionError, match=r"^a row of length 20{20}1 is past"):
+        run_process(0, 10**21 + 1, InitRule.indicator(1, 0))
+    with pytest.raises(PreconditionError, match=r"^a row of length 10{20}1 is past"):
+        dp_power(10**21, 0)
+
+
+def test_width_check_admits_the_cap_itself():
+    # pure arithmetic: nothing near the cap is allocated
+    assert process._within_width(engine._MAX_WIDTH) == engine._MAX_WIDTH
+    with pytest.raises(PreconditionError, match="past the"):
+        process._within_width(engine._MAX_WIDTH + 1)

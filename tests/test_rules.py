@@ -17,6 +17,16 @@ def test_init_rows():
     assert InitRule.const(7).row(0) == []
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [InitRule.const(0), InitRule.const(3), InitRule.indicator(2, 5), InitRule.indicator(0, 1), InitRule.successor()],
+    ids=lambda rule: rule.spec_string(),
+)
+@pytest.mark.parametrize("m", range(6))
+def test_init_row_is_value_at_per_position(rule, m):
+    assert rule.row(m) == [rule.value_at(y) for y in range(m)]
+
+
 def test_init_parse_and_spec_string():
     assert InitRule.parse("ones") == InitRule.const(1)
     assert InitRule.parse("successor") == InitRule.successor()
