@@ -5,220 +5,54 @@ then take prefix sums) and an equivalent family of nested-summation
 programs whose bounds depend on enclosing indices. Presets package the
 named sequences; oracles provide independent closed forms and recurrences
 to verify them against.
+
+Every exported name and submodule loads on first use (PEP 562), so
+`import moessner`, or a CLI subcommand, loads only the modules it reads.
 """
 
-from .counting import (
-    CountingNat,
-    backward_difference,
-    log_add_power_prefix,
-    log_add_power_prefix_counted,
-    prefix_sum,
-    sigma,
-    sigma_counted,
-    times_halving,
-)
-from .elision import drop_index, is_dropped, keep_index, splice_index, stair
-from .engine import (
-    EvalReport,
-    LevelSpec,
-    SummationProgram,
-    evaluate,
-    evaluate_counting,
-    evaluate_memoized,
-    is_markov,
-    program_from_dict,
-    program_from_json,
-    program_to_dict,
-    program_to_json,
-    unfold_display,
-    validate,
-)
-from .errors import (
-    BFileParseError,
-    ConsistencyError,
-    DomainError,
-    FetchError,
-    FixtureNotFoundError,
-    MoessnerError,
-    ParameterError,
-    PreconditionError,
-    ValidationError,
-)
-from .expr import (
-    Add,
-    Custom,
-    Expr,
-    FloorDiv,
-    Hist,
-    IfZero,
-    Level,
-    Lit,
-    Mul,
-    Param,
-    Prev,
-    ProdHist,
-    Sub,
-    SumHist,
-    Table,
-    eval_expr,
-    expr_from_dict,
-    expr_to_dict,
-    render_expr,
-    validate_expr,
-)
-from .inverse import check_roundtrip, inverse_step, run_inverse, seed
-from .oeis import (
-    BFileEntry,
-    check_preset_prefix,
-    fetch,
-    load_fixture,
-    load_manifest,
-    parse_bfile,
-    parse_manifest,
-    serialize_bfile,
-)
-from .oracles import (
-    binomial,
-    catalan,
-    catalan_closed,
-    catalan_convolved,
-    euler_zigzag,
-    factorial,
-    fibonacci,
-    fuss_catalan,
-    long2_closed,
-    multifactorial,
-    multiset,
-    polygonal_closed,
-    pow_fast,
-    product_table,
-)
-from .polygonal import (
-    quotient_sum,
-    quotient_sum_shifted,
-    verify_block_split,
-    verify_double_reindex,
-)
-from .presets import PresetInfo, build, catalog, expected, preset_names
-from .process import (
-    ProcessStep,
-    ProcessTrace,
-    dp_power,
-    drop_every,
-    forward_intermediate,
-    iteration_count,
-    naive_power,
-    prefix_sums,
-    required_length,
-    run_process,
-)
-from .rules import InitRule, fold_bound, keep_bound, parse_fold_rule
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Add",
-    "BFileEntry",
-    "BFileParseError",
-    "ConsistencyError",
-    "CountingNat",
-    "Custom",
-    "DomainError",
-    "EvalReport",
-    "Expr",
-    "FetchError",
-    "FixtureNotFoundError",
-    "FloorDiv",
-    "Hist",
-    "IfZero",
-    "InitRule",
-    "Level",
-    "LevelSpec",
-    "Lit",
-    "MoessnerError",
-    "Mul",
-    "Param",
-    "ParameterError",
-    "PreconditionError",
-    "PresetInfo",
-    "Prev",
-    "ProcessStep",
-    "ProcessTrace",
-    "ProdHist",
-    "Sub",
-    "SumHist",
-    "SummationProgram",
-    "Table",
-    "ValidationError",
-    "backward_difference",
-    "binomial",
-    "build",
-    "catalan",
-    "catalan_closed",
-    "catalan_convolved",
-    "catalog",
-    "check_preset_prefix",
-    "check_roundtrip",
-    "dp_power",
-    "drop_every",
-    "drop_index",
-    "euler_zigzag",
-    "eval_expr",
-    "evaluate",
-    "evaluate_counting",
-    "evaluate_memoized",
-    "expected",
-    "expr_from_dict",
-    "expr_to_dict",
-    "factorial",
-    "fetch",
-    "fibonacci",
-    "fold_bound",
-    "forward_intermediate",
-    "fuss_catalan",
-    "inverse_step",
-    "is_dropped",
-    "is_markov",
-    "iteration_count",
-    "keep_bound",
-    "keep_index",
-    "load_fixture",
-    "load_manifest",
-    "log_add_power_prefix",
-    "log_add_power_prefix_counted",
-    "long2_closed",
-    "multifactorial",
-    "multiset",
-    "naive_power",
-    "parse_bfile",
-    "parse_fold_rule",
-    "parse_manifest",
-    "polygonal_closed",
-    "pow_fast",
-    "prefix_sum",
-    "prefix_sums",
-    "preset_names",
-    "product_table",
-    "program_from_dict",
-    "program_from_json",
-    "program_to_dict",
-    "program_to_json",
-    "quotient_sum",
-    "quotient_sum_shifted",
-    "render_expr",
-    "required_length",
-    "run_inverse",
-    "run_process",
-    "seed",
-    "serialize_bfile",
-    "sigma",
-    "sigma_counted",
-    "splice_index",
-    "stair",
-    "times_halving",
-    "unfold_display",
-    "validate",
-    "validate_expr",
-    "verify_block_split",
-    "verify_double_reindex",
-]
+# each exported name -> the submodule that defines it
+_ORIGIN = {
+    name: module
+    for module, names in {
+        "counting": "CountingNat backward_difference log_add_power_prefix log_add_power_prefix_counted"
+        " prefix_sum sigma sigma_counted times_halving",
+        "elision": "drop_index is_dropped keep_index splice_index stair",
+        "engine": "EvalReport LevelSpec SummationProgram evaluate evaluate_counting evaluate_memoized is_markov"
+        " program_from_dict program_from_json program_to_dict program_to_json unfold_display validate",
+        "errors": "BFileParseError ConsistencyError DomainError FetchError FixtureNotFoundError MoessnerError"
+        " ParameterError PreconditionError ValidationError",
+        "expr": "Add Custom Expr FloorDiv Hist IfZero Level Lit Mul Param Prev ProdHist Sub SumHist Table"
+        " eval_expr expr_from_dict expr_to_dict render_expr validate_expr",
+        "inverse": "check_roundtrip inverse_step run_inverse seed",
+        "oeis": "BFileEntry check_preset_prefix fetch load_fixture load_manifest parse_bfile parse_manifest"
+        " serialize_bfile",
+        "oracles": "binomial catalan catalan_closed catalan_convolved euler_zigzag factorial fibonacci"
+        " fuss_catalan long2_closed multifactorial multiset polygonal_closed pow_fast product_table",
+        "polygonal": "quotient_sum quotient_sum_shifted verify_block_split verify_double_reindex",
+        "presets": "PresetInfo build catalog expected preset_names",
+        "process": "ProcessStep ProcessTrace dp_power drop_every forward_intermediate iteration_count"
+        " naive_power prefix_sums required_length run_process",
+        "rules": "InitRule fold_bound keep_bound parse_fold_rule",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    """An exported name from its submodule, kept here after the first lookup; or a submodule."""
+    if name in _ORIGIN:
+        value = globals()[name] = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+        return value
+    if name in _ORIGIN.values():
+        return import_module(f".{name}", __name__)  # the import binds it here
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORIGIN, *_ORIGIN.values()})

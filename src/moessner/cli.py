@@ -10,19 +10,31 @@ decimal string, so arbitrarily large values survive every output format.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from importlib import import_module
 from typing import Any, Dict, List, Optional
 
-from . import oeis, presets
-# is_markov is unused here, but perfbench/tracer.py wraps cli.is_markov by name
-from .engine import evaluate, evaluate_counting, evaluate_memoized, is_markov, is_natural  # noqa: F401
+# presets and engine run in five of the eight subcommands; every other module
+# is imported by the handler that runs it, so a cold call loads only its own
+from . import presets
+from .engine import evaluate, evaluate_counting, evaluate_memoized, is_natural
 from .errors import ConsistencyError, MoessnerError, ParameterError
-from .inverse import run_inverse
-from .polygonal import polygonal_closed, quotient_sum
-from .process import dp_power, run_process
-from .rules import InitRule
+
+# names perfbench/tracer.py wraps here, though the handlers import them when they run
+_TRACED = {"is_markov": "engine", "run_process": "process", "dp_power": "process", "run_inverse": "inverse"}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_TRACED[name]}", __package__), name)
+
+
+def _print_json(payload: Any) -> None:
+    import json  # only the json formats load it
+
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _params_repr(params: Dict[str, Any]) -> str:
@@ -75,9 +87,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if additions is not None:
                 entry["additions"] = str(additions)
             payload.append(entry)
-        if args.count is None:
-            payload = payload[0]
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload[0] if args.count is None else payload)
     elif args.format == "csv":
         header = ["preset", "params", "value"]
         if args.count_adds:
@@ -104,18 +114,15 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
     values = presets.sweep(args.preset, base, args.vary, range(args.start, args.stop + 1))
 
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "preset": args.preset,
-                    "params": _json_params(base),
-                    "vary": args.vary,
-                    "from": args.start,
-                    "to": args.stop,
-                    "values": [str(v) for v in values],
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "preset": args.preset,
+                "params": _json_params(base),
+                "vary": args.vary,
+                "from": args.start,
+                "to": args.stop,
+                "values": [str(v) for v in values],
+            }
         )
     elif args.format == "csv":
         print(f"{args.vary},value")
@@ -145,6 +152,8 @@ def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
             value, additions = lively.value, lively.additions
             reference, ref_additions = stolid.value, stolid.additions
         else:  # dp; argparse choices allow nothing else
+            from .process import dp_power
+
             reference = presets.expected("moessner", params)
             report = dp_power(params["x"], params["n"])
             value, additions = report.value, report.additions
@@ -183,13 +192,13 @@ def _format_row(values, width: int) -> str:
 
 
 def _cmd_process(args: argparse.Namespace) -> int:
-    init = InitRule.parse(args.init)
-    final, trace = run_process(args.exponent, args.prefix, init)
+    from .process import run_process
+    from .rules import InitRule
+
+    final, trace = run_process(args.exponent, args.prefix, InitRule.parse(args.init))
 
     if args.format == "json":
-        payload = trace.to_dict()
-        payload["final"] = [str(v) for v in final]
-        print(json.dumps(payload, sort_keys=True))
+        _print_json({**trace.to_dict(), "final": [str(v) for v in final]})
         return 0
 
     width = max(
@@ -208,18 +217,12 @@ def _cmd_process(args: argparse.Namespace) -> int:
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
+    from .inverse import run_inverse
+
     chain = run_inverse(args.exponent, args.prefix)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "exponent": args.exponent,
-                    "prefix": args.prefix,
-                    "rows": [[str(v) for v in row] for row in chain],
-                },
-                sort_keys=True,
-            )
-        )
+        rows = [[str(v) for v in row] for row in chain]
+        _print_json({"exponent": args.exponent, "prefix": args.prefix, "rows": rows})
         return 0
     width = max((len(str(v)) for row in chain for v in row), default=1)
     for step, row in enumerate(chain):
@@ -228,6 +231,8 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_polygonal(args: argparse.Namespace) -> int:
+    from .polygonal import polygonal_closed, quotient_sum
+
     mismatches = 0
     for n in range(args.count):
         summed = quotient_sum(args.k, n)
@@ -240,6 +245,8 @@ def _cmd_polygonal(args: argparse.Namespace) -> int:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
+    from . import oeis
+
     entries_by_sequence = None
     if args.online:
         entries_by_sequence = {}
@@ -263,7 +270,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
 def _cmd_list_presets(args: argparse.Namespace) -> int:
     entries = presets.catalog()
     if args.json:
-        print(json.dumps(entries, sort_keys=True))
+        _print_json(entries)
         return 0
     name_width = max(len(e["name"]) for e in entries)
     for entry in entries:

@@ -24,7 +24,6 @@ zero-level case of all three; expr.eval_expr and eval_expr_counted are reference
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -191,6 +190,10 @@ _MAX_DEPTH = 500 * _BLOCK  # the functions call each other, one Python frame per
 _MAX_WIDTH = 10**8  # cells in one level's table; a wider level is refused before it is built
 
 
+def _too_wide(k: int, width: int) -> None:
+    raise PreconditionError(f"level {k} has width {width}, past the {_MAX_WIDTH} cells a table may hold")
+
+
 def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callable:
     """The whole sum as generated Python: per level k, `b{k} = <bound>` and then
     `for i{k} in range(lower, b{k} + 1):` over local indices, bounds and body
@@ -200,14 +203,16 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
     count and its cost at the root. Every _BLOCK levels, the nest calls the next
     generated function with the indices so far as one tuple h. The entry takes
     and returns `total`, or (total, adds, leaves) counted inline given per_leaf,
-    the body's additions_expr. Bounds and body run in the reference's order."""
+    the body's additions_expr. Bounds and body run in the reference's order. A
+    level 1 wider than _MAX_WIDTH, the memo's cap, is refused before it is
+    walked; the levels below run only as often as the walk reaches them."""
     if program.depth > _MAX_DEPTH:
         raise PreconditionError(f"depth {program.depth} is past the {_MAX_DEPTH} levels the walk can nest")
     depth, body = program.depth, program.body
     const = _lit_body(program) if depth else None  # added per innermost sum, and depth 0 has none
     sum_to, prod_to = program._summary.running
     src = Source(program.params)
-    src.env["_negative"] = _negative
+    src.env.update(_negative=_negative, _too_wide=_too_wide)
     acc = "total" if per_leaf is None else "total, adds, leaves"
 
     def reads(first: int, k: int) -> Reads:  # at level k, in the block that starts at level first
@@ -229,6 +234,7 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
             lo, b, at = program.levels[k - 1].lower, f"b{k}", reads(first, k)
             terms, folds = (f"({b} + 1)", b) if lo == 0 else (b, f"{b} - 1")  # m terms, m - 1 additions
             lines.append(f"{pad}{b} = {src.emit(program.levels[k - 1].bound, at)}")
+            lines += [f"{pad}if {terms} > {_MAX_WIDTH}: _too_wide(1, {terms})"] * (k == 1)
             opened = [f"adds += {folds}"] * (per_leaf is not None)
             if k == depth:  # a fixed cost per leaf is added per sum here, a varying one at each leaf below
                 opened += [f"leaves += {terms}"] * (per_leaf is not None)
@@ -321,7 +327,7 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             step = step(lo, hi)
             top = max(step)
         if top > _MAX_WIDTH:
-            raise PreconditionError(f"level {k} has width {top}, past the {_MAX_WIDTH} cells a table may hold")
+            _too_wide(k, top)
         steps.append(step)
         lo, hi = spec.lower, spec.lower + top - 1
         if top == 0:
@@ -493,10 +499,14 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
 
 
 def program_to_json(program: SummationProgram) -> str:
+    import json  # loaded only where a program is written or read as JSON
+
     return json.dumps(program_to_dict(program), sort_keys=True)
 
 
 def program_from_json(text: str) -> SummationProgram:
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -484,6 +485,21 @@ def test_eval_memoized_refuses_a_table_too_wide(preset, n):
         text=True,
         timeout=60,
     )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: level 1 has width 1000000000000000000001, past the 100000000 cells a table may hold\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [(), ("--count-adds",)], ids=["walk", "counted walk"])
+def test_eval_walk_refuses_a_level_1_too_wide(flags):
+    # x = 10^21 without --memoized: the walk would visit 10^21 + 1 indices of level 1
+    argv = ["eval", "--preset", "moessner", "--params", "x=1000000000000000000000,n=2", *flags]
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - started < 5  # one interpreter start; the walk never begins
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
         "error: level 1 has width 1000000000000000000001, past the 100000000 cells a table may hold\n"

@@ -585,6 +585,26 @@ def test_memoized_refuses_a_level_past_the_width_cap():
             evaluate_memoized(prog)
 
 
+def test_walk_refuses_a_level_1_past_the_width_cap():
+    huge, cap = 10**21, engine._MAX_WIDTH
+    for prog, width in (
+        (build("moessner", {"x": huge, "n": 2}), huge + 1),
+        (build("moessner_stolid", {"x": huge, "n": 1}), huge + 1),  # a Lit body, summed without a walk
+        (SummationProgram(1, (LevelSpec(0, Lit(cap)),), Lit(1)), cap + 1),
+        (SummationProgram(1, (LevelSpec(1, Lit(cap + 1)),), Lit(1)), cap + 1),
+        (SummationProgram(2, (LevelSpec(1, Param("x")), LevelSpec(0, Prev())), Prev(), {"x": huge}), huge),
+    ):
+        message = f"^level 1 has width {width}, past the {cap} cells a table may hold$"
+        for run in (evaluate, evaluate_counting):
+            with pytest.raises(PreconditionError, match=message):
+                run(prog)
+    # the cap itself is admitted, and a Lit body sums it in one multiplication
+    assert evaluate(SummationProgram(1, (LevelSpec(0, Lit(cap - 1)),), Lit(3))) == 3 * cap
+    assert evaluate_counting(SummationProgram(1, (LevelSpec(1, Lit(cap)),), Lit(1))) == EvalReport(
+        cap, cap - 1, cap
+    )
+
+
 def test_memoized_rejects_non_markov():
     with pytest.raises(PreconditionError, match="Markov"):
         evaluate_memoized(build("a125860", {"x": 1, "n": 3}))

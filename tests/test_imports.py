@@ -1,0 +1,92 @@
+"""The package front loads names on first use, and a cold CLI call loads only the modules it runs."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import moessner
+from moessner.presets import catalog
+
+# a cold call under `python -m moessner`, then the moessner modules and json it loaded, on stderr
+_PROBE = """
+import sys
+from moessner.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, *sorted(m for m in sys.modules if m == "json" or m.startswith("moessner.")), file=sys.stderr)
+"""
+
+_NOT_FOR_EVAL = {"process", "inverse", "polygonal", "counting", "elision", "oeis"}
+
+
+def _cold(*argv):
+    result = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, timeout=60)
+    code, *loaded = result.stderr.split()
+    return int(code), result.stdout, {name.removeprefix("moessner.") for name in loaded}
+
+
+def test_every_exported_name_imports():
+    for name in moessner.__all__:
+        value = getattr(moessner, name)
+        assert value is getattr(importlib.import_module(f"moessner.{moessner._ORIGIN[name]}"), name), name
+        namespace = {}
+        exec(f"from moessner import {name}", namespace)
+        assert namespace[name] is value
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from moessner import *", namespace)
+    assert set(moessner.__all__) <= set(namespace)
+
+
+def test_dir_lists_the_exports_and_submodules():
+    listed = dir(moessner)
+    assert set(moessner.__all__) <= set(listed)
+    assert {"engine", "process", "oeis", "__version__"} <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_submodules_are_attributes():
+    import moessner as package
+
+    assert package.process is importlib.import_module("moessner.process")
+    assert package.oeis.load_fixture is moessner.load_fixture
+
+
+def test_unknown_names_raise_attribute_error():
+    assert not hasattr(moessner, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        moessner.no_such_name
+    with pytest.raises(ImportError):
+        exec("from moessner import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--preset", "moessner", "--params", "x=3,n=3"], ["list-presets"]],
+    ids=["eval", "list-presets"],
+)
+def test_plain_calls_load_neither_the_other_subcommands_nor_json(argv):
+    code, out, loaded = _cold(*argv)
+    assert code == 0 and out
+    assert {"cli", "presets", "engine"} <= loaded
+    assert not loaded & (_NOT_FOR_EVAL | {"json"})
+
+
+def test_process_loads_neither_oeis_nor_polygonal():
+    code, out, loaded = _cold("process", "--exponent", "3", "--prefix", "4")
+    assert (code, out.splitlines()[-1]) == (0, "final  1  8 27 64")
+    assert "process" in loaded and not loaded & {"oeis", "polygonal"}
+
+
+def test_json_formats_load_json_and_print_the_same_bytes():
+    code, out, loaded = _cold("eval", "--preset", "moessner", "--params", "x=3,n=3", "--format", "json")
+    assert code == 0 and "json" in loaded
+    assert out == '{"params": {"n": 3, "x": 3}, "preset": "moessner", "value": "64"}\n'
+    code, out, loaded = _cold("list-presets", "--json")
+    assert code == 0 and "json" in loaded
+    assert out == json.dumps(catalog(), sort_keys=True) + "\n"
