@@ -187,11 +187,11 @@ def _negative(value: int, history: Tuple[int, ...]) -> None:
 
 _BLOCK = 16  # levels per generated function: CPython allows 20 nested blocks per function
 _MAX_DEPTH = 500 * _BLOCK  # the functions call each other, one Python frame per block
-_MAX_WIDTH = 10**8  # cells in one level's table; a wider level is refused before it is built
+_MAX_WIDTH = 10**8  # cells in one level's table, and indices the walk visits at level 1
 
 
-def _too_wide(k: int, width: int) -> None:
-    raise PreconditionError(f"level {k} has width {width}, past the {_MAX_WIDTH} cells a table may hold")
+def _too_wide(width: int) -> None:
+    raise PreconditionError(f"level 1 has width {width}, past the {_MAX_WIDTH} indices the walk may visit")
 
 
 def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callable:
@@ -204,8 +204,9 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
     generated function with the indices so far as one tuple h. The entry takes
     and returns `total`, or (total, adds, leaves) counted inline given per_leaf,
     the body's additions_expr. Bounds and body run in the reference's order. A
-    level 1 wider than _MAX_WIDTH, the memo's cap, is refused before it is
-    walked; the levels below run only as often as the walk reaches them."""
+    level 1 that opens a loop wider than _MAX_WIDTH, the memo's cap, is refused
+    before it is walked; a depth-1 Lit body opens none, one multiplication at
+    any width; the levels below run only as often as the walk reaches them."""
     if program.depth > _MAX_DEPTH:
         raise PreconditionError(f"depth {program.depth} is past the {_MAX_DEPTH} levels the walk can nest")
     depth, body = program.depth, program.body
@@ -234,7 +235,8 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
             lo, b, at = program.levels[k - 1].lower, f"b{k}", reads(first, k)
             terms, folds = (f"({b} + 1)", b) if lo == 0 else (b, f"{b} - 1")  # m terms, m - 1 additions
             lines.append(f"{pad}{b} = {src.emit(program.levels[k - 1].bound, at)}")
-            lines += [f"{pad}if {terms} > {_MAX_WIDTH}: _too_wide(1, {terms})"] * (k == 1)
+            walked = not (k == depth and const is not None)  # a Lit body sums the innermost level unwalked
+            lines += [f"{pad}if {terms} > {_MAX_WIDTH}: _too_wide({terms})"] * (k == 1 and walked)
             opened = [f"adds += {folds}"] * (per_leaf is not None)
             if k == depth:  # a fixed cost per leaf is added per sum here, a varying one at each leaf below
                 opened += [f"leaves += {terms}"] * (per_leaf is not None)
@@ -243,7 +245,7 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
                 if const is not None:
                     opened.append(f"total += {terms} * {src.bind(const)}")
             lines += [f"{pad}if {b} >= {lo}:"] * bool(opened) + [f"{pad}    {line}" for line in opened]
-            if k == depth and const is not None:
+            if not walked:
                 break
             lines.append(f"{pad}for i{k} in range({lo}, {b} + 1):")
             pad += "    "
@@ -327,7 +329,7 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             step = step(lo, hi)
             top = max(step)
         if top > _MAX_WIDTH:
-            _too_wide(k, top)
+            raise PreconditionError(f"level {k} has width {top}, past the {_MAX_WIDTH} cells a table may hold")
         steps.append(step)
         lo, hi = spec.lower, spec.lower + top - 1
         if top == 0:

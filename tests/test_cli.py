@@ -502,8 +502,27 @@ def test_eval_walk_refuses_a_level_1_too_wide(flags):
     assert time.perf_counter() - started < 5  # one interpreter start; the walk never begins
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == (
-        "error: level 1 has width 1000000000000000000001, past the 100000000 cells a table may hold\n"
+        "error: level 1 has width 1000000000000000000001, past the 100000000 indices the walk may visit\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (["eval", "--preset", "moessner", "--params", "x=100000000,n=1"], "100000001\n"),
+        (["eval", "--preset", "moessner_stolid", "--params", "x=1000000000000000000000,n=1", "--count-adds"],
+         "1000000000000000000001 1000000000000000000000\n"),
+        (["compare", "--preset", "moessner", "--params", "x=100000000,n=1", "--against", "stolid"],
+         "n=1,x=100000000 | value 100000001 vs 100000001 | additions 100000000 vs 100000000 | match\n"
+         "1/1 match\n"),
+    ],
+)
+def test_eval_walk_sums_a_wide_depth_1_lit_body(argv, stdout):
+    # a depth-1 Lit body is one multiplication, not a walk: no width is refused
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
 
 
 @pytest.mark.parametrize(

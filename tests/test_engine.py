@@ -589,20 +589,42 @@ def test_walk_refuses_a_level_1_past_the_width_cap():
     huge, cap = 10**21, engine._MAX_WIDTH
     for prog, width in (
         (build("moessner", {"x": huge, "n": 2}), huge + 1),
-        (build("moessner_stolid", {"x": huge, "n": 1}), huge + 1),  # a Lit body, summed without a walk
-        (SummationProgram(1, (LevelSpec(0, Lit(cap)),), Lit(1)), cap + 1),
-        (SummationProgram(1, (LevelSpec(1, Lit(cap + 1)),), Lit(1)), cap + 1),
+        (SummationProgram(1, (LevelSpec(0, Lit(cap)),), Prev()), cap + 1),
+        (SummationProgram(1, (LevelSpec(1, Lit(cap + 1)),), Param("x"), {"x": 1}), cap + 1),
         (SummationProgram(2, (LevelSpec(1, Param("x")), LevelSpec(0, Prev())), Prev(), {"x": huge}), huge),
+        (SummationProgram(2, (LevelSpec(0, Param("x")), LevelSpec(0, Param("x"))), Lit(1), {"x": cap}), cap + 1),
     ):
-        message = f"^level 1 has width {width}, past the {cap} cells a table may hold$"
+        message = f"^level 1 has width {width}, past the {cap} indices the walk may visit$"
         for run in (evaluate, evaluate_counting):
             with pytest.raises(PreconditionError, match=message):
                 run(prog)
-    # the cap itself is admitted, and a Lit body sums it in one multiplication
-    assert evaluate(SummationProgram(1, (LevelSpec(0, Lit(cap - 1)),), Lit(3))) == 3 * cap
-    assert evaluate_counting(SummationProgram(1, (LevelSpec(1, Lit(cap)),), Lit(1))) == EvalReport(
-        cap, cap - 1, cap
-    )
+
+
+
+def test_walk_admits_a_level_1_at_the_width_cap(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 3)  # read when the nest is generated
+    for bound, lower in ((2, 0), (3, 1)):
+        prog = SummationProgram(2, (LevelSpec(lower, Lit(bound)), LevelSpec(0, Lit(0))), Lit(3))
+        assert evaluate(prog) == 9 and evaluate_counting(prog) == EvalReport(9, 2, 3)
+        wider = SummationProgram(2, (LevelSpec(lower, Lit(bound + 1)), LevelSpec(0, Lit(0))), Lit(3))
+        for run in (evaluate, evaluate_counting):
+            with pytest.raises(PreconditionError, match="^level 1 has width 4, past the 3 indices the walk may visit$"):
+                run(wider)
+
+
+def test_walk_sums_a_depth_1_lit_body_at_any_width():
+    # one multiplication and no loop: level 1 is never walked, so no width is refused
+    huge = 10**21
+    for prog, report in (
+        (build("moessner_stolid", {"x": huge, "n": 1}), EvalReport(huge + 1, huge, huge + 1)),
+        (build("moessner", {"x": huge, "n": 1}), EvalReport(huge + 1, huge, huge + 1)),
+        (SummationProgram(1, (LevelSpec(1, Lit(huge)),), Lit(3)), EvalReport(3 * huge, huge - 1, huge)),
+    ):
+        assert evaluate(prog) == report.value
+        assert evaluate_counting(prog) == report
+    for x in range(4):  # the same counts as the reference, where it can walk
+        prog = build("moessner_stolid", {"x": x, "n": 1})
+        assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(x + 1, x, x + 1)
 
 
 def test_memoized_rejects_non_markov():
