@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import DomainError, ParameterError, PreconditionError, ValidationError
+from .errors import DomainError, ParameterError, PreconditionError, ValidationError, digit_limit
 from .expr import (
     PARAM_NAMES,
     Add,
@@ -52,7 +52,7 @@ from .expr import (
     validate_expr,
 )
 
-ALLOWED_PARAM_KEYS = {*PARAM_NAMES, "f"}
+ALLOWED_PARAM_KEYS = (*PARAM_NAMES, "f")  # in order: presets build program params in it
 
 
 @dataclass(frozen=True)
@@ -515,4 +515,6 @@ def program_from_json(text: str) -> SummationProgram:
         raise ValidationError(f"program is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("program JSON is nested too deeply") from None
+    except ValueError as exc:  # not a JSONDecodeError: an integer past the digit limit
+        raise ValidationError(f"program JSON: {digit_limit(exc) or exc}") from None
     return program_from_dict(data)

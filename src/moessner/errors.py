@@ -4,6 +4,15 @@ Everything raised on purpose derives from MoessnerError so callers can
 catch one type at the boundary (the CLI does exactly that).
 """
 
+import sys
+
+
+def digit_limit(exc: ValueError) -> str:
+    """Why int() refused a decimal string for its length alone (sys.set_int_max_str_digits), or ''."""
+    if "sys.set_int_max_str_digits" not in str(exc):
+        return ""
+    return f"an integer has more than the interpreter's limit of {sys.get_int_max_str_digits()} digits"
+
 
 class MoessnerError(Exception):
     """Base class for all package errors."""

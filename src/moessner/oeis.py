@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .engine import evaluate, evaluate_memoized, is_markov  # noqa: F401  (wrapped by perfbench/tracer.py)
-from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError
+from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError, digit_limit
 
 OEIS_BASE_URL_ENV = "OEIS_BASE_URL"
 DEFAULT_BASE_URL = "https://oeis.org"
@@ -66,8 +66,9 @@ def parse_bfile(text: str) -> List[BFileEntry]:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
             index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise BFileParseError(f"line {lineno}: non-integer field in {raw!r}") from None
+        except ValueError as exc:
+            problem = digit_limit(exc) or f"non-integer field in {raw!r}"
+            raise BFileParseError(f"line {lineno}: {problem}") from None
         if entries and index <= entries[-1].index:
             raise BFileParseError(
                 f"line {lineno}: index {index} not above previous {entries[-1].index}"

@@ -22,8 +22,7 @@ def _check_k(k: int) -> None:
 
 def quotient_sum(k: int, n: int) -> int:
     """sum_{i=0}^{k*(n+1)} i // k; equals polygonal_closed(k, n)."""
-    _check_k(k)
-    return sigma(0, k * (n + 1), lambda i: i // k)
+    return quotient_sum_shifted(k, n + 1)
 
 
 def quotient_sum_shifted(k: int, n: int) -> int:

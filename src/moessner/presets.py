@@ -5,8 +5,11 @@ the defaults of its optional parameters, a builder (parameters ->
 SummationProgram), an independent expected-value source (closed form,
 recurrence, or bundled sequence fixture), and, where one exists, an OEIS
 A-number. The `_preset` decorator on each builder registers its record, so
-a preset's facts sit next to its program. The builders only assemble
-programs; all values come out of the engine.
+a preset's facts sit next to its program. Every program is one chain of
+levels (`_chain`): each builder, after its own refusals, names the chain's
+depth, level-1 bound, level-k bound, body and lower bound, or instantiates
+`fold` with a rule. The builders only assemble programs; all values come out
+of the engine.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import engine, oracles
 from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
-from .errors import ParameterError
+from .errors import ParameterError, digit_limit
 from .expr import (
     Add,
     Expr,
@@ -126,30 +129,18 @@ def _expected_a002449(p: Params) -> int:
     return oracles.a002449_rec(p["n"] + 2)
 
 
-# program pieces shared by several builders
+# every preset is one chain of levels
 
 
-def _moessner_levels(depth: int) -> List[LevelSpec]:
-    levels = []
-    for k in range(1, depth + 1):
-        bound = Param("x") if k == 1 else keep_bound(k)
-        levels.append(LevelSpec(0, bound))
-    return levels
+def _chain(p: Params, depth: int, first: Expr, rest: Callable[[int], Expr],
+           body: Expr = Lit(1), lower: int = 0, **extra: Any) -> SummationProgram:
+    """sum(i1=lower..first) sum(ik=lower..rest(k)) for k = 2..depth, then body.
 
-
-def _surviving_arg(depth: int) -> Expr:
-    """keep_index(depth, i_depth) as an expression; x itself at depth 0."""
-    return keep_bound(depth + 1) if depth else Param("x")
-
-
-def _catalan_family(
-    n: int, first_bound: Expr, lower: int, offset: int, params: Params
-) -> SummationProgram:
-    levels = []
-    for k in range(1, n + 1):
-        bound = first_bound if k == 1 else Add(Prev(), Lit(offset))
-        levels.append(LevelSpec(lower, bound))
-    return SummationProgram(n, levels, Lit(1), params)
+    Its params are p's engine parameters plus `extra`, what the builder derived.
+    """
+    levels = [LevelSpec(lower, first if k == 1 else rest(k)) for k in range(1, depth + 1)]
+    params = {key: p[key] for key in engine.ALLOWED_PARAM_KEYS if key in p}
+    return SummationProgram(depth, levels, body, {**params, **extra})
 
 
 # the presets
@@ -157,219 +148,167 @@ def _catalan_family(
 
 @_preset("moessner", ("x", "n"), "(x+1)^n", _expected_power, "A000079")
 def _build_moessner(p: Params) -> SummationProgram:
-    n = p["n"]
-    return SummationProgram(n, _moessner_levels(n), Lit(1), {"x": p["x"], "n": n})
+    return _build_fold({**p, "rule": ("keep", 0)})
 
 
 @_preset("moessner_stolid", ("x", "n"), "(x+1)^n with all bounds x", _expected_power)
 def _build_stolid(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Param("x")) for _ in range(n)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+    return _build_fold({**p, "rule": ("const_x", 0)})
 
 
 @_preset("moessner_init", ("x", "n", "init"), "process value for an initial segment",
          lambda p: _expected_moessner_init(p, 0))
 def _build_moessner_init(p: Params) -> SummationProgram:
-    n = p["n"]
-    body, extra = p["init"].body_expr(_surviving_arg(n))
-    return SummationProgram(n, _moessner_levels(n), body, {"x": p["x"], "n": n, **extra})
+    n = p["n"]  # the body reads the survivor's index: the bound level n+1 would have
+    body, extra = p["init"].body_expr(keep_bound(n + 1) if n else Param("x"))
+    return _chain(p, n, Param("x"), keep_bound, body, **extra)
 
 
 @_preset("moessner_init_plus", ("x", "n", "init"), "one extra round over the initial segment",
          lambda p: _expected_moessner_init(p, 1))
 def _build_moessner_init_plus(p: Params) -> SummationProgram:
-    n = p["n"]
-    depth = n + 1
-    body, extra = p["init"].body_expr(_surviving_arg(depth))
-    return SummationProgram(depth, _moessner_levels(depth), body, {"x": p["x"], "n": n, **extra})
+    body, extra = p["init"].body_expr(keep_bound(p["n"] + 2))
+    return _chain(p, p["n"] + 1, Param("x"), keep_bound, body, **extra)
 
 
 @_preset("long1", ("x", "n", "a"), "a*(x+1)^n", lambda p: p["a"] * _expected_power(p))
 def _build_long1(p: Params) -> SummationProgram:
-    n = p["n"]
-    return SummationProgram(n, _moessner_levels(n), Param("a"), {"x": p["x"], "n": n, "a": p["a"]})
+    return _chain(p, p["n"], Param("x"), keep_bound, Param("a"))
 
 
 @_preset("long2", ("x", "n", "a", "d"), "(a+d*x)*(x+1)^n",
          lambda p: oracles.long2_closed(p["x"], p["n"], p["a"], p["d"]))
 def _build_long2(p: Params) -> SummationProgram:
-    return _build_moessner_init_plus(
-        {"x": p["x"], "n": p["n"], "init": InitRule.indicator(p["a"], p["d"])}
-    )
+    return _build_moessner_init_plus({**p, "init": InitRule.indicator(p["a"], p["d"])})
 
 
 @_preset("another_round", ("x", "n"), "(x+1)^(n+1)",
          lambda p: oracles.pow_fast(p["x"] + 1, p["n"] + 1))
 def _build_another_round(p: Params) -> SummationProgram:
-    return _build_moessner_init({"x": p["x"], "n": p["n"], "init": InitRule.successor()})
+    return _build_moessner_init({**p, "init": InitRule.successor()})
 
 
 @_preset("fold", ("x", "n", "rule"), "generic fold; value depends on the rule", _expected_fold)
 def _build_fold(p: Params) -> SummationProgram:
-    n = p["n"]
     rule, offset = p["rule"]
-    levels = []
-    for k in range(1, n + 1):
-        bound = Param("x") if k == 1 else fold_bound(rule, k, offset)
-        levels.append(LevelSpec(0, bound))
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+    return _chain(p, p["n"], Param("x"), lambda k: fold_bound(rule, k, offset))
 
 
 @_preset("factorial_rising", ("n",), "(n+1)!", lambda p: oracles.factorial(p["n"] + 1), "A000142")
 def _build_factorial_rising(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(k)) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, p["n"], Lit(1), Lit)
 
 
 @_preset("factorial_falling", ("n",), "n!", lambda p: oracles.factorial(p["n"]), "A000142")
 def _build_factorial_falling(p: Params) -> SummationProgram:
     n = p["n"]
-    levels = [LevelSpec(0, Lit(n - k)) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, n, Lit(n - 1), lambda k: Lit(n - k))
 
 
 @_preset("factorial_permuted", ("n", "f"), "n! (f = permutation of 0..n-1)",
          lambda p: oracles.factorial(p["n"]))
 def _build_factorial_permuted(p: Params) -> SummationProgram:
-    n = p["n"]
-    perm = p["f"]
+    n, perm = p["n"], p["f"]
     if sorted(perm) != list(range(n)):
         raise ParameterError(f"f must be a permutation of 0..{n - 1}, got {list(perm)}")
-    levels = [LevelSpec(0, Table(Lit(k - 1))) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n, "f": tuple(perm)})
+    return _chain(p, n, Table(Lit(0)), lambda k: Table(Lit(k - 1)))
 
 
 @_preset("factorial_multiple", ("x", "n"), "n!*(x+1)",
          lambda p: oracles.factorial(p["n"]) * (p["x"] + 1))
 def _build_factorial_multiple(p: Params) -> SummationProgram:
-    n = p["n"]
-    depth = max(n, 1)  # one level even at n=0 so the value carries the x+1 factor
-    levels = [LevelSpec(0, Param("x") if k == 1 else Lit(k - 1)) for k in range(1, depth + 1)]
-    return SummationProgram(depth, levels, Lit(1), {"x": p["x"], "n": n})
+    # one level even at n=0 so the value carries the x+1 factor
+    return _chain(p, max(p["n"], 1), Param("x"), lambda k: Lit(k - 1))
 
 
 @_preset("xfold_factorial", ("x", "n"), "(x*1+1)*(x*2+1)*...*(x*n+1)",
          lambda p: oracles.multifactorial(p["x"], p["n"]), "A001147")
 def _build_xfold_factorial(p: Params) -> SummationProgram:
-    return _build_fold({"x": p["x"], "n": p["n"], "rule": ("mult_x", 0)})
+    return _build_fold({**p, "rule": ("mult_x", 0)})
 
 
 @_preset("product_of_table", ("n", "f"), "f(0)*f(1)*...*f(n)",
          lambda p: oracles.product_table(p["f"], p["n"]))
 def _build_product_of_table(p: Params) -> SummationProgram:
-    n = p["n"]
-    table = p["f"]
+    n, table = p["n"], p["f"]
     if len(table) < n + 1:
         raise ParameterError(f"f must have at least n+1 = {n + 1} entries, got {len(table)}")
-    levels = [LevelSpec(1, Table(Lit(k - 1))) for k in range(1, n + 2)]
-    return SummationProgram(n + 1, levels, Lit(1), {"n": n, "f": tuple(table)})
+    return _chain(p, n + 1, Table(Lit(0)), lambda k: Table(Lit(k - 1)), lower=1)
 
 
 @_preset("rosen_triple", ("n1", "n2", "n3"), "n1*n2*n3", lambda p: p["n1"] * p["n2"] * p["n3"])
 def _build_rosen_triple(p: Params) -> SummationProgram:
     table = (p["n1"], p["n2"], p["n3"])
-    levels = [LevelSpec(1, Table(Lit(i))) for i in range(3)]
-    return SummationProgram(3, levels, Lit(1), {"f": table})
+    return _chain(p, 3, Table(Lit(0)), lambda k: Table(Lit(k - 1)), lower=1, f=table)
 
 
 @_preset("binomial", ("x", "n"), "C(x+n, n)",
          lambda p: oracles.binomial(p["x"] + p["n"], p["n"]), "A000217")
 def _build_binomial(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+    return _build_fold({**p, "rule": ("prev", 0)})
 
 
 @_preset("multiset", ("x", "n"), "C(x+n-1, n)", lambda p: oracles.multiset(p["x"], p["n"]))
 def _build_multiset(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(1, Param("x") if k == 1 else Prev()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+    return _chain(p, p["n"], Param("x"), lambda k: Prev(), lower=1)
 
 
 @_preset("catalan", ("n",), "Catalan number C_n", lambda p: oracles.catalan(p["n"]), "A000108")
 def _build_catalan(p: Params) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(0), 0, 1, {"n": p["n"]})
+    return _chain(p, p["n"], Lit(0), lambda k: Add(Prev(), Lit(1)))
 
 
 @_preset("catalan_from_one", ("n",), "Catalan number C_n, sums from 1",
          lambda p: oracles.catalan(p["n"]), "A000108")
 def _build_catalan_from_one(p: Params) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(1), 1, 1, {"n": p["n"]})
+    return _chain(p, p["n"], Lit(1), lambda k: Add(Prev(), Lit(1)), lower=1)
 
 
 @_preset("catalan_convolved", ("x", "n"), "(x+1)*C(2n+x, n)/(n+x+1)",
          lambda p: oracles.catalan_convolved(p["x"], p["n"]), "A000245")
 def _build_catalan_convolved(p: Params) -> SummationProgram:
-    return _catalan_family(p["n"], Param("x"), 0, 1, {"x": p["x"], "n": p["n"]})
+    return _build_fold({**p, "rule": ("prev_plus", 1)})
 
 
 @_preset("a002293", ("n",), "C(4n, n)/(3n+1)", lambda p: oracles.fuss_catalan(4, p["n"]), "A002293")
 def _build_a002293(p: Params) -> SummationProgram:
-    return _catalan_family(p["n"], Lit(0), 0, 3, {"n": p["n"]})
+    return _chain(p, p["n"], Lit(0), lambda k: Add(Prev(), Lit(3)))
 
 
 @_preset("positive_integers", ("n",), "n+1", lambda p: p["n"] + 1, "A000027")
 def _build_positive_integers(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(1) if k == 1 else ProdHist()) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, p["n"], Lit(1), lambda k: ProdHist())
 
 
 @_preset("a125860", ("x", "n"), "history-widened power analogue", _expected_a125860, "A125860")
 def _build_a125860(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Add(Param("x"), SumHist())) for _ in range(n)]
-    return SummationProgram(n, levels, Lit(1), {"x": p["x"], "n": n})
+    return _chain(p, p["n"], Add(Param("x"), SumHist()), lambda k: Add(Param("x"), SumHist()))
 
 
 @_preset("a137273", ("n",), "two-back additive bound chain",
          lambda p: _fixture_expected("A137273", p["n"]), "A137273")
 def _build_a137273(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = []
-    for k in range(1, n + 1):
-        if k == 1:
-            bound: Expr = Lit(0)
-        elif k == 2:
-            bound = Lit(1)
-        else:
-            bound = Add(Hist(k - 2), Hist(k - 1))
-        levels.append(LevelSpec(0, bound))
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, p["n"], Lit(0), lambda k: Lit(1) if k == 2 else Add(Hist(k - 2), Hist(k - 1)))
 
 
 @_preset("fibonacci", ("n",), "F(n+1)", lambda p: oracles.fibonacci(p["n"] + 1), "A000045")
 def _build_fibonacci(p: Params) -> SummationProgram:
-    n = p["n"]
-    levels = [LevelSpec(0, Lit(0) if k == 1 else Sub(Lit(1), Prev())) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, p["n"], Lit(0), lambda k: Sub(Lit(1), Prev()))
 
 
 @_preset("euler_zigzag", ("n",), "zigzag number E(n)",
          lambda p: oracles.euler_zigzag(p["n"]), "A000111")
 def _build_euler_zigzag(p: Params) -> SummationProgram:
     n = p["n"]
-    levels = [
-        LevelSpec(0, Lit(n - 1) if k == 1 else Sub(Lit(n - k), Prev()))
-        for k in range(1, n + 1)
-    ]
-    return SummationProgram(n, levels, Lit(1), {"n": n})
+    return _chain(p, n, Lit(n - 1), lambda k: Sub(Lit(n - k), Prev()))
 
 
 @_preset("a002449", ("n",), "A002449(n+2)", _expected_a002449, "A002449", b=2)
 def _build_a002449(p: Params) -> SummationProgram:
-    n = p["n"]
     b = p["b"]
     if b < 2:
         raise ParameterError(f"branching b must be >= 2, got {b}")
-    levels = [
-        LevelSpec(0, Lit(b - 1) if k == 1 else Add(Mul(Lit(b), Prev()), Lit(b - 1)))
-        for k in range(1, n + 2)
-    ]
-    return SummationProgram(n + 1, levels, Lit(1), {"n": n})
+    return _chain(p, p["n"] + 1, Lit(b - 1), lambda k: Add(Mul(Lit(b), Prev()), Lit(b - 1)))
 
 
 @_preset("a002449_irwin", ("n",), "A002449(n+2), doubled-body form",
@@ -378,8 +317,7 @@ def _build_a002449_irwin(p: Params) -> SummationProgram:
     n = p["n"]
     if n < 1:
         raise ParameterError(f"a002449_irwin needs n >= 1, got {n}")
-    levels = [LevelSpec(1, Lit(2) if k == 1 else Mul(Lit(2), Prev())) for k in range(1, n + 1)]
-    return SummationProgram(n, levels, Mul(Lit(2), Prev()), {"n": n})
+    return _chain(p, n, Lit(2), lambda k: Mul(Lit(2), Prev()), Mul(Lit(2), Prev()), lower=1)
 
 
 @_preset("fibonacci_lahlou", ("n",), "F(n+1), three-minus form",
@@ -388,9 +326,7 @@ def _build_fibonacci_lahlou(p: Params) -> SummationProgram:
     n = p["n"]
     if n < 2:
         raise ParameterError(f"fibonacci_lahlou needs n >= 2, got {n}")
-    depth = n - 1
-    levels = [LevelSpec(1, Lit(1) if k == 1 else Sub(Lit(3), Prev())) for k in range(1, depth + 1)]
-    return SummationProgram(depth, levels, Sub(Lit(3), Prev()), {"n": n})
+    return _chain(p, n - 1, Lit(1), lambda k: Sub(Lit(3), Prev()), Sub(Lit(3), Prev()), lower=1)
 
 
 def preset_names() -> List[str]:
@@ -419,8 +355,9 @@ def parse_params(assignments: Iterable[str]) -> Params:
             continue
         try:
             params[key] = tuple(int(v) for v in value.split(":")) if key == "f" else int(value)
-        except ValueError:
-            raise ParameterError(f"non-integer value in {assignment!r}") from None
+        except ValueError as exc:
+            limit = digit_limit(exc)
+            raise ParameterError(f"{key}: {limit}" if limit else f"non-integer value in {assignment!r}") from None
     return params
 
 

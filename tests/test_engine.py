@@ -1034,3 +1034,9 @@ def test_walk_refuses_programs_deeper_than_its_call_chain():
     for evaluator in (evaluate, evaluate_counting):
         with pytest.raises(PreconditionError, match=f"depth {engine._MAX_DEPTH + 1} is past"):
             evaluator(flat(engine._MAX_DEPTH + 1))
+
+
+def test_program_json_past_the_digit_limit_is_a_validation_error(default_digit_limit):
+    text = program_to_json(build("moessner", {"x": 1, "n": 1})).replace('"x": 1', '"x": ' + "9" * 5000)
+    with pytest.raises(ValidationError, match=f"limit of {default_digit_limit} digits"):
+        program_from_json(text)

@@ -303,3 +303,8 @@ def test_cli_import_leaves_urllib_request_unloaded():
     probe = "import sys, moessner.cli; print('urllib.request' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_bfile_value_past_the_digit_limit_names_the_limit(default_digit_limit):
+    with pytest.raises(BFileParseError, match=f"line 2: .*limit of {default_digit_limit} digits"):
+        parse_bfile("1 1\n2 " + "9" * 5000 + "\n")

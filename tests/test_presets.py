@@ -88,6 +88,153 @@ def test_value_matches_expected(name):
         assert evaluate(build(name, params)) == expected(name, params), (name, params)
 
 
+# one small point per preset, every init kind and every fold rule: the literal
+# program each builds, as (name, params, unfold_display, program params)
+SHAPES = [
+    ("moessner", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..2*i1) sum(i3=0..3*i2/2) 1",
+     {"x": 2, "n": 3}),
+    ("moessner_stolid", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..x) sum(i3=0..x) 1",
+     {"x": 2, "n": 3}),
+    ("moessner_init", {"x": 2, "n": 2, "init": "ones"},
+     "sum(i1=0..x) sum(i2=0..2*i1) a",
+     {"x": 2, "n": 2, "a": 1}),
+    ("moessner_init", {"x": 2, "n": 2, "init": "const:3"},
+     "sum(i1=0..x) sum(i2=0..2*i1) a",
+     {"x": 2, "n": 2, "a": 3}),
+    ("moessner_init", {"x": 2, "n": 2, "init": "indicator:2:3"},
+     "sum(i1=0..x) sum(i2=0..2*i1) if0(3*i2/2,a,d)",
+     {"x": 2, "n": 2, "a": 2, "d": 3}),
+    ("moessner_init", {"x": 2, "n": 2, "init": "successor"},
+     "sum(i1=0..x) sum(i2=0..2*i1) 3*i2/2+1",
+     {"x": 2, "n": 2}),
+    ("moessner_init", {"x": 2, "n": 0, "init": "indicator:2:3"},
+     "if0(x,a,d)",
+     {"x": 2, "n": 0, "a": 2, "d": 3}),
+    ("moessner_init_plus", {"x": 2, "n": 1, "init": "const:3"},
+     "sum(i1=0..x) sum(i2=0..2*i1) a",
+     {"x": 2, "n": 1, "a": 3}),
+    ("moessner_init_plus", {"x": 2, "n": 1, "init": "indicator:2:3"},
+     "sum(i1=0..x) sum(i2=0..2*i1) if0(3*i2/2,a,d)",
+     {"x": 2, "n": 1, "a": 2, "d": 3}),
+    ("moessner_init_plus", {"x": 2, "n": 1, "init": "successor"},
+     "sum(i1=0..x) sum(i2=0..2*i1) 3*i2/2+1",
+     {"x": 2, "n": 1}),
+    ("long1", {"x": 2, "n": 2, "a": 5},
+     "sum(i1=0..x) sum(i2=0..2*i1) a",
+     {"x": 2, "n": 2, "a": 5}),
+    ("long2", {"x": 2, "n": 1, "a": 2, "d": 3},
+     "sum(i1=0..x) sum(i2=0..2*i1) if0(3*i2/2,a,d)",
+     {"x": 2, "n": 1, "a": 2, "d": 3}),
+    ("another_round", {"x": 2, "n": 2},
+     "sum(i1=0..x) sum(i2=0..2*i1) 3*i2/2+1",
+     {"x": 2, "n": 2}),
+    ("fold", {"x": 2, "n": 3, "rule": "keep"},
+     "sum(i1=0..x) sum(i2=0..2*i1) sum(i3=0..3*i2/2) 1",
+     {"x": 2, "n": 3}),
+    ("fold", {"x": 2, "n": 3, "rule": "level"},
+     "sum(i1=0..x) sum(i2=0..1) sum(i3=0..2) 1",
+     {"x": 2, "n": 3}),
+    ("fold", {"x": 2, "n": 3, "rule": "prev"},
+     "sum(i1=0..x) sum(i2=0..i1) sum(i3=0..i2) 1",
+     {"x": 2, "n": 3}),
+    ("fold", {"x": 2, "n": 3, "rule": "prev_plus:2"},
+     "sum(i1=0..x) sum(i2=0..i1+2) sum(i3=0..i2+2) 1",
+     {"x": 2, "n": 3}),
+    ("fold", {"x": 2, "n": 3, "rule": "mult_x"},
+     "sum(i1=0..x) sum(i2=0..2*x) sum(i3=0..3*x) 1",
+     {"x": 2, "n": 3}),
+    ("fold", {"x": 2, "n": 3, "rule": "const_x"},
+     "sum(i1=0..x) sum(i2=0..x) sum(i3=0..x) 1",
+     {"x": 2, "n": 3}),
+    ("factorial_rising", {"n": 3},
+     "sum(i1=0..1) sum(i2=0..2) sum(i3=0..3) 1",
+     {"n": 3}),
+    ("factorial_falling", {"n": 3},
+     "sum(i1=0..2) sum(i2=0..1) sum(i3=0..0) 1",
+     {"n": 3}),
+    ("factorial_permuted", {"n": 3, "f": (2, 0, 1)},
+     "sum(i1=0..f[0]) sum(i2=0..f[1]) sum(i3=0..f[2]) 1",
+     {"n": 3, "f": (2, 0, 1)}),
+    ("factorial_multiple", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..1) sum(i3=0..2) 1",
+     {"x": 2, "n": 3}),
+    ("factorial_multiple", {"x": 2, "n": 0},
+     "sum(i1=0..x) 1",
+     {"x": 2, "n": 0}),
+    ("xfold_factorial", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..2*x) sum(i3=0..3*x) 1",
+     {"x": 2, "n": 3}),
+    ("product_of_table", {"n": 2, "f": (3, 1, 4)},
+     "sum(i1=1..f[0]) sum(i2=1..f[1]) sum(i3=1..f[2]) 1",
+     {"n": 2, "f": (3, 1, 4)}),
+    ("rosen_triple", {"n1": 2, "n2": 3, "n3": 4},
+     "sum(i1=1..f[0]) sum(i2=1..f[1]) sum(i3=1..f[2]) 1",
+     {"f": (2, 3, 4)}),
+    ("binomial", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..i1) sum(i3=0..i2) 1",
+     {"x": 2, "n": 3}),
+    ("multiset", {"x": 2, "n": 3},
+     "sum(i1=1..x) sum(i2=1..i1) sum(i3=1..i2) 1",
+     {"x": 2, "n": 3}),
+    ("catalan", {"n": 3},
+     "sum(i1=0..0) sum(i2=0..i1+1) sum(i3=0..i2+1) 1",
+     {"n": 3}),
+    ("catalan_from_one", {"n": 3},
+     "sum(i1=1..1) sum(i2=1..i1+1) sum(i3=1..i2+1) 1",
+     {"n": 3}),
+    ("catalan_convolved", {"x": 2, "n": 3},
+     "sum(i1=0..x) sum(i2=0..i1+1) sum(i3=0..i2+1) 1",
+     {"x": 2, "n": 3}),
+    ("a002293", {"n": 3},
+     "sum(i1=0..0) sum(i2=0..i1+3) sum(i3=0..i2+3) 1",
+     {"n": 3}),
+    ("positive_integers", {"n": 3},
+     "sum(i1=0..1) sum(i2=0..i1) sum(i3=0..i1*i2) 1",
+     {"n": 3}),
+    ("a125860", {"x": 1, "n": 3},
+     "sum(i1=0..x+0) sum(i2=0..x+i1) sum(i3=0..x+i1+i2) 1",
+     {"x": 1, "n": 3}),
+    ("a137273", {"n": 4},
+     "sum(i1=0..0) sum(i2=0..1) sum(i3=0..i1+i2) sum(i4=0..i2+i3) 1",
+     {"n": 4}),
+    ("fibonacci", {"n": 3},
+     "sum(i1=0..0) sum(i2=0..1-i1) sum(i3=0..1-i2) 1",
+     {"n": 3}),
+    ("euler_zigzag", {"n": 3},
+     "sum(i1=0..2) sum(i2=0..1-i1) sum(i3=0..0-i2) 1",
+     {"n": 3}),
+    ("a002449", {"n": 2},
+     "sum(i1=0..1) sum(i2=0..2*i1+1) sum(i3=0..2*i2+1) 1",
+     {"n": 2}),
+    ("a002449", {"n": 1, "b": 3},
+     "sum(i1=0..2) sum(i2=0..3*i1+2) 1",
+     {"n": 1}),
+    ("a002449_irwin", {"n": 2},
+     "sum(i1=1..2) sum(i2=1..2*i1) 2*i2",
+     {"n": 2}),
+    ("fibonacci_lahlou", {"n": 3},
+     "sum(i1=1..1) sum(i2=1..3-i1) 3-i2",
+     {"n": 3}),
+]
+
+
+def test_shapes_cover_every_preset():
+    assert sorted({name for name, *_ in SHAPES}) == preset_names()
+
+
+@pytest.mark.parametrize(
+    "name, params, display, program_params",
+    SHAPES,
+    ids=[f"{name}-{i}" for i, (name, *_) in enumerate(SHAPES)],
+)
+def test_preset_program_shape(name, params, display, program_params):
+    program = build(name, params)
+    assert unfold_display(program) == display
+    assert program.params == program_params
+
+
 def test_init_presets_match_row_process():
     for init_s in ("const:3", "successor", "ones"):
         init = InitRule.parse(init_s)
@@ -365,3 +512,9 @@ def test_sweep_uses_the_tables_exactly_for_markov_programs(monkeypatch):
     # a137273 is Markov for n <= 2 only
     assert sweep("a137273", {}, "n", range(6)) == [expected("a137273", {"n": n}) for n in range(6)]
     assert used == ["evaluate_memoized"] * 3 + ["evaluate"] * 3
+
+
+def test_parse_params_past_the_digit_limit_names_the_limit(default_digit_limit):
+    for assignment in ("x=" + "9" * 5000, "f=1:" + "9" * 5000):
+        with pytest.raises(ParameterError, match=f"limit of {default_digit_limit} digits"):
+            parse_params([assignment])
