@@ -53,10 +53,13 @@ def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _assignments(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    """The --params point, or the points n=0..M-1 under --count M."""
+    """The --params point, or the points n=0..M-1 under --count M. Under
+    --count 0 the point n=0 is still built, so M = 0 refuses what M = 1 does."""
     base = presets.parse_params(args.params.split(","))
     if args.count is None:
         return [base]
+    if args.count == 0:
+        presets.build(args.preset, {**base, "n": 0})
     return [{**base, "n": n} for n in range(args.count)]
 
 
@@ -134,10 +137,10 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
 
 
 def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
+    if args.against in ("stolid", "dp") and args.preset != "moessner":
+        raise ParameterError(f"--against {args.against} only compares the moessner preset")
     rows = []
     for params in _assignments(args):
-        if args.against in ("stolid", "dp") and args.preset != "moessner":
-            raise ParameterError(f"--against {args.against} only compares the moessner preset")
         additions = ref_additions = None
         if args.against == "oracle":
             report = evaluate_counting(presets.build(args.preset, params))

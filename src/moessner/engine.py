@@ -310,10 +310,10 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
         key = (spec.bound, spec.lower, k if reads_level else None)
         try:
             found = forms.get(key)
-        except RecursionError:  # an expression too deep to hash gets a row of its own
+            if found is None:
+                found = forms[key] = _level_form(params, spec.bound, k, spec.lower)
+        except RecursionError:  # an expression too deep to hash or to analyse gets a row of its own
             return _row(params, spec.bound, k, spec.lower)
-        if found is None:
-            found = forms[key] = _level_form(params, spec.bound, k, spec.lower)
         return found
 
     # forward pass: contiguous reachable range per level, lo..hi, from the root's 0..0
@@ -373,10 +373,7 @@ def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) ->
 def _level_form(params: Mapping[str, Any], expr: Expr, k: int, lower: int) -> Any:
     """A level's bound as (a, c, q), its prefix position max((a * v + c) // q, 0)
     at i_{k-1} = v, where the bound is affine with a >= 0; else its _row."""
-    try:
-        found = _affine(expr, params, k)
-    except RecursionError:  # too deep to analyse: the row splits it
-        found = None
+    found = _affine(expr, params, k)
     if found is None or found[0] < 0:
         return _row(params, expr, k, lower)
     a, c, q = found
@@ -452,9 +449,12 @@ def _negative_at(value: int, level: int, index: int) -> None:
 def unfold_display(program: SummationProgram) -> str:
     """Human-readable rendering: one sum(...) per level, then the body."""
     parts = []
-    for k, spec in enumerate(program.levels, start=1):
-        parts.append(f"sum(i{k}={spec.lower}..{render_expr(spec.bound, k)})")
-    parts.append(render_expr(program.body, program.depth + 1))
+    try:
+        for k, spec in enumerate(program.levels, start=1):
+            parts.append(f"sum(i{k}={spec.lower}..{render_expr(spec.bound, k)})")
+        parts.append(render_expr(program.body, program.depth + 1))
+    except ValueError as exc:  # a literal or divisor past the digit limit
+        raise ValidationError(f"program display: {digit_limit(exc) or exc}") from None
     return " ".join(parts)
 
 
@@ -503,7 +503,10 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
 def program_to_json(program: SummationProgram) -> str:
     import json  # loaded only where a program is written or read as JSON
 
-    return json.dumps(program_to_dict(program), sort_keys=True)
+    try:
+        return json.dumps(program_to_dict(program), sort_keys=True)
+    except ValueError as exc:  # an integer past the digit limit
+        raise ValidationError(f"program JSON: {digit_limit(exc) or exc}") from None
 
 
 def program_from_json(text: str) -> SummationProgram:

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from types import CodeType
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union, get_args
 
 from .errors import ParameterError, ValidationError
 
@@ -135,10 +135,7 @@ def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) 
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Param):
-        try:
-            return params[expr.name]
-        except KeyError:
-            raise ParameterError(f"missing parameter {expr.name!r}") from None
+        return params[expr.name] if expr.name in params else _missing_param(expr.name)
     if isinstance(expr, Level):
         return level
     if isinstance(expr, Prev):
@@ -156,9 +153,9 @@ def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) 
         idx = eval_expr(expr.index, params, level, history)
         table = params.get("f")
         if table is None:
-            raise ParameterError("missing table parameter 'f'")
+            return _missing_table(idx)
         if not 0 <= idx < len(table):
-            raise ParameterError(f"table index {idx} outside f of length {len(table)}")
+            return _table_miss(idx, len(table))
         return table[idx]
     if isinstance(expr, Add):
         return eval_expr(expr.lhs, params, level, history) + eval_expr(expr.rhs, params, level, history)
@@ -358,27 +355,19 @@ def _plus(lhs: Expr, rhs: Expr) -> Expr:
     return Add(lhs, rhs)
 
 
-# sub-expression fields of every node kind; the structural walkers below
-# (validation, serialization) read this instead of one branch per
-# kind. Every other dataclass field is a scalar stored as is.
+# sub-expression fields of the node kinds that have any; the structural
+# walkers below (validation, serialization) read this instead of one branch
+# per kind. Every other dataclass field is a scalar stored as is.
 _CHILDREN: Dict[type, Tuple[str, ...]] = {
-    Lit: (),
-    Param: (),
-    Level: (),
-    Prev: (),
-    Hist: (),
-    SumHist: (),
-    ProdHist: (),
     Table: ("index",),
     Add: ("lhs", "rhs"),
     Sub: ("lhs", "rhs"),
     Mul: ("lhs", "rhs"),
     FloorDiv: ("num",),
     IfZero: ("cond", "then", "orelse"),
-    Custom: (),
 }
-_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in _CHILDREN}
-_SERIALIZABLE = {kind.__name__: kind for kind in _CHILDREN if kind is not Custom}
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in get_args(Expr)}
+_SERIALIZABLE = {kind.__name__: kind for kind in _FIELDS if kind is not Custom}
 _DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the other
 _FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table", Custom: "custom"}
 
@@ -386,9 +375,8 @@ _FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_his
 def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
     """Structural checks for an expression used at the given level; returns what it reads.
 
-    History references must stay strictly below the level; divisor
-    positivity is re-checked in case a node was built by deserialization
-    tricks. Raises ValidationError. The result is {"params": set of names,
+    History references must stay strictly below the level. Raises
+    ValidationError. The result is {"params": set of names,
     "hist": set of Hist indices, "table", "prev", "sum_hist", "prod_hist",
     "level", "custom": bools}.
     """
@@ -396,7 +384,7 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
 
     def walk(e: Expr) -> None:
         kind = type(e)
-        if kind not in _CHILDREN:
+        if kind not in _FIELDS:
             raise ValidationError(f"{role}: not an expression node: {e!r}")
         if kind is Lit and (not isinstance(e.value, int) or isinstance(e.value, bool)):
             raise ValidationError(f"literal must be an int, got {e.value!r}")
@@ -408,15 +396,13 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
             raise ValidationError(
                 f"{role}: Hist({e.index}) out of range at level {level} (valid: 1..{level - 1})"
             )
-        if kind is FloorDiv and e.div <= 0:
-            raise ValidationError(f"{role}: floor-division divisor must be positive")
         if kind is Param:
             out["params"].add(e.name)
         elif kind is Hist:
             out["hist"].add(e.index)
         elif kind in _FLAGS:
             out[_FLAGS[kind]] = True
-        for name in _CHILDREN[kind]:
+        for name in _CHILDREN.get(kind, ()):
             walk(getattr(e, name))
 
     walk(expr)
@@ -427,12 +413,12 @@ def expr_to_dict(expr: Expr) -> Dict[str, Any]:
     kind = type(expr)
     if kind is Custom:
         raise ValidationError("Custom expressions are not serializable")
-    if kind not in _CHILDREN:
+    if kind not in _FIELDS:
         raise ValidationError(f"not an expression node: {expr!r}")
     out: Dict[str, Any] = {"node": kind.__name__}
     for name in _FIELDS[kind]:
         value = getattr(expr, name)
-        out[_DICT_KEY.get(name, name)] = expr_to_dict(value) if name in _CHILDREN[kind] else value
+        out[_DICT_KEY.get(name, name)] = expr_to_dict(value) if name in _CHILDREN.get(kind, ()) else value
     return out
 
 
@@ -447,7 +433,7 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
     try:
         for name in _FIELDS[kind]:
             value = data[_DICT_KEY.get(name, name)]
-            values.append(expr_from_dict(value) if name in _CHILDREN[kind] else value)
+            values.append(expr_from_dict(value) if name in _CHILDREN.get(kind, ()) else value)
     except KeyError as exc:
         raise ValidationError(f"{tag} node is missing field {exc}") from None
     return kind(*values)
@@ -457,58 +443,48 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
 def render_expr(expr: Expr, level: int) -> str:
     """Deterministic text form with the level's index names (i1, i2, ...)."""
 
-    def hist_names() -> list:
-        return [f"i{j}" for j in range(1, level)]
-
     def go(e: Expr) -> Tuple[str, int]:
-        if isinstance(e, Lit):
+        kind = type(e)
+        if kind in _BINOPS:
+            op, prec = _BINOPS[kind], 1 + (kind is Mul)
+            ls, lp = go(e.lhs)
+            rs, rp = go(e.rhs)
+            if lp < prec:
+                ls = f"({ls})"
+            # right operand needs parens at equal precedence too: a-(b+c), a*(b*c) stay explicit
+            if rp <= prec and not (kind is Add and rp == 1):
+                rs = f"({rs})"
+            return f"{ls}{op}{rs}", prec
+        if kind is Lit:
             return str(e.value), 3
-        if isinstance(e, Param):
+        if kind is Param:
             return e.name, 3
-        if isinstance(e, Level):
+        if kind is Level:
             return "level", 3
-        if isinstance(e, Prev):
+        if kind is Prev:
             return f"i{level - 1}", 3
-        if isinstance(e, Hist):
+        if kind is Hist:
             return f"i{e.index}", 3
-        if isinstance(e, SumHist):
-            names = hist_names()
-            return ("+".join(names), 1) if names else ("0", 3)
-        if isinstance(e, ProdHist):
-            names = hist_names()
-            return ("*".join(names), 2) if names else ("1", 3)
-        if isinstance(e, Table):
+        if kind is SumHist:
+            return ("+".join(f"i{j}" for j in range(1, level)), 1) if level > 1 else ("0", 3)
+        if kind is ProdHist:
+            return ("*".join(f"i{j}" for j in range(1, level)), 2) if level > 1 else ("1", 3)
+        if kind is Table:
             inner, _ = go(e.index)
             return f"f[{inner}]", 3
-        if isinstance(e, Add):
-            return binop(e.lhs, "+", e.rhs, 1), 1
-        if isinstance(e, Sub):
-            return binop(e.lhs, "-", e.rhs, 1), 1
-        if isinstance(e, Mul):
-            return binop(e.lhs, "*", e.rhs, 2), 2
-        if isinstance(e, FloorDiv):
+        if kind is FloorDiv:
             num, p = go(e.num)
             if p < 2:
                 num = f"({num})"
             return f"{num}/{e.div}", 2
-        if isinstance(e, IfZero):
+        if kind is IfZero:
             c, _ = go(e.cond)
             t, _ = go(e.then)
             o, _ = go(e.orelse)
             return f"if0({c},{t},{o})", 3
-        if isinstance(e, Custom):
+        if kind is Custom:
             return f"<{e.label}>", 3
         raise ValidationError(f"not an expression node: {e!r}")
-
-    def binop(lhs: Expr, op: str, rhs: Expr, prec: int) -> str:
-        ls, lp = go(lhs)
-        rs, rp = go(rhs)
-        if lp < prec:
-            ls = f"({ls})"
-        # right operand needs parens at equal precedence too: a-(b+c), a*(b*c) stay explicit
-        if rp <= prec and not (op == "+" and rp == 1):
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}"
 
     text, _ = go(expr)
     return text

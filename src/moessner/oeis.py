@@ -38,8 +38,11 @@ def normalize_a_number(a_number: Union[str, int]) -> str:
             text = text[1:]
         if not text.isdigit():
             raise PreconditionError(f"bad sequence id {a_number!r}")
-        number = int(text)
-    return f"A{number:06d}"
+        number = text
+    try:
+        return f"A{int(number):06d}"
+    except ValueError as exc:  # past the digit limit, or a digit such as '²' that int() does not read
+        raise PreconditionError(digit_limit(exc) or f"bad sequence id {a_number!r}") from None
 
 
 def bfile_name(a_number: Union[str, int]) -> str:

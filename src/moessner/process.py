@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from .elision import keep_index
 from .engine import _MAX_WIDTH, EvalReport, level_tables
@@ -79,8 +79,8 @@ def iteration_count(n: int, init: InitRule) -> int:
     return n + 1 if init.kind == "indicator" else n
 
 
-def required_length(n: int, m: int, iterations: Optional[int] = None) -> int:
-    """Initial row length so that m elements survive all filtering passes.
+def required_length(n: int, m: int) -> int:
+    """Initial row length so that m elements survive n filtering passes.
 
     Walk the length schedule backward: a pass with period p keeps index
     keep_index(p-1, L-1) as its last survivor, so the pre-pass row needs
@@ -88,10 +88,8 @@ def required_length(n: int, m: int, iterations: Optional[int] = None) -> int:
     """
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
-    if iterations is None:
-        iterations = n
     length = m
-    for p in range(2, iterations + 2):
+    for p in range(2, n + 2):
         length = keep_index(p - 1, length - 1) + 1
     return length
 
@@ -108,7 +106,7 @@ def run_process(n: int, m: int, init: InitRule = InitRule.const(1)) -> Tuple[Lis
     if n < 0:
         raise PreconditionError(f"exponent must be >= 0, got {n}")
     rounds = iteration_count(n, init)
-    before = tuple(init.row(_within_width(required_length(n, m, iterations=rounds))))
+    before = tuple(init.row(_within_width(required_length(rounds, m))))
     steps = []
     for p, filtered, summed in _passes(before, rounds):
         steps.append(ProcessStep(period=p, before=before, filtered=tuple(filtered), summed=tuple(summed)))

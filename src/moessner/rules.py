@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, digit_limit
 from .expr import Add, Expr, FloorDiv, IfZero, Lit, Mul, Param, Prev
 
 INIT_KINDS = ("const", "indicator", "successor")
@@ -59,8 +59,8 @@ class InitRule:
                 return InitRule.const(int(parts[1]))
             if parts[0] == "indicator" and len(parts) == 3:
                 return InitRule.indicator(int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise ParameterError(f"non-integer field in init spec {spec!r}") from None
+        except ValueError as exc:
+            raise ParameterError(digit_limit(exc) or f"non-integer field in init spec {spec!r}") from None
         raise ParameterError(
             f"bad init spec {spec!r} (use ones | successor | const:C | indicator:A:D)"
         )
@@ -137,8 +137,8 @@ def parse_fold_rule(spec: str) -> Tuple[str, int]:
     if parts[0] == "prev_plus" and len(parts) == 2:
         try:
             return "prev_plus", int(parts[1])
-        except ValueError:
-            raise ParameterError(f"non-integer offset in fold rule {spec!r}") from None
+        except ValueError as exc:
+            raise ParameterError(digit_limit(exc) or f"non-integer offset in fold rule {spec!r}") from None
     if len(parts) == 1 and parts[0] in FOLD_RULES and parts[0] != "prev_plus":
         return parts[0], 0
     raise ParameterError(f"bad fold rule {spec!r} (use one of {FOLD_RULES}, prev_plus as prev_plus:C)")

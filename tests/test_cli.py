@@ -331,6 +331,43 @@ def test_negative_count_exits_two(capsys, argv):
     assert errors == [f"moessner {argv[0]}: error: argument --count: must be a natural number, got {count!r}"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--preset", "catalan", "--against", "dp"],
+        ["compare", "--preset", "catalan", "--against", "stolid"],
+        ["compare", "--preset", "nosuch", "--against", "oracle"],
+        ["eval", "--preset", "nosuch"],
+        ["eval", "--preset", "nosuch", "--format", "json"],
+        ["eval", "--preset", "moessner", "--params", "y=3"],
+        ["eval", "--preset", "moessner", "--params", "x=1,x=2"],
+    ],
+    ids=" ".join,
+)
+def test_count_zero_refuses_what_count_one_refuses(capsys, argv):
+    # no point runs under --count 0, but the input is checked as under --count 1
+    refusals = [run_cli(capsys, *argv, "--count", count) for count in ("1", "0")]
+    assert refusals[0] == refusals[1]
+    code, out, err = refusals[1]
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["eval", "--preset", "moessner", "--params", "x=2"], ""),
+        (["eval", "--preset", "moessner", "--params", "x=2", "--format", "json"], "[]\n"),
+        (["eval", "--preset", "catalan", "--format", "csv"], "preset,params,value\n"),
+        (["compare", "--preset", "moessner", "--params", "x=2", "--against", "dp"], "0/0 match\n"),
+        (["compare", "--preset", "catalan", "--against", "oracle"], "0/0 match\n"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_count_zero_on_valid_input_prints_no_point(capsys, argv, expected):
+    assert run_cli(capsys, *argv, "--count", "0") == (0, expected, "")
+
+
 def test_inverse_plain(capsys):
     code, out, _ = run_cli(capsys, "inverse", "--exponent", "3", "--prefix", "5")
     assert code == 0

@@ -704,6 +704,11 @@ def test_unfold_display():
     )
 
 
+def test_unfold_display_names_the_level():
+    prog = SummationProgram(2, (LevelSpec(0, Level()), LevelSpec(1, Sub(Level(), Prev()))), Mul(Level(), Prev()))
+    assert unfold_display(prog) == "sum(i1=0..level) sum(i2=1..level-i1) level*i2"
+
+
 ROUND_TRIP_PRESETS = [
     ("moessner", {"x": 3, "n": 4}),
     ("factorial_permuted", {"n": 3, "f": (1, 2, 0)}),
@@ -1004,20 +1009,64 @@ def test_negative_body_names_a_history_spanning_two_blocks():
             evaluator(prog)
 
 
-def test_deep_expression_chains_in_bounds_and_body():
-    # 600 nested nodes, past the parser's limit for one expression: the bound is
-    # 300*i1 - 599 (so i2 in 0..1 at i1 = 2, empty before), the body 300*i2
-    def chain(base):
-        expr = Lit(base)
-        for i in range(600):
-            expr = Sub(expr, Lit(i % 5)) if i % 2 else Add(Prev(), expr)
-        return expr
+def _deep_chain(base):
+    """600 nested nodes, past the parser's limit for one expression: 300 * Prev + base - 600."""
+    expr = Lit(base)
+    for i in range(600):
+        expr = Sub(expr, Lit(i % 5)) if i % 2 else Add(Prev(), expr)
+    return expr
 
+
+def test_deep_expression_chains_in_bounds_and_body():
+    # the bound is 300*i1 - 599 (so i2 in 0..1 at i1 = 2, empty before), the body 300*i2
+    chain = _deep_chain
     prog = SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, chain(1))), chain(600))
     assert evaluate(prog) == reference_evaluate(prog) == 300
     assert evaluate_counting(prog) == reference_counting(prog)
     # the outer sum folds 3 terms, the inner one 2, and each of the 2 leaves costs 300
     assert evaluate_counting(prog).additions == 2 + 1 + 2 * 300
+
+
+def test_deep_expression_chains_display():
+    # one frame per node: the display reaches as deep as the evaluators do
+    def text(base, index):  # the chain as rendered: no parentheses, Prev as the enclosing index
+        out = str(base)
+        for i in range(600):
+            out = f"{out}-{i % 5}" if i % 2 else f"{index}+{out}"
+        return out
+
+    prog = SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, _deep_chain(1))), _deep_chain(600))
+    assert unfold_display(prog) == f"sum(i1=0..2) sum(i2=0..{text(1, 'i1')}) {text(600, 'i2')}"
+
+
+def test_memoized_gives_a_row_to_a_bound_too_deep_to_hash_or_analyse(monkeypatch):
+    # the one guard in level_tables covers both the form cache's key and the affine analysis
+    prog = build("moessner", {"x": 3, "n": 3})
+
+    def too_deep(*args):
+        raise RecursionError
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_affine", too_deep)
+        assert evaluate_memoized(prog) == 64
+    with monkeypatch.context() as patched:
+        patched.setattr(Mul, "__hash__", too_deep)  # every level-k bound, k >= 2, is a Mul
+        assert evaluate_memoized(prog) == 64
+
+
+def test_program_output_past_the_digit_limit_names_the_limit(default_digit_limit):
+    wide = build("moessner", {"x": 10**5000, "n": 1})
+    literal = SummationProgram(1, (LevelSpec(0, Lit(10**5000)),), Lit(1))
+    divisor = SummationProgram(1, (LevelSpec(0, FloorDiv(Lit(1), 10**5000)),), Lit(1))
+    for write, program in (
+        (program_to_json, wide),
+        (program_to_json, literal),
+        (unfold_display, literal),
+        (unfold_display, divisor),
+    ):
+        with pytest.raises(ValidationError, match=f"limit of {default_digit_limit} digits"):
+            write(program)
+    assert unfold_display(wide) == "sum(i1=0..x) 1"  # the display names parameters, not their values
 
 
 def test_nest_code_cache_is_bounded():

@@ -237,6 +237,21 @@ def test_additions_expr_folds_fixed_costs():
     assert not isinstance(branchy, Lit)
 
 
+def test_additions_expr_keeps_a_costly_left_operand_alone():
+    # the left side costs by branch, the right side nothing: the cost is the left's alone
+    expr = Sub(IfZero(Prev(), Add(Prev(), Lit(1)), Lit(0)), Prev())
+    cost = additions_expr(expr)
+    assert cost == IfZero(Prev(), Lit(1), Lit(0))
+    for history in ((0,), (1,), (2,)):
+        assert eval_expr(cost, PARAMS, 2, history) == eval_expr_counted(expr, PARAMS, 2, history)[1]
+
+
+def test_render_level():
+    assert render_expr(Level(), 1) == "level"
+    assert render_expr(Sub(Level(), Prev()), 3) == "level-i2"
+    assert render_expr(Mul(Level(), Add(Level(), Lit(1))), 2) == "level*(level+1)"
+
+
 def test_compiled_missing_param_stays_lazy():
     # an untaken branch must not raise, same as the interpreter
     guarded = IfZero(Lit(0), Lit(1), Param("k"))

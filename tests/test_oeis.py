@@ -46,6 +46,19 @@ def test_normalize_a_number():
             normalize_a_number(bad)
 
 
+def test_sequence_ids_past_the_digit_limit_name_the_limit(default_digit_limit):
+    big = "9" * 5000
+    for call in (
+        lambda: normalize_a_number("A" + big),
+        lambda: normalize_a_number(10**5000),
+        lambda: parse_manifest(f"catalan A{big} vary=n\n"),
+    ):
+        with pytest.raises(PreconditionError, match=f"limit of {default_digit_limit} digits"):
+            call()
+    with pytest.raises(PreconditionError, match="bad sequence id"):
+        normalize_a_number("A\u00b2")  # a digit to str.isdigit, but not to int()
+
+
 def test_bfile_name():
     assert bfile_name("A000108") == "b000108.txt"
     assert bfile_name(45) == "b000045.txt"

@@ -311,6 +311,20 @@ def test_fold_without_oracle_has_no_expected():
         expected("fold", {"x": 2, "n": 3, "rule": "prev_plus:3"})  # oracle is x=0 only
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("a137273", {"n": 17}, "A137273 fixture has no entry at index 17"),
+        ("moessner_init", {"x": 1, "n": 2, "init": "indicator:2:3"}, "no closed form for an indicator init"),
+    ],
+    ids=["past the fixture", "indicator without the extra round"],
+)
+def test_expected_refuses_points_it_has_no_value_for(name, params, message):
+    build(name, params)  # the point itself is valid
+    with pytest.raises(ParameterError, match=message):
+        expected(name, params)
+
+
 def test_another_round_shifts_the_exponent():
     for x in range(5):
         for n in range(4):

@@ -106,3 +106,14 @@ def test_parse_fold_rule():
     for bad in ("prev_plus", "prev_plus:x", "mult_x:2", "keep:1", "", "folded"):
         with pytest.raises(ParameterError):
             parse_fold_rule(bad)
+
+
+def test_rule_fields_past_the_digit_limit_name_the_limit(default_digit_limit):
+    big = "9" * 5000
+    for parse, spec in (
+        (InitRule.parse, "const:" + big),
+        (InitRule.parse, f"indicator:1:{big}"),
+        (parse_fold_rule, "prev_plus:" + big),
+    ):
+        with pytest.raises(ParameterError, match=f"limit of {default_digit_limit} digits"):
+            parse(spec)
