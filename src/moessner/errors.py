@@ -34,8 +34,8 @@ class ValidationError(MoessnerError):
     """A program or expression violates a structural rule."""
 
 
-class BFileParseError(MoessnerError):
-    """A b-file line could not be parsed, or indices were not increasing."""
+class BFileParseError(PreconditionError):
+    """A b-file or manifest line could not be parsed, or indices were not increasing."""
 
 
 class FixtureNotFoundError(MoessnerError):

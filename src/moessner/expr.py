@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from types import CodeType
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union, get_args
@@ -131,48 +132,8 @@ Expr = Union[Lit, Param, Level, Prev, Hist, SumHist, ProdHist, Table, Add, Sub, 
 
 
 def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) -> int:
-    """Evaluate in signed arithmetic (bounds may go negative)."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Param):
-        return params[expr.name] if expr.name in params else _missing_param(expr.name)
-    if isinstance(expr, Level):
-        return level
-    if isinstance(expr, Prev):
-        return history[-1]
-    if isinstance(expr, Hist):
-        return history[expr.index - 1]
-    if isinstance(expr, SumHist):
-        return sum(history)
-    if isinstance(expr, ProdHist):
-        acc = 1
-        for v in history:
-            acc *= v
-        return acc
-    if isinstance(expr, Table):
-        idx = eval_expr(expr.index, params, level, history)
-        table = params.get("f")
-        if table is None:
-            return _missing_table(idx)
-        if not 0 <= idx < len(table):
-            return _table_miss(idx, len(table))
-        return table[idx]
-    if isinstance(expr, Add):
-        return eval_expr(expr.lhs, params, level, history) + eval_expr(expr.rhs, params, level, history)
-    if isinstance(expr, Sub):
-        return eval_expr(expr.lhs, params, level, history) - eval_expr(expr.rhs, params, level, history)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.lhs, params, level, history) * eval_expr(expr.rhs, params, level, history)
-    if isinstance(expr, FloorDiv):
-        num = eval_expr(expr.num, params, level, history)
-        return num // expr.div
-    if isinstance(expr, IfZero):
-        if eval_expr(expr.cond, params, level, history) == 0:
-            return eval_expr(expr.then, params, level, history)
-        return eval_expr(expr.orelse, params, level, history)
-    if isinstance(expr, Custom):
-        return expr.fn(params, level, history)
-    raise ValidationError(f"not an expression node: {expr!r}")
+    """Evaluate in signed arithmetic (bounds may go negative): the value of eval_expr_counted."""
+    return eval_expr_counted(expr, params, level, history)[0]
 
 
 # Subtrees nested deeper than this are compiled as functions of their own, so
@@ -205,6 +166,7 @@ _HELPERS = {
     "_prod": math.prod,
 }
 _BINOPS = {Add: "+", Sub: "-", Mul: "*"}
+_APPLY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}  # the same operators, applied
 
 
 class Reads(NamedTuple):
@@ -298,28 +260,49 @@ def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]
 
 
 def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) -> Tuple[int, int]:
-    """(value, additions performed). Only Add nodes cost; branches not taken cost nothing."""
-    if isinstance(expr, Add):
-        lv, la = eval_expr_counted(expr.lhs, params, level, history)
-        rv, ra = eval_expr_counted(expr.rhs, params, level, history)
-        return lv + rv, la + ra + 1
-    if isinstance(expr, Sub):
-        lv, la = eval_expr_counted(expr.lhs, params, level, history)
-        rv, ra = eval_expr_counted(expr.rhs, params, level, history)
-        return lv - rv, la + ra
-    if isinstance(expr, Mul):
-        lv, la = eval_expr_counted(expr.lhs, params, level, history)
-        rv, ra = eval_expr_counted(expr.rhs, params, level, history)
-        return lv * rv, la + ra
-    if isinstance(expr, FloorDiv):
-        nv, na = eval_expr_counted(expr.num, params, level, history)
-        return nv // expr.div, na
-    if isinstance(expr, IfZero):
-        cv, ca = eval_expr_counted(expr.cond, params, level, history)
-        bv, ba = eval_expr_counted(expr.then if cv == 0 else expr.orelse, params, level, history)
-        return bv, ca + ba
-    # leaves cost nothing, and a Table's index arithmetic is addressing, not data: not counted
-    return eval_expr(expr, params, level, history), 0
+    """(value, additions performed): the reference interpreter, one walk for both.
+
+    Only Add nodes cost; FloorDiv costs its numerator and IfZero its condition
+    plus the branch it takes. A Table's index is addressing, not data: it is
+    evaluated but not counted. Leaves and Custom cost nothing.
+    """
+    kind = type(expr)
+    if kind in _APPLY:
+        lhs, lhs_adds = eval_expr_counted(expr.lhs, params, level, history)
+        rhs, rhs_adds = eval_expr_counted(expr.rhs, params, level, history)
+        return _APPLY[kind](lhs, rhs), lhs_adds + rhs_adds + (kind is Add)
+    if kind is FloorDiv:
+        num, adds = eval_expr_counted(expr.num, params, level, history)
+        return num // expr.div, adds
+    if kind is IfZero:
+        cond, cond_adds = eval_expr_counted(expr.cond, params, level, history)
+        value, adds = eval_expr_counted(expr.then if cond == 0 else expr.orelse, params, level, history)
+        return value, cond_adds + adds
+    if kind is Table:
+        index, _ = eval_expr_counted(expr.index, params, level, history)
+        table = params.get("f")
+        if table is None:
+            return _missing_table(index), 0
+        if not 0 <= index < len(table):
+            return _table_miss(index, len(table)), 0
+        return table[index], 0
+    if kind is Lit:
+        return expr.value, 0
+    if kind is Param:
+        return (params[expr.name] if expr.name in params else _missing_param(expr.name)), 0
+    if kind is Level:
+        return level, 0
+    if kind is Prev:
+        return history[-1], 0
+    if kind is Hist:
+        return history[expr.index - 1], 0
+    if kind is SumHist:
+        return sum(history), 0
+    if kind is ProdHist:
+        return math.prod(history), 0
+    if kind is Custom:
+        return expr.fn(params, level, history), 0
+    raise ValidationError(f"not an expression node: {expr!r}")
 
 
 def additions_expr(expr: Expr) -> Expr:

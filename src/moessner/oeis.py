@@ -146,16 +146,16 @@ def parse_manifest(text: str) -> List[ManifestRow]:
         fields = line.split()
         if len(fields) < 2:
             raise BFileParseError(f"manifest line {lineno}: too few fields in {raw!r}")
-        preset, a_number = fields[0], normalize_a_number(fields[1])
         vary = [token[len("vary="):] for token in fields[2:] if token.startswith("vary=")] or ["n"]
         if len(vary) > 1:
             raise BFileParseError(f"manifest line {lineno}: parameter 'vary' given more than once")
         try:
+            a_number = normalize_a_number(fields[1])
             fixed = presets.parse_params(t for t in fields[2:] if not t.startswith("vary="))
-        except ParameterError as exc:
+        except (ParameterError, PreconditionError) as exc:
             raise BFileParseError(f"manifest line {lineno}: {exc}") from None
         start, shift = fixed.pop("from", 0), fixed.pop("shift", 0)
-        rows.append(ManifestRow(preset, a_number, vary[0], start, shift, fixed))
+        rows.append(ManifestRow(fields[0], a_number, vary[0], start, shift, fixed))
     return rows
 
 

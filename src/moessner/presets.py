@@ -33,7 +33,7 @@ from .expr import (
     SumHist,
     Table,
 )
-from .rules import InitRule, fold_bound, keep_bound, parse_fold_rule
+from .rules import InitRule, fold_bound, fold_rule, keep_bound, parse_fold_rule
 
 Params = Dict[str, Any]
 Builder = Callable[[Params], SummationProgram]
@@ -382,7 +382,7 @@ def _lookup(name: str, raw: Mapping[str, Any]) -> Tuple[PresetInfo, Params]:
             if isinstance(value, str):
                 cleaned[key] = parse_fold_rule(value)
             elif isinstance(value, tuple) and len(value) == 2:
-                cleaned[key] = value
+                cleaned[key] = fold_rule(*value)
             else:
                 raise ParameterError(f"rule must be a name or (name, offset), got {value!r}")
         elif key == "f":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
-from .elision import keep_index
 from .engine import _MAX_WIDTH, EvalReport, level_tables
 from .errors import PreconditionError
 from .presets import build
@@ -80,18 +79,15 @@ def iteration_count(n: int, init: InitRule) -> int:
 
 
 def required_length(n: int, m: int) -> int:
-    """Initial row length so that m elements survive n filtering passes.
+    """Initial row length so that m elements survive n filtering passes: (n+1)(m-1) + 1.
 
-    Walk the length schedule backward: a pass with period p keeps index
-    keep_index(p-1, L-1) as its last survivor, so the pre-pass row needs
-    keep_index(p-1, L-1) + 1 elements.
+    A pass with period p keeps index keep_index(p-1, L-1) = p(L-1)/(p-1) as its
+    last survivor, so walking the periods 2..n+1 backward from L = m multiplies
+    L-1 by p/(p-1) at each pass, and the product telescopes to n+1.
     """
-    if m < 1:
-        raise PreconditionError(f"need m >= 1, got {m}")
-    length = m
-    for p in range(2, n + 2):
-        length = keep_index(p - 1, length - 1) + 1
-    return length
+    if n < 0 or m < 1:
+        raise PreconditionError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    return (n + 1) * (m - 1) + 1
 
 
 def _within_width(length: int) -> int:

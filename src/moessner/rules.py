@@ -12,7 +12,7 @@ level k >= 2 is rule(j, i_{k-1}) with j = k - 1; level 1 is always x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import ParameterError, digit_limit
 from .expr import Add, Expr, FloorDiv, IfZero, Lit, Mul, Param, Prev
@@ -131,14 +131,23 @@ def fold_bound(rule: str, k: int, offset: int = 0) -> Expr:
     raise ParameterError(f"unknown fold rule {rule!r} (use one of {FOLD_RULES})")
 
 
+def fold_rule(name: Any, offset: Any) -> Tuple[str, int]:
+    """(name, offset), checked: a rule of FOLD_RULES; prev_plus takes an int offset, the others 0."""
+    if name not in FOLD_RULES:
+        raise ParameterError(f"unknown fold rule {name!r} (use one of {FOLD_RULES})")
+    wanted = "an int offset" if name == "prev_plus" else "offset 0"
+    if not isinstance(offset, int) or isinstance(offset, bool) or (offset != 0 and name != "prev_plus"):
+        raise ParameterError(f"fold rule {name} takes {wanted}, got {offset!r}")
+    return name, offset
+
+
 def parse_fold_rule(spec: str) -> Tuple[str, int]:
     """CLI syntax: a rule name, or prev_plus:C."""
     parts = spec.split(":")
-    if parts[0] == "prev_plus" and len(parts) == 2:
-        try:
-            return "prev_plus", int(parts[1])
-        except ValueError as exc:
-            raise ParameterError(digit_limit(exc) or f"non-integer offset in fold rule {spec!r}") from None
-    if len(parts) == 1 and parts[0] in FOLD_RULES and parts[0] != "prev_plus":
-        return parts[0], 0
-    raise ParameterError(f"bad fold rule {spec!r} (use one of {FOLD_RULES}, prev_plus as prev_plus:C)")
+    if len(parts) != 1 + (parts[0] == "prev_plus"):
+        raise ParameterError(f"bad fold rule {spec!r} (use one of {FOLD_RULES}, prev_plus as prev_plus:C)")
+    try:
+        offset = int(parts[1]) if len(parts) == 2 else 0
+    except ValueError as exc:
+        raise ParameterError(digit_limit(exc) or f"non-integer offset in fold rule {spec!r}") from None
+    return fold_rule(parts[0], offset)

@@ -512,6 +512,18 @@ def test_module_entry_point():
     assert result.stdout == "64\n"
 
 
+def test_oeis_check_names_the_manifest_line_of_a_bad_sequence_id(tmp_path):
+    (tmp_path / "manifest.txt").write_text("catalan Axy\n", encoding="ascii")
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", "oeis-check", "--preset", "catalan", "--fixtures", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: manifest line 1: bad sequence id 'Axy'\n"
+
+
 @pytest.mark.parametrize("preset,n", [("moessner_stolid", 1), ("moessner", 2)])
 def test_eval_memoized_refuses_a_table_too_wide(preset, n):
     # x = 10^21: the level-1 table alone would have 10^21 + 1 cells

@@ -133,6 +133,11 @@ def test_parse_manifest_errors():
         parse_manifest("moessner A79 x=two\n")
 
 
+def test_parse_manifest_names_the_line_of_a_bad_sequence_id():
+    with pytest.raises(BFileParseError, match=r"^manifest line 2: bad sequence id 'Axy'$"):
+        parse_manifest("# header\ncatalan Axy\n")
+
+
 def test_parse_manifest_rejects_bad_values_and_repeated_keys():
     bad = {
         "from=x": "non-integer",

@@ -271,6 +271,18 @@ def test_fold_rule_forms():
         build("fold", {"x": 2, "n": 3, "rule": ["keep"]})
 
 
+def test_fold_rule_tuples_are_refused_where_their_strings_are():
+    # n=1 has no level 2, so a rule the builder never reads must still be refused
+    refused = {("bogus", 0): "bogus", ("keep", 7): "keep:7", ("prev_plus", True): "prev_plus:True",
+               ("prev_plus", "2"): "prev_plus:x"}
+    for rule, spec in refused.items():
+        for form in (rule, spec):
+            with pytest.raises(ParameterError, match="fold rule"):
+                build("fold", {"x": 2, "n": 1, "rule": form})
+    for rule, spec in ((("keep", 0), "keep"), (("prev_plus", 0), "prev_plus:0"), (("prev_plus", -1), "prev_plus:-1")):
+        assert build("fold", {"x": 2, "n": 2, "rule": rule}) == build("fold", {"x": 2, "n": 2, "rule": spec})
+
+
 def test_fold_specializations():
     for x in range(4):
         for n in range(4):

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from moessner import engine, process
-from moessner.elision import is_dropped
+from moessner.elision import is_dropped, keep_index
 from moessner.engine import evaluate, level_tables
 from moessner.errors import PreconditionError
 from moessner.oracles import binomial, pow_fast
@@ -62,6 +62,18 @@ def test_required_length_frozen():
     assert required_length(1, 3) == 5
     with pytest.raises(PreconditionError):
         required_length(3, 0)
+
+
+def test_required_length_is_the_backward_keep_index_schedule():
+    # a pass with period p keeps index keep_index(p-1, L-1) last, so walk the periods backward
+    for n in range(12):
+        for m in range(1, 60):
+            length = m
+            for p in range(2, n + 2):
+                length = keep_index(p - 1, length - 1) + 1
+            assert required_length(n, m) == length
+    with pytest.raises(PreconditionError):
+        required_length(-1, 5)
 
 
 def test_required_length_is_tight():
