@@ -234,8 +234,9 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_polygonal(args: argparse.Namespace) -> int:
-    from .polygonal import polygonal_closed, quotient_sum
+    from .polygonal import check_terms, polygonal_closed, quotient_sum
 
+    check_terms(args.k, args.k * args.count * (args.count + 1) // 2 + args.count)  # row n adds k(n+1) + 1 terms
     mismatches = 0
     for n in range(args.count):
         summed = quotient_sum(args.k, n)

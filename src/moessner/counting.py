@@ -8,21 +8,20 @@ are tracked separately so that addition-only schemes can prove they use none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List
 
 from .errors import PreconditionError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CountingNat:
+class CountingNat(Record):
     """A natural number together with the operations spent computing it."""
 
     value: int
     additions: int = 0
     multiplications: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.value < 0:
             raise PreconditionError(f"CountingNat value must be >= 0, got {self.value}")
         if self.additions < 0 or self.multiplications < 0:

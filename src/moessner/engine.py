@@ -51,22 +51,21 @@ from .expr import (
     render_expr,
     validate_expr,
 )
+from .record import Record
 
 ALLOWED_PARAM_KEYS = (*PARAM_NAMES, "f")  # in order: presets build program params in it
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class LevelSpec(Record):
     lower: int
     bound: Expr
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if type(self.lower) is not int or self.lower not in (0, 1):  # bool and float are not int
             raise ValidationError(f"level lower bound must be 0 or 1, got {self.lower!r}")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     value: int
     additions: int
     leaves: int
@@ -80,6 +79,7 @@ class _Summary(NamedTuple):
     running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
 
 
+# a dataclass, not a Record: perfbench/worker.py calls dataclasses.replace on programs
 @dataclass(frozen=True)
 class SummationProgram:
     depth: int

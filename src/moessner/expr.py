@@ -17,99 +17,86 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, fields
 from types import CodeType
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union, get_args
 
 from .errors import ParameterError, ValidationError
+from .record import Record
 
 PARAM_NAMES = ("x", "n", "a", "d", "k")
 
 Params = Mapping[str, Any]  # values: int, or tuple of ints under "f"
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     name: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.name not in PARAM_NAMES:
             raise ValidationError(
                 f"unknown parameter {self.name!r}; use one of {PARAM_NAMES} or Table for f"
             )
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """The current level number (1 for the outermost sum)."""
 
 
-@dataclass(frozen=True)
-class Prev:
+class Prev(Record):
     """The immediately enclosing index i_{level-1}."""
 
 
-@dataclass(frozen=True)
-class Hist:
+class Hist(Record):
     """An explicit enclosing index i_j (1-based, j < level)."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class SumHist:
+class SumHist(Record):
     """i_1 + ... + i_{level-1}; 0 at level 1."""
 
 
-@dataclass(frozen=True)
-class ProdHist:
+class ProdHist(Record):
     """i_1 * ... * i_{level-1}; 1 at level 1."""
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """Lookup into the table parameter f at a computed index."""
 
     index: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True)
-class FloorDiv:
+class FloorDiv(Record):
     """Floor division by a strictly positive integer constant."""
 
     num: "Expr"
     div: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not isinstance(self.div, int) or isinstance(self.div, bool) or self.div <= 0:
             raise ValidationError(f"floor-division divisor must be a positive literal, got {self.div!r}")
 
 
-@dataclass(frozen=True)
-class IfZero:
+class IfZero(Record):
     """then-branch if cond evaluates to 0, else-branch otherwise."""
 
     cond: "Expr"
@@ -117,8 +104,7 @@ class IfZero:
     orelse: "Expr"
 
 
-@dataclass(frozen=True)
-class Custom:
+class Custom(Record):
     """Escape hatch: an arbitrary function of (params, level, history).
 
     Not serializable and not displayable beyond its label.
@@ -340,7 +326,7 @@ def _plus(lhs: Expr, rhs: Expr) -> Expr:
 
 # sub-expression fields of the node kinds that have any; the structural
 # walkers below (validation, serialization) read this instead of one branch
-# per kind. Every other dataclass field is a scalar stored as is.
+# per kind. Every other record field is a scalar stored as is.
 _CHILDREN: Dict[type, Tuple[str, ...]] = {
     Table: ("index",),
     Add: ("lhs", "rhs"),
@@ -349,7 +335,7 @@ _CHILDREN: Dict[type, Tuple[str, ...]] = {
     FloorDiv: ("num",),
     IfZero: ("cond", "then", "orelse"),
 }
-_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in get_args(Expr)}
+_FIELDS = {kind: kind._fields for kind in get_args(Expr)}
 _SERIALIZABLE = {kind.__name__: kind for kind in _FIELDS if kind is not Custom}
 _DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the other
 _FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table", Custom: "custom"}

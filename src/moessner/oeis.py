@@ -11,19 +11,18 @@ suite never touches the network.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .engine import evaluate, evaluate_memoized, is_markov  # noqa: F401  (wrapped by perfbench/tracer.py)
 from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError, digit_limit
+from .record import Record
 
 OEIS_BASE_URL_ENV = "OEIS_BASE_URL"
 DEFAULT_BASE_URL = "https://oeis.org"
 
 
-@dataclass(frozen=True)
-class BFileEntry:
+class BFileEntry(Record):
     index: int
     value: int
 
@@ -120,8 +119,7 @@ def fetch(
     return parse_bfile(text)
 
 
-@dataclass(frozen=True)
-class ManifestRow:
+class ManifestRow(Record):
     preset: str
     a_number: str
     vary: str
@@ -167,8 +165,7 @@ def load_manifest(directory: Optional[Path] = None) -> List[ManifestRow]:
     return parse_manifest(_read_ascii(path))
 
 
-@dataclass(frozen=True)
-class PrefixCheckLine:
+class PrefixCheckLine(Record):
     vary_value: int
     engine_value: int
     fixture_value: Optional[int]  # None: fixture too short at this index
@@ -178,8 +175,7 @@ class PrefixCheckLine:
         return self.fixture_value is not None and self.engine_value == self.fixture_value
 
 
-@dataclass(frozen=True)
-class PrefixCheckReport:
+class PrefixCheckReport(Record):
     preset: str
     a_number: str
     vary: str

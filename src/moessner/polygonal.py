@@ -15,9 +15,14 @@ from .errors import PreconditionError
 from .oracles import polygonal_closed  # noqa: F401  (re-exported: the closed-form side)
 
 
-def _check_k(k: int) -> None:
+def check_terms(k: int, terms: int) -> None:
+    """Refuse k < 1, then sums of more terms in all than engine._MAX_WIDTH, the cap rows and the walk share."""
+    from .engine import _MAX_WIDTH
+
     if k < 1:
         raise PreconditionError(f"polygonal order parameter k must be >= 1, got {k}")
+    if terms > _MAX_WIDTH:
+        raise PreconditionError(f"{terms} quotient terms are past the {_MAX_WIDTH} terms polygonal sums may add")
 
 
 def quotient_sum(k: int, n: int) -> int:
@@ -27,7 +32,7 @@ def quotient_sum(k: int, n: int) -> int:
 
 def quotient_sum_shifted(k: int, n: int) -> int:
     """sum_{i=0}^{k*n} i // k; 0, 1, then the named polygonal streams."""
-    _check_k(k)
+    check_terms(k, k * n + 1)
     return sigma(0, k * n, lambda i: i // k)
 
 

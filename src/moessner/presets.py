@@ -14,10 +14,10 @@ of the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from . import engine, oracles
+from . import engine
 from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
 from .errors import ParameterError, digit_limit
 from .expr import (
@@ -33,21 +33,21 @@ from .expr import (
     SumHist,
     Table,
 )
+from .record import Record
 from .rules import InitRule, fold_bound, fold_rule, keep_bound, parse_fold_rule
 
 Params = Dict[str, Any]
 Builder = Callable[[Params], SummationProgram]
 
 
-@dataclass(frozen=True)
-class PresetInfo:
+class PresetInfo(Record):
     name: str
     schema: Tuple[str, ...]  # required parameter names, CLI order
     computes: str  # what the value is, in plain math
     builder: Builder
     expected: Callable[[Params], int]  # independent of the engine
     oeis: Optional[str] = None
-    defaults: Mapping[str, Any] = field(default_factory=dict)  # optional parameters
+    defaults: Mapping[str, Any] = MappingProxyType({})  # optional parameters; read-only, so one empty default serves all
 
 
 _PRESETS: Dict[str, PresetInfo] = {}
@@ -415,6 +415,9 @@ def sweep(name: str, fixed: Mapping[str, Any], vary: str, points: Iterable[int])
 
 def expected(name: str, params: Mapping[str, Any]) -> int:
     """Independent expected value for the same parameters."""
+    global oracles  # the expected-value sources read it; imported here, as building never does
+    from . import oracles
+
     info, cleaned = _lookup(name, params)
     return info.expected(cleaned)
 

@@ -12,26 +12,24 @@ addition counts the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from .engine import _MAX_WIDTH, EvalReport, level_tables
 from .errors import PreconditionError
 from .presets import build
+from .record import Record
 from .rules import InitRule
 
 
-@dataclass(frozen=True)
-class ProcessStep:
+class ProcessStep(Record):
     period: int
     before: Tuple[int, ...]
     filtered: Tuple[int, ...]
     summed: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProcessTrace:
+class ProcessTrace(Record):
     exponent: int
     init: InitRule
     steps: Tuple[ProcessStep, ...]

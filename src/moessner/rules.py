@@ -11,24 +11,23 @@ level k >= 2 is rule(j, i_{k-1}) with j = k - 1; level 1 is always x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
 from .errors import ParameterError, digit_limit
 from .expr import Add, Expr, FloorDiv, IfZero, Lit, Mul, Param, Prev
+from .record import Record
 
 INIT_KINDS = ("const", "indicator", "successor")
 
 
-@dataclass(frozen=True)
-class InitRule:
+class InitRule(Record):
     """Initial segment: const c -> c,c,c,...; indicator -> a,d,d,...; successor -> 1,2,3,..."""
 
     kind: str
     a: int = 1
     d: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in INIT_KINDS:
             raise ParameterError(f"unknown init kind {self.kind!r} (use one of {INIT_KINDS})")
         if self.a < 0 or self.d < 0:

@@ -90,3 +90,26 @@ def test_json_formats_load_json_and_print_the_same_bytes():
     code, out, loaded = _cold("list-presets", "--json")
     assert code == 0 and "json" in loaded
     assert out == json.dumps(catalog(), sort_keys=True) + "\n"
+
+
+def test_the_expression_module_loads_no_dataclass_machinery():
+    probe = "import sys, moessner.expr; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--preset", "moessner", "--params", "x=3,n=3"], ["list-presets"]],
+    ids=["eval", "list-presets"],
+)
+def test_plain_calls_do_not_load_the_oracles(argv):
+    code, out, loaded = _cold(*argv)
+    assert code == 0 and out
+    assert "oracles" not in loaded
+
+
+def test_compare_against_the_oracle_loads_it_and_agrees():
+    code, out, loaded = _cold("compare", "--preset", "long2", "--params", "x=2,n=3,a=1,d=2", "--against", "oracle")
+    assert "oracles" in loaded
+    assert (code, out) == (0, "a=1,d=2,n=3,x=2 | value 135 vs 135 | additions 80 vs n/a | match\n1/1 match\n")

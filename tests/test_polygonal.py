@@ -1,9 +1,14 @@
 """Polygonal numbers as quotient sums, against closed forms and fixtures."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moessner import engine
+from moessner.cli import main
 from moessner.errors import PreconditionError
 from moessner.oeis import load_fixture
 from moessner.polygonal import (
@@ -79,3 +84,38 @@ def test_rejects_k_below_one():
     for fn in (quotient_sum, quotient_sum_shifted):
         with pytest.raises(PreconditionError):
             fn(0, 3)
+
+
+def test_a_sum_past_the_width_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 10)
+    assert quotient_sum_shifted(3, 3) == 12  # 3*3 + 1 = 10 terms
+    with pytest.raises(PreconditionError, match="^13 quotient terms are past the 10 terms polygonal sums may add$"):
+        quotient_sum_shifted(3, 4)
+    with pytest.raises(PreconditionError, match="k must be >= 1, got 0"):
+        quotient_sum_shifted(0, 10**30)
+
+
+def test_cli_refuses_a_run_past_the_cap_before_any_row(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 11)
+    assert main(["polygonal", "--k", "3", "--count", "2"]) == 0  # rows of 4 and 7 terms: 11 in all
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 match"
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 10)
+    assert main(["polygonal", "--k", "3", "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 11 quotient terms are past the 10 terms polygonal sums may add\n"
+    assert main(["polygonal", "--k", "0", "--count", "10"]) == 2  # k is checked before the total
+    assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_huge_k_at_once():
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", "polygonal", "--k", str(10**20), "--count", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [
+        "error: 600000000000000000003 quotient terms are past the 100000000 terms polygonal sums may add"
+    ]
