@@ -53,14 +53,16 @@ def _json_params(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _assignments(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    """The --params point, or the points n=0..M-1 under --count M. Under
-    --count 0 the point n=0 is still built, so M = 0 refuses what M = 1 does."""
+    """The --params point, or the points n=0..M-1 under --count M, which
+    refuses an n in --params. Under --count 0 the point n=0 is still built,
+    so M = 0 refuses what M = 1 does."""
     base = presets.parse_params(args.params.split(","))
     if args.count is None:
         return [base]
+    points = presets.sweep_points(base, "n", range(args.count))
     if args.count == 0:
         presets.build(args.preset, {**base, "n": 0})
-    return [{**base, "n": n} for n in range(args.count)]
+    return points
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -17,15 +17,14 @@ Three evaluators:
                     any other by one generated comprehension per distinct row
                     and map
 
-validate and is_markov read one analysis per program, SummationProgram._summary;
-presets.sweep is the one caller that chooses an evaluator. Depth 0 is the
-zero-level case of all three; expr.eval_expr and eval_expr_counted are references.
+validate and is_markov read one analysis per program, SummationProgram._summary,
+kept in the program's one slot that is not a field; presets.sweep is the one
+caller that chooses an evaluator. Depth 0 is the zero-level case of all three;
+expr.eval_expr and eval_expr_counted are references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -79,16 +78,17 @@ class _Summary(NamedTuple):
     running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
 
 
-# a dataclass, not a Record: perfbench/worker.py calls dataclasses.replace on programs
-@dataclass(frozen=True)
-class SummationProgram:
+class SummationProgram(Record):
     depth: int
     levels: Tuple[LevelSpec, ...]
     body: Expr
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Optional[Mapping[str, Any]] = None  # None: _check sets a fresh {} for this program
+    __slots__ = ("_analysis",)  # _summary's cache, not a field
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
+        if self.params is None:  # a Record default is one object, shared by every program
+            object.__setattr__(self, "params", {})
         if type(self.depth) is not int:  # bool and float are not int
             raise ValidationError(f"depth must be an int, got {self.depth!r}")
         if self.depth != len(self.levels):
@@ -96,9 +96,14 @@ class SummationProgram:
                 f"depth {self.depth} does not match {len(self.levels)} level specs"
             )
 
-    @cached_property
+    @property
     def _summary(self) -> _Summary:
-        """One validate_expr walk per expression; a structural error raises and caches nothing."""
+        """One validate_expr walk per expression, kept in the slot _analysis; a
+        structural error raises and keeps nothing. Copies start without it."""
+        try:
+            return self._analysis
+        except AttributeError:
+            pass
         params: set = set()
         reads_table, reads_level, markov, sum_to, prod_to = False, False, True, 0, 0
         for level, role, expr in _exprs(self):
@@ -109,7 +114,9 @@ class SummationProgram:
             whole_history = refs["custom"] or refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and refs["hist"] <= {level - 1}
             sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
-        return _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to))
+        summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to))
+        object.__setattr__(self, "_analysis", summary)
+        return summary
 
 
 def _exprs(program: SummationProgram) -> Iterator[Tuple[int, str, Expr]]:

@@ -402,6 +402,14 @@ def build(name: str, params: Mapping[str, Any]) -> SummationProgram:
     return program
 
 
+def sweep_points(fixed: Mapping[str, Any], vary: str, points: Iterable[int]) -> List[Params]:
+    """The parameters at each point of `vary`, the others fixed; refuses a
+    `vary` that is fixed too, which the sweep would silently override."""
+    if vary in fixed:
+        raise ParameterError(f"parameter {vary!r} is both fixed and swept")
+    return [{**fixed, vary: point} for point in points]
+
+
 def sweep(name: str, fixed: Mapping[str, Any], vary: str, points: Iterable[int]) -> List[int]:
     """The preset's value at each point of `vary`, the other parameters fixed.
 
@@ -409,7 +417,7 @@ def sweep(name: str, fixed: Mapping[str, Any], vary: str, points: Iterable[int])
     the naive walk otherwise. It calls engine.<name>, so wrappers put on the
     engine module (perfbench/tracer.py) see each call.
     """
-    programs = (build(name, {**fixed, vary: point}) for point in points)
+    programs = (build(name, params) for params in sweep_points(fixed, vary, points))
     return [engine.evaluate_memoized(p) if engine.is_markov(p) else engine.evaluate(p) for p in programs]
 
 

@@ -1,16 +1,25 @@
-"""Frozen records: the one base of the expression nodes and the result types.
+"""Frozen records: the one base of every record type, the program included.
 
 A subclass lists its fields as annotations, trailing ones with defaults, as
 a frozen dataclass would, and may define `_check(self)`, run once the fields
 are set. It gets what the dataclass gave: positional and keyword
 construction, the repr text `Add(lhs=Lit(value=1), rhs=Prev())`, eq and hash
 on (kind, fields), refused setattr and delattr, and copy and pickle. The
-fields are slots. `__init__`, `__eq__` and `__hash__` are generated code
+fields are slots; a class-body `__slots__` adds slots that are not fields,
+which copy, pickle, eq and hash leave out (SummationProgram caches its
+analysis in one). `__init__`, `__eq__` and `__hash__` are generated code
 that reads each field by name, as the dataclass's is: the memo hashes and
 compares every level's bound, and an `operator.attrgetter` per class made
 the fibonacci n=8000 memo about a quarter slower on CPython 3.11. A class
 costs one exec of code compiled once per signature, where the dataclass
 machinery took about 1 ms per class on every cold CLI call.
+
+`dataclasses.fields` and `dataclasses.replace` work on a record too (the
+benchmark worker calls `dataclasses.replace(program, body=Lit(1))`), yet no
+cold CLI call imports `dataclasses`, whose import loads `inspect`, about
+6-7 ms: `__dataclass_fields__` and `__dataclass_params__` are made by
+`dataclasses.make_dataclass` over the field names and annotations (not the
+defaults) on first access, and then kept on the class.
 """
 
 from __future__ import annotations
@@ -49,12 +58,33 @@ class _RecordType(type):
         for method in ("__init__", "__eq__", "__hash__"):
             ns[method] = env[method]
             ns[method].__qualname__ = f"{ns['__qualname__']}.{method}"
-        ns.update(__slots__=fields, _fields=fields)
+        ns.update(__slots__=fields + tuple(ns.get("__slots__", ())), _fields=fields)
         return super().__new__(mcs, name, bases, ns)
+
+
+class _DataclassSurface:
+    """`__dataclass_fields__` and `__dataclass_params__` of a record class, made on
+    first access and then set on the class, where they hide this descriptor."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, record: Any, cls: _RecordType) -> Any:
+        if cls is Record:  # the base has no fields: it is not a dataclass
+            raise AttributeError(self.name)
+        from dataclasses import make_dataclass
+
+        made = make_dataclass(cls.__name__, [(f, cls.__annotations__[f]) for f in cls._fields], frozen=True)
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            type.__setattr__(cls, name, getattr(made, name))
+        return getattr(cls, self.name)
 
 
 class Record(metaclass=_RecordType):
     """An immutable record over its annotated fields, named in `_fields`; see the module docstring."""
+
+    __dataclass_fields__ = _DataclassSurface()
+    __dataclass_params__ = _DataclassSurface()
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -368,6 +368,24 @@ def test_count_zero_on_valid_input_prints_no_point(capsys, argv, expected):
     assert run_cli(capsys, *argv, "--count", "0") == (0, expected, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--preset", "moessner", "--params", "x=3,n=3", "--count", "2"],
+        ["eval", "--preset", "moessner", "--params", "x=3,n=3", "--count", "0", "--format", "json"],
+        ["compare", "--preset", "moessner", "--params", "x=3,n=3", "--count", "2", "--against", "dp"],
+        ["prefix", "--preset", "moessner", "--params", "x=2,n=9", "--vary", "n", "--from", "0", "--to", "3"],
+        ["prefix", "--preset", "moessner", "--params", "x=2,n=9", "--vary", "n", "--from", "0", "--to", "3",
+         "--format", "json"],
+        ["prefix", "--preset", "moessner", "--params", "x=2,n=3", "--vary", "x", "--from", "0", "--to", "3"],
+    ],
+    ids=" ".join,
+)
+def test_a_parameter_both_fixed_and_swept_is_refused(capsys, argv):
+    swept = argv[argv.index("--vary") + 1] if "--vary" in argv else "n"
+    assert run_cli(capsys, *argv) == (2, "", f"error: parameter {swept!r} is both fixed and swept\n")
+
+
 def test_inverse_plain(capsys):
     code, out, _ = run_cli(capsys, "inverse", "--exponent", "3", "--prefix", "5")
     assert code == 0

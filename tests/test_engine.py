@@ -198,7 +198,9 @@ _root_bodies = st.sampled_from(
      Add(Table(Param("x")), Lit(1)),
      IfZero(Param("x"), Add(Param("x"), Lit(1)), Add(Add(Param("x"), Param("x")), Lit(1)))]
 )
-_TABLE = tuple(i * 7 % 5 for i in range(32))
+# level 1 reads at most 3 and a later bound at most 4 * i_{k-1} + 3 + max(k, x), so the innermost
+# index is at most 4 * (4 * (4 * 3 + 6) + 6) + 7 = 319 and Table(Prev() + 1) reads at most f[320]
+_TABLE = tuple(i * 7 % 5 for i in range(321))
 
 
 @st.composite

@@ -10,13 +10,15 @@ import pytest
 import moessner
 from moessner.presets import catalog
 
-# a cold call under `python -m moessner`, then the moessner modules and json it loaded, on stderr
+# a cold call under `python -m moessner`, then the moessner modules, json and the dataclass
+# machinery (dataclasses, inspect) it loaded, on stderr
 _PROBE = """
 import sys
 from moessner.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print(code, *sorted(m for m in sys.modules if m == "json" or m.startswith("moessner.")), file=sys.stderr)
+shown = {"json", "dataclasses", "inspect"}
+print(code, *sorted(m for m in sys.modules if m in shown or m.startswith("moessner.")), file=sys.stderr)
 """
 
 _NOT_FOR_EVAL = {"process", "inverse", "polygonal", "counting", "elision", "oeis"}
@@ -113,3 +115,26 @@ def test_compare_against_the_oracle_loads_it_and_agrees():
     code, out, loaded = _cold("compare", "--preset", "long2", "--params", "x=2,n=3,a=1,d=2", "--against", "oracle")
     assert "oracles" in loaded
     assert (code, out) == (0, "a=1,d=2,n=3,x=2 | value 135 vs 135 | additions 80 vs n/a | match\n1/1 match\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--preset", "moessner", "--params", "x=3,n=3", "--count-adds"],
+        ["eval", "--preset", "catalan", "--count", "4", "--memoized", "--format", "json"],
+        ["prefix", "--preset", "a137273", "--vary", "n", "--from", "0", "--to", "4", "--format", "csv"],
+        ["compare", "--preset", "long2", "--params", "x=2,n=3,a=1,d=2", "--against", "oracle"],
+        ["compare", "--preset", "moessner", "--params", "x=2", "--count", "3", "--against", "dp"],
+        ["process", "--exponent", "3", "--prefix", "4", "--format", "json"],
+        ["inverse", "--exponent", "3", "--prefix", "4"],
+        ["polygonal", "--k", "3", "--count", "4"],
+        ["oeis-check", "--preset", "catalan", "--count", "4"],
+        ["list-presets"],
+    ],
+    ids=["eval", "eval json", "prefix", "compare oracle", "compare dp", "process json", "inverse", "polygonal",
+         "oeis-check", "list-presets"],
+)
+def test_no_cold_subcommand_loads_the_dataclass_machinery(argv):
+    code, out, loaded = _cold(*argv)
+    assert code == 0 and out
+    assert not loaded & {"dataclasses", "inspect"}

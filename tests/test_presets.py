@@ -540,6 +540,12 @@ def test_sweep_uses_the_tables_exactly_for_markov_programs(monkeypatch):
     assert used == ["evaluate_memoized"] * 3 + ["evaluate"] * 3
 
 
+def test_sweep_refuses_a_fixed_parameter_it_would_override():
+    with pytest.raises(ParameterError, match="^parameter 'n' is both fixed and swept$"):
+        sweep("moessner", {"x": 2, "n": 9}, "n", range(3))
+    assert sweep("moessner", {"x": 2}, "n", range(3)) == [1, 3, 9]
+
+
 def test_parse_params_past_the_digit_limit_names_the_limit(default_digit_limit):
     for assignment in ("x=" + "9" * 5000, "f=1:" + "9" * 5000):
         with pytest.raises(ParameterError, match=f"limit of {default_digit_limit} digits"):

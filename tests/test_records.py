@@ -8,12 +8,14 @@ import re
 import pytest
 
 from moessner.counting import CountingNat
-from moessner.engine import EvalReport, LevelSpec, evaluate, evaluate_counting
+from moessner import engine
+from moessner.engine import EvalReport, LevelSpec, SummationProgram, evaluate, evaluate_counting, is_markov, validate
 from moessner.errors import ParameterError, PreconditionError, ValidationError
 from moessner.expr import Add, Custom, FloorDiv, Hist, IfZero, Lit, Mul, Param, Prev, Sub, Table
 from moessner.oeis import BFileEntry, PrefixCheckLine
 from moessner.presets import PresetInfo, build
 from moessner.process import ProcessStep
+from moessner.record import Record
 from moessner.rules import InitRule
 
 
@@ -135,3 +137,80 @@ def test_dataclasses_replace_on_a_program():
     counted = dataclasses.replace(program, body=Lit(1))
     assert counted.body == Lit(1) and counted.levels == program.levels and counted.params == program.params
     assert evaluate_counting(counted).leaves == evaluate_counting(program).leaves
+
+
+def _program(**params):
+    return SummationProgram(2, [LevelSpec(0, Param("x")), LevelSpec(1, Prev())], Mul(Hist(2), Lit(2)), params)
+
+
+def test_a_program_keeps_its_dataclass_construction_repr_eq_and_hash():
+    first, second = SummationProgram(0, (), Lit(3)), SummationProgram(0, (), Lit(3))
+    assert first.params == {} and first.params is not second.params  # each its own dict, as default_factory gave
+    program = _program(x=2, f=(1, 2))
+    assert type(program.levels) is tuple and program.levels == (LevelSpec(0, Param("x")), LevelSpec(1, Prev()))
+    assert repr(program) == (
+        "SummationProgram(depth=2, levels=(LevelSpec(lower=0, bound=Param(name='x')), LevelSpec(lower=1, "
+        "bound=Prev())), body=Mul(lhs=Hist(index=2), rhs=Lit(value=2)), params={'x': 2, 'f': (1, 2)})"
+    )
+    assert repr(first) == "SummationProgram(depth=0, levels=(), body=Lit(value=3), params={})"
+    assert first == SummationProgram(0, [], Lit(3), {}) == SummationProgram(depth=0, levels=(), body=Lit(3))
+    assert program == _program(x=2, f=(1, 2)) != _program(x=3, f=(1, 2))
+    assert program.__eq__((2, program.levels, program.body, program.params)) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(program)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((True, (), Lit(1)), "depth must be an int, got True"),
+        ((1.0, [LevelSpec(0, Lit(1))], Lit(1)), "depth must be an int, got 1.0"),
+        ((2, [LevelSpec(0, Lit(1))], Lit(1)), "depth 2 does not match 1 level specs"),
+    ],
+)
+def test_a_program_keeps_its_depth_error_texts(args, message):
+    with pytest.raises(ValidationError) as caught:
+        SummationProgram(*args)
+    assert str(caught.value) == message
+
+
+def test_dataclasses_fields_names_a_programs_fields():
+    assert [f.name for f in dataclasses.fields(_program(x=3))] == ["depth", "levels", "body", "params"]
+    assert [f.name for f in dataclasses.fields(SummationProgram)] == ["depth", "levels", "body", "params"]
+
+
+def test_dataclasses_fields_and_replace_on_other_records():
+    spec = LevelSpec(0, Prev())
+    assert [f.name for f in dataclasses.fields(spec)] == ["lower", "bound"]
+    assert dataclasses.replace(spec, lower=1) == LevelSpec(1, Prev())
+    with pytest.raises(ValidationError, match="level lower bound must be 0 or 1, got 2"):
+        dataclasses.replace(spec, lower=2)
+    assert dataclasses.replace(Add(Lit(1), Prev()), rhs=Lit(2)) == Add(Lit(1), Lit(2))
+    info = PresetInfo("p", ("n",), "n", build, len)
+    assert dataclasses.replace(info, oeis="A000027") == PresetInfo("p", ("n",), "n", build, len, oeis="A000027")
+    assert not dataclasses.is_dataclass(Record)
+
+
+def test_each_program_analyses_itself_once(monkeypatch):
+    walks = []
+    original = engine.validate_expr
+    monkeypatch.setattr(engine, "validate_expr", lambda *args, **kw: walks.append(args[0]) or original(*args, **kw))
+    program = _program(x=3)
+    assert is_markov(program) and validate(program) is None and is_markov(program)
+    assert len(walks) == 3  # two bounds and the body, once
+    for twin in (copy.copy(program), copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
+        walks.clear()
+        assert twin == program and is_markov(twin) and len(walks) == 3  # no copy carries its original's analysis
+        assert evaluate(twin) == 2 * (1 + 3 + 6)  # 2 * i2 over 1 <= i2 <= i1 <= 3
+    changed = dataclasses.replace(program, body=Mul(Hist(1), Param("n")))
+    assert not is_markov(changed) and is_markov(program)
+    with pytest.raises(ParameterError, match=re.escape("missing parameters: ['n']")):
+        validate(changed)
+    assert evaluate(dataclasses.replace(changed, params={"x": 3, "n": 1})) == 1 * 1 + 2 * 2 + 3 * 3
+
+
+def test_an_analysis_that_raises_raises_again():
+    program = SummationProgram(1, [LevelSpec(0, Lit(1))], Hist(5))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=re.escape("body: Hist(5) out of range at level 2 (valid: 1..1)")):
+            validate(program)
