@@ -25,7 +25,7 @@ _ORIGIN = {
         " program_from_dict program_from_json program_to_dict program_to_json unfold_display validate",
         "errors": "BFileParseError ConsistencyError DomainError FetchError FixtureNotFoundError MoessnerError"
         " ParameterError PreconditionError ValidationError",
-        "expr": "Add Custom Expr FloorDiv Hist IfZero Level Lit Mul Param Prev ProdHist Sub SumHist Table"
+        "expr": "Add Expr FloorDiv Hist IfZero Level Lit Mul Param Prev ProdHist Sub SumHist Table"
         " eval_expr expr_from_dict expr_to_dict render_expr validate_expr",
         "inverse": "check_roundtrip inverse_step run_inverse seed",
         "oeis": "BFileEntry check_preset_prefix fetch load_fixture load_manifest parse_bfile parse_manifest"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List
 
+from .engine import is_natural
 from .errors import PreconditionError
 from .record import Record
 
@@ -22,9 +23,9 @@ class CountingNat(Record):
     multiplications: int = 0
 
     def _check(self) -> None:
-        if self.value < 0:
-            raise PreconditionError(f"CountingNat value must be >= 0, got {self.value}")
-        if self.additions < 0 or self.multiplications < 0:
+        if not is_natural(self.value):
+            raise PreconditionError(f"CountingNat value must be >= 0, got {self.value!r}")
+        if not (is_natural(self.additions) and is_natural(self.multiplications)):
             raise PreconditionError("operation tallies must be >= 0")
 
     def add(self, other: "CountingNat") -> "CountingNat":

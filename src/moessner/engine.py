@@ -111,7 +111,7 @@ class SummationProgram(Record):
             params |= refs["params"]
             reads_table = reads_table or refs["table"]
             reads_level = reads_level or refs["level"]
-            whole_history = refs["custom"] or refs["sum_hist"] or refs["prod_hist"]
+            whole_history = refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and refs["hist"] <= {level - 1}
             sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
         summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to))
@@ -210,7 +210,8 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
     count and its cost at the root. Every _BLOCK levels, the nest calls the next
     generated function with the indices so far as one tuple h. The entry takes
     and returns `total`, or (total, adds, leaves) counted inline given per_leaf,
-    the body's additions_expr. Bounds and body run in the reference's order. A
+    the body's additions_expr. Bounds and body run in the reference's order, and
+    a leaf's additions after its body, so the first error is the reference's. A
     level 1 that opens a loop wider than _MAX_WIDTH, the memo's cap, is refused
     before it is walked; a depth-1 Lit body opens none, one multiplication at
     any width; the levels below run only as often as the walk reaches them."""
@@ -262,10 +263,10 @@ def _nest(program: SummationProgram, per_leaf: Optional[Expr] = None) -> Callabl
             lines.append(f"{pad}{acc} = _b{last + 1}({carried(last + 1, reads(first, last + 1).seq)})")
         elif const is None:
             at = reads(first, depth + 1)
-            if per_leaf is not None and not (depth and isinstance(per_leaf, Lit)):  # else added per innermost sum
-                lines += [f"{pad}leaves += 1"] * (not depth) + [f"{pad}adds += {src.emit(per_leaf, at)}"]
             lines += [f"{pad}v = {src.emit(body, at)}", f"{pad}if v < 0:"]
             lines += [f"{pad}    _negative(v, {at.seq})", f"{pad}total += v"]
+            if per_leaf is not None and not (depth and isinstance(per_leaf, Lit)):  # else added per innermost sum
+                lines += [f"{pad}leaves += 1"] * (not depth) + [f"{pad}adds += {src.emit(per_leaf, at)}"]
         lines.append(f"    return {acc}")
     src.run("\n".join(lines), "exec")
     return src.env["_b1"]
@@ -276,9 +277,8 @@ def is_markov(program: SummationProgram) -> bool:
 
     Bounds may read at most the immediately enclosing index (Prev, or the
     equivalent explicit Hist(level-1)), the level number, and parameters.
-    The body may read at most the innermost index and parameters. Custom
-    nodes are opaque, hence never Markov. Raises ValidationError on a
-    malformed program.
+    The body may read at most the innermost index and parameters. Raises
+    ValidationError on a malformed program.
     """
     return program._summary.markov
 

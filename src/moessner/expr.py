@@ -5,10 +5,9 @@ the tuple of enclosing index values (i_1, ..., i_{level-1}). Bounds for level
 k see history of length k-1; the body of a depth-d program is evaluated at
 level d+1 so Prev means the innermost index.
 
-The AST is closed and serializable (node dicts tagged by constructor name)
-so programs can be printed, stored, and handed to the CLI. Custom is the one
-escape hatch for arbitrary Python functions and is excluded from
-serialization on purpose.
+The AST is closed: its 13 node kinds, the `Expr` union, are all pure and
+serializable (node dicts tagged by constructor name), so every program can
+be analysed, printed, stored, and handed to the CLI.
 """
 
 from __future__ import annotations
@@ -104,17 +103,7 @@ class IfZero(Record):
     orelse: "Expr"
 
 
-class Custom(Record):
-    """Escape hatch: an arbitrary function of (params, level, history).
-
-    Not serializable and not displayable beyond its label.
-    """
-
-    fn: Callable[[Params, int, Tuple[int, ...]], int]
-    label: str = "custom"
-
-
-Expr = Union[Lit, Param, Level, Prev, Hist, SumHist, ProdHist, Table, Add, Sub, Mul, FloorDiv, IfZero, Custom]
+Expr = Union[Lit, Param, Level, Prev, Hist, SumHist, ProdHist, Table, Add, Sub, Mul, FloorDiv, IfZero]
 
 
 def eval_expr(expr: Expr, params: Params, level: int, history: Tuple[int, ...]) -> int:
@@ -163,16 +152,16 @@ class Reads(NamedTuple):
     hist: Callable[[int], str]  # i_j, for 1-based j
     sum: str  # i_1 + ... + i_{level-1}
     prod: str  # i_1 * ... * i_{level-1}
-    seq: str  # the history as a tuple, for Custom and for subtrees compiled apart
+    seq: str  # the history as a sequence, for subtrees compiled apart and error texts
 
 
 class Source:
     """Generated text in the making, and the globals it reads.
 
     The text holds no user value: every literal, parameter value, divisor,
-    level, the table and each Custom callable is bound by name in `env`, and
-    only validated structure (index positions, lower bounds) is spelled out.
-    The text thus depends only on shapes; `run` compiles each text once.
+    level and the table is bound by name in `env`, and only validated
+    structure (index positions, lower bounds) is spelled out. The text thus
+    depends only on shapes; `run` compiles each text once.
     """
 
     def __init__(self, params: Params) -> None:
@@ -226,8 +215,6 @@ class Source:
         if kind is IfZero:
             cond, then, orelse = (self.emit(c, at, nesting) for c in (e.cond, e.then, e.orelse))
             return f"({then} if {cond} == 0 else {orelse})"
-        if kind is Custom:
-            return f"{bind(e.fn)}({bind(params)}, {bind(at.level)}, {at.seq})"
         raise ValidationError(f"not an expression node: {e!r}")
 
 
@@ -238,10 +225,10 @@ def compile_expr(expr: Expr, params: Params, level: int) -> Callable[[Any], int]
     node dispatch once instead of per call: the whole expression becomes one
     Python expression, `lambda h: ...`, over any sequence of enclosing index
     values. Missing-parameter and table errors stay lazy: they fire when the
-    node is reached, like the interpreter's. Custom callables get a tuple.
+    node is reached, like the interpreter's.
     """
     src = Source(params)
-    at = Reads(level, "h[-1]", lambda j: f"h[{src.bind(j - 1)}]", "sum(h)", "_prod(h)", "tuple(h)")
+    at = Reads(level, "h[-1]", lambda j: f"h[{src.bind(j - 1)}]", "sum(h)", "_prod(h)", "h")
     return src.run("lambda h: " + src.emit(expr, at))
 
 
@@ -250,7 +237,7 @@ def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int
 
     Only Add nodes cost; FloorDiv costs its numerator and IfZero its condition
     plus the branch it takes. A Table's index is addressing, not data: it is
-    evaluated but not counted. Leaves and Custom cost nothing.
+    evaluated but not counted. Leaves cost nothing.
     """
     kind = type(expr)
     if kind in _APPLY:
@@ -286,8 +273,6 @@ def eval_expr_counted(expr: Expr, params: Params, level: int, history: Tuple[int
         return sum(history), 0
     if kind is ProdHist:
         return math.prod(history), 0
-    if kind is Custom:
-        return expr.fn(params, level, history), 0
     raise ValidationError(f"not an expression node: {expr!r}")
 
 
@@ -295,8 +280,8 @@ def additions_expr(expr: Expr) -> Expr:
     """An expression whose value is the additions eval_expr_counted tallies for expr.
 
     Add costs 1 and IfZero its condition plus the taken branch; Table index
-    arithmetic and Custom cost nothing. Constant parts are folded, so a body
-    of fixed cost comes back as a Lit.
+    arithmetic costs nothing. Constant parts are folded, so a body of fixed
+    cost comes back as a Lit.
     """
     if isinstance(expr, Add):
         return _plus(_plus(additions_expr(expr.lhs), additions_expr(expr.rhs)), Lit(1))
@@ -336,9 +321,9 @@ _CHILDREN: Dict[type, Tuple[str, ...]] = {
     IfZero: ("cond", "then", "orelse"),
 }
 _FIELDS = {kind: kind._fields for kind in get_args(Expr)}
-_SERIALIZABLE = {kind.__name__: kind for kind in _FIELDS if kind is not Custom}
+_KINDS = {kind.__name__: kind for kind in _FIELDS}
 _DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the other
-_FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table", Custom: "custom"}
+_FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table"}
 
 
 def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
@@ -347,7 +332,7 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
     History references must stay strictly below the level. Raises
     ValidationError. The result is {"params": set of names,
     "hist": set of Hist indices, "table", "prev", "sum_hist", "prod_hist",
-    "level", "custom": bools}.
+    "level": bools}.
     """
     out: Dict[str, Any] = {"params": set(), "hist": set(), **dict.fromkeys(_FLAGS.values(), False)}
 
@@ -380,8 +365,6 @@ def validate_expr(expr: Expr, level: int, *, role: str) -> Dict[str, Any]:
 
 def expr_to_dict(expr: Expr) -> Dict[str, Any]:
     kind = type(expr)
-    if kind is Custom:
-        raise ValidationError("Custom expressions are not serializable")
     if kind not in _FIELDS:
         raise ValidationError(f"not an expression node: {expr!r}")
     out: Dict[str, Any] = {"node": kind.__name__}
@@ -395,7 +378,7 @@ def expr_from_dict(data: Dict[str, Any]) -> Expr:
     if not isinstance(data, dict) or "node" not in data:
         raise ValidationError(f"expression dict needs a 'node' tag: {data!r}")
     tag = data["node"]
-    kind = _SERIALIZABLE.get(tag) if isinstance(tag, str) else None
+    kind = _KINDS.get(tag) if isinstance(tag, str) else None
     if kind is None:
         raise ValidationError(f"unknown expression node tag {tag!r}")
     values = []
@@ -451,8 +434,6 @@ def render_expr(expr: Expr, level: int) -> str:
             t, _ = go(e.then)
             o, _ = go(e.orelse)
             return f"if0({c},{t},{o})", 3
-        if kind is Custom:
-            return f"<{e.label}>", 3
         raise ValidationError(f"not an expression node: {e!r}")
 
     text, _ = go(expr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from .engine import is_natural
 from .errors import ParameterError, digit_limit
 from .expr import Add, Expr, FloorDiv, IfZero, Lit, Mul, Param, Prev
 from .record import Record
@@ -30,7 +31,7 @@ class InitRule(Record):
     def _check(self) -> None:
         if self.kind not in INIT_KINDS:
             raise ParameterError(f"unknown init kind {self.kind!r} (use one of {INIT_KINDS})")
-        if self.a < 0 or self.d < 0:
+        if not (is_natural(self.a) and is_natural(self.d)):
             raise ParameterError("init values must be naturals")
 
     @staticmethod

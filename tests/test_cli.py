@@ -341,6 +341,9 @@ def test_negative_count_exits_two(capsys, argv):
         ["eval", "--preset", "nosuch", "--format", "json"],
         ["eval", "--preset", "moessner", "--params", "y=3"],
         ["eval", "--preset", "moessner", "--params", "x=1,x=2"],
+        # a002449_irwin refuses n=0 and takes n=1: a run of n=1 under --count 0 would print a value
+        ["eval", "--preset", "a002449_irwin"],
+        ["compare", "--preset", "a002449_irwin", "--against", "oracle"],
     ],
     ids=" ".join,
 )
@@ -454,6 +457,18 @@ def test_polygonal(capsys):
     lines = out.splitlines()
     assert lines[-1] == "5/5 match"
     assert lines[0] == "n=0 sum 1 closed 1 match"
+
+
+def test_polygonal_reports_a_mismatch(capsys, monkeypatch):
+    from moessner import polygonal
+
+    summed = polygonal.quotient_sum
+    monkeypatch.setattr(polygonal, "quotient_sum", lambda k, n: summed(k, n) + (n == 2))
+    code, out, _ = run_cli(capsys, "polygonal", "--k", "3", "--count", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == "n=2 sum 13 closed 12 MISMATCH"
+    assert lines[-1] == "4/5 match"
 
 
 def test_oeis_check_bundled(capsys):

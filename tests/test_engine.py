@@ -36,7 +36,6 @@ from moessner.errors import (
 )
 from moessner.expr import (
     Add,
-    Custom,
     FloorDiv,
     Hist,
     IfZero,
@@ -64,7 +63,8 @@ def reference_evaluate(program):
     def go(level, history):
         if level > depth:
             v = eval_expr(program.body, params, depth + 1, history)
-            assert v >= 0
+            if v < 0:
+                raise DomainError(f"body evaluated to {v} at history {history}")
             return v
         spec = program.levels[level - 1]
         hi = eval_expr(spec.bound, params, level, history)
@@ -270,9 +270,8 @@ _BRANCH = IfZero(Param("x"), Add(Param("x"), Lit(1)), Param("x"))  # costs 1 whe
         (_BRANCH, 0),
         (_BRANCH, 2),
         (Table(Param("x")), 2),
-        (Custom(lambda params, level, history: params["x"] + level + len(history), "x+level"), 3),
     ],
-    ids=["lit0", "lit5", "const_cost", "branch_taken", "branch_not_taken", "table_hit", "custom"],
+    ids=["lit0", "lit5", "const_cost", "branch_taken", "branch_not_taken", "table_hit"],
 )
 def test_depth_zero_matches_the_references(body, x):
     prog = SummationProgram(0, (), body, {"x": x, "f": _F0})
@@ -280,11 +279,7 @@ def test_depth_zero_matches_the_references(body, x):
     adds = eval_expr_counted(body, prog.params, 1, ())[1]
     assert evaluate(prog) == value
     assert evaluate_counting(prog) == EvalReport(value=value, additions=adds, leaves=1)
-    if isinstance(body, Custom):
-        with pytest.raises(PreconditionError, match="Markov"):
-            evaluate_memoized(prog)
-    else:
-        assert evaluate_memoized(prog) == value
+    assert evaluate_memoized(prog) == value
 
 
 @pytest.mark.parametrize(
@@ -412,10 +407,6 @@ def test_is_markov_classification():
     for name, params in not_markov:
         assert not is_markov(build(name, params)), name
 
-    custom_bound = SummationProgram(
-        1, (LevelSpec(0, Custom(lambda p, lv, h: 2, "two")),), Lit(1)
-    )
-    assert not is_markov(custom_bound)
     body_sumhist = SummationProgram(1, (LevelSpec(0, Lit(2)),), SumHist())
     assert not is_markov(body_sumhist)
     body_prev_ok = SummationProgram(1, (LevelSpec(0, Lit(2)),), Prev())
@@ -729,6 +720,14 @@ def test_program_serialization_round_trip(name, params):
     assert program_from_json(program_to_json(prog)) == prog
 
 
+@given(_programs())
+@settings(max_examples=100, deadline=None)
+def test_every_valid_program_serializes(prog):
+    # every node kind serializes, so no valid program is refused
+    assert program_from_dict(program_to_dict(prog)) == prog
+    assert program_from_json(program_to_json(prog)) == prog
+
+
 def test_program_load_validates():
     data = program_to_dict(build("moessner", {"x": 2, "n": 2}))
     data["params"]["x"] = -3
@@ -738,14 +737,6 @@ def test_program_load_validates():
     data2["depth"] = 5
     with pytest.raises(ValidationError):
         program_from_dict(data2)
-
-
-def test_program_with_custom_node_is_not_serializable():
-    prog = SummationProgram(
-        1, (LevelSpec(0, Custom(lambda p, lv, h: 1, "one")),), Lit(1)
-    )
-    with pytest.raises(ValidationError):
-        program_to_dict(prog)
 
 
 def test_counting_report_example():
@@ -857,37 +848,6 @@ def test_program_from_dict_takes_any_json(data):
         assert isinstance(program, SummationProgram)
 
 
-def _logged(log, fn):
-    """A Custom node that records each (level, history) it is called at."""
-    return Custom(lambda params, level, history: log.append((level, history)) or fn(history), "log")
-
-
-# (lower bound, upper bound of the history) per level; bounds below the lower
-# bound make empty sums at the penultimate and the innermost level
-_LOGGED_WALKS = [
-    [(0, lambda h: 2)],
-    [(1, lambda h: 0)],
-    [(0, lambda h: 3), (0, lambda h: h[-1] - 1)],
-    [(1, lambda h: 3), (1, lambda h: 3 - h[-1])],
-    [(0, lambda h: 3), (0, lambda h: -1 if h[0] == 1 else 2), (1, lambda h: (h[0] + h[1]) % 3)],
-    [(1, lambda h: 2), (0, lambda h: h[0] - 1), (0, lambda h: h[1] - 1)],
-]
-
-
-@pytest.mark.parametrize("walk", _LOGGED_WALKS, ids=lambda walk: f"depth{len(walk)}")
-def test_walk_calls_bounds_and_body_in_reference_order(walk):
-    def program(log):
-        levels = tuple(LevelSpec(lower, _logged(log, bound)) for lower, bound in walk)
-        return SummationProgram(len(walk), levels, _logged(log, lambda h: sum(h) % 3 + 1))
-
-    want_log, got_log, counted_log = [], [], []
-    want = reference_evaluate(program(want_log))
-    assert evaluate(program(got_log)) == want
-    assert evaluate_counting(program(counted_log)).value == want
-    assert got_log == want_log
-    assert counted_log == want_log
-
-
 def test_negative_body_names_first_history_in_walk_order():
     cases = [
         (SummationProgram(1, (LevelSpec(1, Lit(5)),), Sub(Lit(3), Prev())), r"\(4,\)"),
@@ -981,25 +941,6 @@ def test_deep_nests_match_reference_across_blocks(depth, level):
         assert ({_K} if level is _prod_hist_level else {_K, _K + 1}) <= cuts
 
 
-@pytest.mark.parametrize("depth", [_K + 1, _K + 2])
-def test_walk_order_holds_across_blocks(depth):
-    def level(log, k):  # _zigzag_level(k) as a logged Custom bound
-        lower, c = (1, 2) if k == 1 else _zigzag_step(k)
-        return LevelSpec(lower, _logged(log, lambda h: c - h[-1] if h else c))
-
-    def program(log):
-        levels = tuple(level(log, k) for k in range(1, depth + 1))
-        return SummationProgram(depth, levels, _logged(log, lambda h: sum(h) % 3 + 1))
-
-    want_log, got_log, counted_log = [], [], []
-    want = reference_evaluate(program(want_log))
-    assert evaluate(program(got_log)) == want
-    assert evaluate_counting(program(counted_log)) == reference_counting(program([]))
-    assert got_log == want_log
-    assert counted_log == want_log
-    assert {(k, len(h)) for k, h in want_log} >= {(_K + 1, _K), (depth + 1, depth)}
-
-
 def test_negative_body_names_a_history_spanning_two_blocks():
     # i1 in 0..1 in the first block, i_{K+2} in 0..2 in the second; all others 0
     depth = _K + 2
@@ -1009,6 +950,105 @@ def test_negative_body_names_a_history_spanning_two_blocks():
     for evaluator in (evaluate, evaluate_counting):
         with pytest.raises(DomainError, match=r"body evaluated to -1 at history " + history + "$"):
             evaluator(prog)
+
+
+# Programs that can raise. Expressions call no user code, so the order in which
+# the walks evaluate bounds and bodies shows only in which error comes first.
+# Bounds and bodies read past an f of length 0 to 4, and bodies go negative
+# (but for a negative Lit body, which is refused before any sum opens). Every
+# bound is at most 1 and f holds 0s and 1s, so each index is 0 or 1. A deep
+# program, across the block boundary, draws at most 4 of its levels from these
+# lists and sums 1..1 at the others, so no walk has more than 16 leaves.
+_FIRST_BOUNDS = [Lit(1), Table(Lit(0)), Table(Lit(2))]
+_LATER_BOUNDS = [
+    Lit(1),
+    Prev(),
+    Sub(Lit(1), Prev()),
+    Sub(Prev(), Lit(1)),
+    Sub(Lit(1), SumHist()),
+    ProdHist(),
+    Table(Prev()),
+    Table(Sub(Prev(), Lit(1))),
+    Table(Add(Prev(), Lit(2))),
+    Sub(Table(Prev()), Prev()),
+    FloorDiv(Table(Hist(1)), 2),
+    IfZero(Prev(), Table(Lit(3)), Lit(1)),
+]
+_RAISING_BODIES = [
+    Lit(0),
+    Lit(2),
+    Prev(),
+    Sub(Prev(), Lit(1)),
+    Sub(Lit(1), SumHist()),
+    Sub(ProdHist(), Hist(1)),
+    Sub(Table(Prev()), Hist(1)),
+    Mul(Table(Add(Prev(), Lit(1))), Lit(2)),
+    IfZero(Sub(Prev(), Lit(1)), Lit(3), Sub(Lit(0), Table(Hist(1)))),
+    # the additions of the IfZero read f at i_d, the value reads f[3] first
+    Add(Table(Lit(3)), IfZero(Table(Prev()), Add(Prev(), Lit(1)), Lit(0))),
+]
+
+
+@st.composite
+def _raising_programs(draw, depths):
+    depth = draw(depths)
+    drawn = range(1, depth + 1) if depth <= 4 else draw(st.sets(st.integers(1, depth), min_size=1, max_size=4))
+    levels = [LevelSpec(1, Lit(1))] * depth  # a level not drawn passes the one index 1 on
+    for k in drawn:
+        bounds = _FIRST_BOUNDS if k == 1 else _LATER_BOUNDS
+        levels[k - 1] = LevelSpec(draw(st.sampled_from((0, 1))), draw(st.sampled_from(bounds)))
+    f = tuple(draw(st.lists(st.integers(0, 1), max_size=4)))
+    return SummationProgram(depth, tuple(levels), draw(st.sampled_from(_RAISING_BODIES)), {"f": f})
+
+
+def _outcome(evaluator, program):
+    try:
+        return evaluator(program)
+    except MoessnerError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("depths", [st.integers(1, 4), st.integers(_K - 1, _K + 2)], ids=["shallow", "deep"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_walks_raise_the_references_first_error(depths, data):
+    prog = data.draw(_raising_programs(depths))
+    want = _outcome(reference_evaluate, prog)
+    assert _outcome(evaluate, prog) == want
+    if isinstance(want, int):
+        assert evaluate_counting(prog) == reference_counting(prog)
+    else:
+        assert _outcome(evaluate_counting, prog) == want
+
+
+def test_counted_walk_evaluates_the_body_before_its_additions():
+    # the value reads f[3] first; the additions of the IfZero read f[i1] = f[1]
+    body = Add(Table(Lit(3)), IfZero(Table(Prev()), Add(Prev(), Lit(1)), Lit(0)))
+    prog = SummationProgram(1, (LevelSpec(1, Lit(1)),), body, {"f": (0,)})
+    for evaluator in (reference_evaluate, evaluate, evaluate_counting):
+        with pytest.raises(ParameterError, match=r"^table index 3 outside f of length 1$"):
+            evaluator(prog)
+
+
+@pytest.mark.parametrize("depth", [_K + 1, _K + 2])
+def test_walk_order_holds_across_blocks(depth):
+    # zigzag levels, but level K+1 sums up to f[i_K - 1]: i_K is 1 and then 2, so
+    # with f = (2,) the second branch misses f in the second block; a body
+    # t - (i_1 + ... + i_depth) goes negative before that miss or only after it
+    levels = [_zigzag_level(k) for k in range(1, depth + 1)]
+    levels[_K] = LevelSpec(1, Table(Sub(Prev(), Lit(1))))
+    seen = set()
+    for f in ((2,), (2, 2)):
+        for t in range(depth - 3, depth + 4):
+            prog = SummationProgram(depth, tuple(levels), Sub(Lit(t), SumHist()), {"f": f})
+            want = _outcome(reference_evaluate, prog)
+            assert _outcome(evaluate, prog) == want
+            if isinstance(want, int):
+                assert evaluate_counting(prog) == reference_counting(prog)
+            else:
+                assert _outcome(evaluate_counting, prog) == want
+            seen.add(want if isinstance(want, int) else want[0])
+    assert {DomainError, ParameterError} <= seen and any(isinstance(v, int) for v in seen)
 
 
 def _deep_chain(base):

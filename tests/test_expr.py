@@ -1,5 +1,7 @@
 """Expression AST: evaluation, the compiled form, validation, serialization, rendering."""
 
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from moessner.errors import ParameterError, ValidationError
 from moessner.expr import (
     Add,
-    Custom,
+    Expr,
     FloorDiv,
     Hist,
     IfZero,
@@ -51,7 +53,6 @@ def test_eval_each_node():
     assert eval_expr(FloorDiv(Lit(7), 2), PARAMS, 3, h) == 3
     assert eval_expr(IfZero(Prev(), Lit(10), Lit(20)), PARAMS, 3, (3, 0)) == 10
     assert eval_expr(IfZero(Prev(), Lit(10), Lit(20)), PARAMS, 3, (3, 2)) == 20
-    assert eval_expr(Custom(lambda p, lv, hh: p["a"] * lv + hh[0], "probe"), PARAMS, 3, h) == 9
 
 
 def test_eval_can_go_negative():
@@ -125,8 +126,8 @@ def test_expr_references():
     assert refs["params"] == {"x"}
     assert refs["table"] and refs["prev"] and refs["sum_hist"] and refs["level"]
     assert refs["hist"] == {2}
-    assert not refs["prod_hist"] and not refs["custom"]
-    assert validate_expr(Custom(lambda p, lv, h: 0, "z"), 1, role="body")["custom"]
+    assert not refs["prod_hist"]
+    assert set(refs) == {"params", "hist", "table", "prev", "sum_hist", "prod_hist", "level"}
 
 
 ROUND_TRIP_CASES = [
@@ -140,6 +141,7 @@ ROUND_TRIP_CASES = [
     Table(Add(Prev(), Lit(1))),
     Add(Lit(1), Mul(Param("x"), Prev())),
     Sub(Lit(9), Hist(1)),
+    Mul(Level(), Table(Prev())),
     FloorDiv(Mul(Lit(3), Prev()), 2),
     IfZero(Prev(), Param("a"), Param("d")),
 ]
@@ -150,9 +152,14 @@ def test_serialization_round_trip(expr):
     assert expr_from_dict(expr_to_dict(expr)) == expr
 
 
-def test_serialization_rejects_custom_and_junk():
+def test_every_node_kind_serializes():
+    # the language is closed: a new kind joins ROUND_TRIP_CASES, or this fails
+    assert {type(expr) for expr in ROUND_TRIP_CASES} == set(typing.get_args(Expr))
+
+
+def test_serialization_rejects_junk():
     with pytest.raises(ValidationError):
-        expr_to_dict(Custom(lambda p, lv, h: 0, "z"))
+        expr_to_dict("not a node")
     with pytest.raises(ValidationError):
         expr_from_dict({"node": "Nope"})
     with pytest.raises(ValidationError):
@@ -176,7 +183,6 @@ def test_render_expr():
     assert render_expr(ProdHist(), 3) == "i1*i2"
     assert render_expr(Table(Prev()), 2) == "f[i1]"
     assert render_expr(IfZero(Prev(), Param("a"), Param("d")), 2) == "if0(i1,a,d)"
-    assert render_expr(Custom(lambda p, lv, h: 0, "probe"), 1) == "<probe>"
 
 
 # strategy for random expression trees over a fixed parameter environment
@@ -232,7 +238,6 @@ def test_additions_expr_folds_fixed_costs():
     assert additions_expr(Add(Mul(Lit(2), Add(Prev(), Lit(1))), Table(Add(Prev(), Lit(1))))) == Lit(2)
     assert additions_expr(IfZero(Prev(), Add(Lit(1), Lit(1)), Sub(Add(Prev(), Prev()), Lit(1)))) == Lit(1)
     assert additions_expr(IfZero(Lit(0), Add(Lit(1), Lit(1)), Lit(5))) == Lit(1)
-    assert additions_expr(Custom(lambda p, lv, h: 0, "z")) == Lit(0)
     branchy = additions_expr(IfZero(Prev(), Lit(1), Add(Lit(1), Lit(1))))
     assert not isinstance(branchy, Lit)
 
@@ -261,18 +266,6 @@ def test_compiled_missing_param_stays_lazy():
         fn([])
     with pytest.raises(ParameterError, match="missing table"):
         compile_expr(Table(Lit(0)), {}, 1)([])
-
-
-def test_compiled_custom_receives_tuple():
-    seen = {}
-
-    def probe(params, level, history):
-        seen["history"] = history
-        return level
-
-    assert compile_expr(Custom(probe, "probe"), {}, 3)([4, 7]) == 3
-    assert seen["history"] == (4, 7)
-    assert isinstance(seen["history"], tuple)
 
 
 def test_compiled_deep_chain_matches_interpreted():

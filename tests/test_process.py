@@ -287,6 +287,7 @@ def test_naive_power():
             r = naive_power(x, n)
             assert r.value == value
             assert r.additions == value - 1
+            assert r.leaves == value
     with pytest.raises(PreconditionError):
         naive_power(2, -1)
 

@@ -11,7 +11,7 @@ from moessner.counting import CountingNat
 from moessner import engine
 from moessner.engine import EvalReport, LevelSpec, SummationProgram, evaluate, evaluate_counting, is_markov, validate
 from moessner.errors import ParameterError, PreconditionError, ValidationError
-from moessner.expr import Add, Custom, FloorDiv, Hist, IfZero, Lit, Mul, Param, Prev, Sub, Table
+from moessner.expr import Add, FloorDiv, Hist, IfZero, Lit, Mul, Param, Prev, Sub, Table
 from moessner.oeis import BFileEntry, PrefixCheckLine
 from moessner.presets import PresetInfo, build
 from moessner.process import ProcessStep
@@ -44,7 +44,6 @@ def test_reprs():
     assert repr(IfZero(Param("x"), Lit(0), Sub(Lit(1), Prev()))) == (
         "IfZero(cond=Param(name='x'), then=Lit(value=0), orelse=Sub(lhs=Lit(value=1), rhs=Prev()))"
     )
-    assert re.fullmatch(r"Custom\(fn=<built-in function len>, label='custom'\)", repr(Custom(len)))
     assert repr(InitRule.indicator(2, 3)) == "InitRule(kind='indicator', a=2, d=3)"
     assert repr(LevelSpec(0, Param("x"))) == "LevelSpec(lower=0, bound=Param(name='x'))"
     assert repr(EvalReport(64, 63, 64)) == "EvalReport(value=64, additions=63, leaves=64)"
@@ -54,7 +53,6 @@ def test_reprs():
 def test_keyword_construction_and_defaults():
     assert Add(rhs=Prev(), lhs=Lit(1)) == Add(Lit(1), rhs=Prev()) == Add(Lit(1), Prev())
     assert FloorDiv(num=Lit(7), div=2).div == 2
-    assert Custom(len).label == "custom" and Custom(fn=len, label="size").label == "size"
     assert (InitRule("const").a, InitRule("const").d) == (1, 0)
     assert InitRule(kind="indicator", d=4) == InitRule("indicator", 1, 4)
     counted = CountingNat(5)
@@ -111,7 +109,10 @@ def test_setattr_and_delattr_are_refused(record, field):
         (lambda: InitRule("ramp"), ParameterError, "unknown init kind 'ramp' (use one of ('const', 'indicator', 'successor'))"),
         (lambda: InitRule("const", a=-1), ParameterError, "init values must be naturals"),
         (lambda: InitRule("indicator", 1, d=-1), ParameterError, "init values must be naturals"),
+        (lambda: InitRule("const", a="3"), ParameterError, "init values must be naturals"),
+        (lambda: InitRule("indicator", a=2, d=None), ParameterError, "init values must be naturals"),
         (lambda: CountingNat(-1), PreconditionError, "CountingNat value must be >= 0, got -1"),
+        (lambda: CountingNat("5"), PreconditionError, "CountingNat value must be >= 0, got '5'"),
         (lambda: CountingNat(1, multiplications=-1), PreconditionError, "operation tallies must be >= 0"),
     ],
 )
@@ -126,7 +127,7 @@ def test_programs_survive_deepcopy_and_pickle():
     for twin in (copy.deepcopy(program), pickle.loads(pickle.dumps(program)), copy.copy(program)):
         assert twin == program and twin.levels == program.levels and twin.body == program.body
         assert evaluate(twin) == evaluate(program) == 135
-    nodes = [Add(Lit(1), Prev()), Custom(len, "size"), IfZero(Prev(), Lit(0), Table(Hist(1))), InitRule.indicator(2, 5)]
+    nodes = [Add(Lit(1), Prev()), LevelSpec(1, Mul(Param("x"), Prev())), IfZero(Prev(), Lit(0), Table(Hist(1))), InitRule.indicator(2, 5)]
     for node in nodes:
         assert copy.deepcopy(node) == node and copy.copy(node) == node
     assert pickle.loads(pickle.dumps(nodes[0])) == nodes[0]
