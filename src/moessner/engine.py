@@ -12,10 +12,10 @@ Three evaluators:
   evaluate_counting value plus exact addition/leaf tallies, added inline by
                     the same generated nest
   evaluate_memoized value via dense per-level tables, for Markov programs: the
-                    root's entry of level_tables; a level with an affine bound
-                    is gathered out of running prefix sums by strided slices,
-                    any other by one generated comprehension per distinct row
-                    and map
+                    root's entry of level_tables; a wide level with an affine
+                    bound is gathered out of running prefix sums by strided
+                    slices, any other by a list of positions and map, and a
+                    repeated level reuses the step of the one above
 
 validate and is_markov read one analysis per program, SummationProgram._summary,
 kept in the program's one slot that is not a field; presets.sweep is the one
@@ -195,6 +195,10 @@ def _negative(value: int, history: Tuple[int, ...]) -> None:
 _BLOCK = 16  # levels per generated function: CPython allows 20 nested blocks per function
 _MAX_DEPTH = 500 * _BLOCK  # the functions call each other, one Python frame per block
 _MAX_WIDTH = 10**8  # cells in one level's table, and indices the walk visits at level 1
+# The widest affine level gathered from a list of positions; a wider one is gathered by slices.
+# Building and mapping the positions costs less than one _gather call up to about 8 cells where
+# q = 1 and about 12-16 where q > 1 (CPython 3.11); a step reused by a repeated level maps cheaper still.
+_NARROW = 8
 
 
 def _too_wide(width: int) -> None:
@@ -291,17 +295,22 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     is computed once from running prefix sums. Above level 1 stands a root
     with the one index 0. A level's bound, per reachable index of the level
     above, is a prefix position, 0 for an empty sum; the largest is the
-    level's width. An affine bound, (a * i_{k-1} + c) // q with a >= 0
-    (_affine), needs no row: its width is its last position, and its table is
-    gathered by one slice per residue of the index mod q (_gather). Any other
-    bound is one generated row of positions (_row), gathered with map. A
-    level wider than _MAX_WIDTH is refused before the next row is built. The
-    body row comes first (empty below a level empty everywhere); each next
-    table gathers its level's positions from the prefix sums of the one
-    before, and the root's one entry is the whole sum. Every bound runs before
-    any body, so a bound error wins over a negative body that the walk may
-    meet first. A level's form or row is reused within a call by (expression,
-    lower, and the level number where the program reads Level).
+    level's width. A level's form (_level_form) is its affine (a, c, q),
+    read by _affine, where the bound is (a * i_{k-1} + c) // q, or else one
+    generated row of positions (_row); forms are reused within a call by
+    (expression, lower, and the level number where the program reads Level).
+    Its step over the window above is a list of positions, gathered with
+    map, for a row or a level no wider than _NARROW; a wider affine level is
+    gathered by one slice per residue of the index mod q (_gather). Its width
+    is its largest position: at the window's top where a >= 0, at its bottom
+    where a < 0. A level whose form and window are the previous level's
+    appends the previous step; where its bound is the previous bound object
+    at the same lower, the form is not looked up either. A level wider than
+    _MAX_WIDTH is refused before the next step is built. The body row comes
+    first (empty below a level empty everywhere); each next table gathers its
+    level's positions from the prefix sums of the one before, and the root's
+    one entry is the whole sum. Every bound runs before any body, so a bound
+    error wins over a negative body that the walk may meet first.
     """
     validate(program)
     if not is_markov(program):
@@ -326,19 +335,29 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     # forward pass: contiguous reachable range per level, lo..hi, from the root's 0..0
     lo = hi = 0
     steps: List[Any] = []  # per level: its positions over lo..hi above, or (lo, width, a, c, q)
+    bound = lower = found = made = window = None
     for k, spec in enumerate(program.levels, 1):
-        step = form(spec, k)
-        if type(step) is tuple:
-            a, c, q = step
-            top = max((a * hi + c) // q, 0)
-            step = (lo, hi - lo + 1, a, c, q)
-        else:
-            step = step(lo, hi)
-            top = max(step)
-        if top > _MAX_WIDTH:
-            raise PreconditionError(f"level {k} has width {top}, past the {_MAX_WIDTH} cells a table may hold")
+        if spec.bound is not bound or spec.lower != lower or reads_level:
+            bound, lower = spec.bound, spec.lower
+            found = form(spec, k)
+        # one form object has one lower (its cache key holds it): the same form over the same
+        # window above is the previous level's step, and the next window is the same too
+        if found is not made or (lo, hi) != window:
+            made, window = found, (lo, hi)
+            if type(found) is tuple:  # a narrow level's positions, or the slices of a wide one
+                a, c, q = found
+                top = max((a * (hi if a >= 0 else lo) + c) // q, 0)  # falling positions peak at lo
+                if hi - lo < _NARROW:
+                    step = [p if (p := (a * v + c) // q) > 0 else 0 for v in range(lo, hi + 1)]
+                else:
+                    step = (lo, hi - lo + 1, a, c, q)
+            else:
+                step = found(lo, hi)
+                top = max(step)
+            if top > _MAX_WIDTH:
+                raise PreconditionError(f"level {k} has width {top}, past the {_MAX_WIDTH} cells a table may hold")
+            lo, hi = lower, lower + top - 1
         steps.append(step)
-        lo, hi = spec.lower, spec.lower + top - 1
         if top == 0:
             break  # level k is empty under every reachable parent, and so is lo..hi
 
@@ -379,9 +398,9 @@ def _row(params: Mapping[str, Any], expr: Expr, k: int, lower: Optional[int]) ->
 
 def _level_form(params: Mapping[str, Any], expr: Expr, k: int, lower: int) -> Any:
     """A level's bound as (a, c, q), its prefix position max((a * v + c) // q, 0)
-    at i_{k-1} = v, where the bound is affine with a >= 0; else its _row."""
+    at i_{k-1} = v, where the bound is affine (_affine, a of either sign); else its _row."""
     found = _affine(expr, params, k)
-    if found is None or found[0] < 0:
+    if found is None:
         return _row(params, expr, k, lower)
     a, c, q = found
     return a, c + q * (1 - lower), q
@@ -433,18 +452,23 @@ def _affine(expr: Expr, params: Mapping[str, Any], k: int) -> Optional[Tuple[int
 
 
 def _gather(prefix: List[int], lo: int, width: int, a: int, c: int, q: int) -> List[int]:
-    """[prefix[max((a * v + c) // q, 0)] for v in lo..lo+width-1] by slices, for a >= 0.
+    """[prefix[max((a * v + c) // q, 0)] for v in lo..lo+width-1] by slices.
 
     Each q steps of v move the position by a, so each residue of v mod q reads
-    one strided slice of prefix; and the empty sums (position 0) are one leading
-    run. A constant position (a = 0) is one repeated entry."""
+    one strided slice of prefix. The empty sums (position 0) are one leading
+    run where a > 0, and one trailing run where a < 0, whose slices step down
+    through prefix. A constant position (a = 0) is one repeated entry."""
     if a == 0:
         return [prefix[max(c // q, 0)]] * width
-    start = min(max((q - 1 - c) // a + 1 - lo, 0), width)  # the first offset with a nonempty sum
+    if a > 0:  # the offsets first.. have nonempty sums
+        first, end = min(max((q - 1 - c) // a + 1 - lo, 0), width), width
+    else:  # the offsets ..end - 1 have nonempty sums
+        first, end = 0, min(max((c - q) // -a + 1 - lo, 0), width)
     out = [0] * width
-    for j in range(start, min(start + q, width)):
+    for j in range(first, min(first + q, end)):
         p = (a * (lo + j) + c) // q
-        out[j::q] = prefix[p:p + a * len(range(j, width, q)):a]
+        stop = p + a * len(range(j, end, q))  # below 0 (a < 0) it would count from the end of prefix
+        out[j:end:q] = prefix[p:stop if stop >= 0 else None:a]
     return out
 
 

@@ -14,8 +14,7 @@ of the engine.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from . import engine
 from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
@@ -34,7 +33,7 @@ from .expr import (
     Table,
 )
 from .record import Record
-from .rules import InitRule, fold_bound, fold_rule, keep_bound, parse_fold_rule
+from .rules import LEVEL_FREE_RULES, InitRule, fold_bound, fold_rule, keep_bound, parse_fold_rule
 
 Params = Dict[str, Any]
 Builder = Callable[[Params], SummationProgram]
@@ -47,7 +46,11 @@ class PresetInfo(Record):
     builder: Builder
     expected: Callable[[Params], int]  # independent of the engine
     oeis: Optional[str] = None
-    defaults: Mapping[str, Any] = MappingProxyType({})  # optional parameters; read-only, so one empty default serves all
+    defaults: Optional[Mapping[str, Any]] = None  # optional parameters; None: _check sets a fresh {} for this record
+
+    def _check(self) -> None:
+        if self.defaults is None:  # a Record default is one object, shared by every record
+            object.__setattr__(self, "defaults", {})
 
 
 _PRESETS: Dict[str, PresetInfo] = {}
@@ -132,13 +135,19 @@ def _expected_a002449(p: Params) -> int:
 # every preset is one chain of levels
 
 
-def _chain(p: Params, depth: int, first: Expr, rest: Callable[[int], Expr],
+def _chain(p: Params, depth: int, first: Expr, rest: Union[Expr, Callable[[int], Expr]],
            body: Expr = Lit(1), lower: int = 0, **extra: Any) -> SummationProgram:
     """sum(i1=lower..first) sum(ik=lower..rest(k)) for k = 2..depth, then body.
 
-    Its params are p's engine parameters plus `extra`, what the builder derived.
+    A rest that is an Expr is the bound of every later level, one object that
+    the memo reads once. Its params are p's engine parameters plus `extra`,
+    what the builder derived.
     """
-    levels = [LevelSpec(lower, first if k == 1 else rest(k)) for k in range(1, depth + 1)]
+    if isinstance(rest, Expr):
+        later = [LevelSpec(lower, rest)] * (depth - 1)
+    else:
+        later = [LevelSpec(lower, rest(k)) for k in range(2, depth + 1)]
+    levels = [LevelSpec(lower, first), *later][:depth]
     params = {key: p[key] for key in engine.ALLOWED_PARAM_KEYS if key in p}
     return SummationProgram(depth, levels, body, {**params, **extra})
 
@@ -191,7 +200,8 @@ def _build_another_round(p: Params) -> SummationProgram:
 @_preset("fold", ("x", "n", "rule"), "generic fold; value depends on the rule", _expected_fold)
 def _build_fold(p: Params) -> SummationProgram:
     rule, offset = p["rule"]
-    return _chain(p, p["n"], Param("x"), lambda k: fold_bound(rule, k, offset))
+    rest = fold_bound(rule, 2, offset) if rule in LEVEL_FREE_RULES else lambda k: fold_bound(rule, k, offset)
+    return _chain(p, p["n"], Param("x"), rest)
 
 
 @_preset("factorial_rising", ("n",), "(n+1)!", lambda p: oracles.factorial(p["n"] + 1), "A000142")
@@ -250,18 +260,18 @@ def _build_binomial(p: Params) -> SummationProgram:
 
 @_preset("multiset", ("x", "n"), "C(x+n-1, n)", lambda p: oracles.multiset(p["x"], p["n"]))
 def _build_multiset(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Param("x"), lambda k: Prev(), lower=1)
+    return _chain(p, p["n"], Param("x"), Prev(), lower=1)
 
 
 @_preset("catalan", ("n",), "Catalan number C_n", lambda p: oracles.catalan(p["n"]), "A000108")
 def _build_catalan(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Lit(0), lambda k: Add(Prev(), Lit(1)))
+    return _chain(p, p["n"], Lit(0), Add(Prev(), Lit(1)))
 
 
 @_preset("catalan_from_one", ("n",), "Catalan number C_n, sums from 1",
          lambda p: oracles.catalan(p["n"]), "A000108")
 def _build_catalan_from_one(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Lit(1), lambda k: Add(Prev(), Lit(1)), lower=1)
+    return _chain(p, p["n"], Lit(1), Add(Prev(), Lit(1)), lower=1)
 
 
 @_preset("catalan_convolved", ("x", "n"), "(x+1)*C(2n+x, n)/(n+x+1)",
@@ -272,17 +282,17 @@ def _build_catalan_convolved(p: Params) -> SummationProgram:
 
 @_preset("a002293", ("n",), "C(4n, n)/(3n+1)", lambda p: oracles.fuss_catalan(4, p["n"]), "A002293")
 def _build_a002293(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Lit(0), lambda k: Add(Prev(), Lit(3)))
+    return _chain(p, p["n"], Lit(0), Add(Prev(), Lit(3)))
 
 
 @_preset("positive_integers", ("n",), "n+1", lambda p: p["n"] + 1, "A000027")
 def _build_positive_integers(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Lit(1), lambda k: ProdHist())
+    return _chain(p, p["n"], Lit(1), ProdHist())
 
 
 @_preset("a125860", ("x", "n"), "history-widened power analogue", _expected_a125860, "A125860")
 def _build_a125860(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Add(Param("x"), SumHist()), lambda k: Add(Param("x"), SumHist()))
+    return _chain(p, p["n"], Add(Param("x"), SumHist()), Add(Param("x"), SumHist()))
 
 
 @_preset("a137273", ("n",), "two-back additive bound chain",
@@ -293,7 +303,7 @@ def _build_a137273(p: Params) -> SummationProgram:
 
 @_preset("fibonacci", ("n",), "F(n+1)", lambda p: oracles.fibonacci(p["n"] + 1), "A000045")
 def _build_fibonacci(p: Params) -> SummationProgram:
-    return _chain(p, p["n"], Lit(0), lambda k: Sub(Lit(1), Prev()))
+    return _chain(p, p["n"], Lit(0), Sub(Lit(1), Prev()))
 
 
 @_preset("euler_zigzag", ("n",), "zigzag number E(n)",
@@ -308,7 +318,7 @@ def _build_a002449(p: Params) -> SummationProgram:
     b = p["b"]
     if b < 2:
         raise ParameterError(f"branching b must be >= 2, got {b}")
-    return _chain(p, p["n"] + 1, Lit(b - 1), lambda k: Add(Mul(Lit(b), Prev()), Lit(b - 1)))
+    return _chain(p, p["n"] + 1, Lit(b - 1), Add(Mul(Lit(b), Prev()), Lit(b - 1)))
 
 
 @_preset("a002449_irwin", ("n",), "A002449(n+2), doubled-body form",
@@ -317,7 +327,7 @@ def _build_a002449_irwin(p: Params) -> SummationProgram:
     n = p["n"]
     if n < 1:
         raise ParameterError(f"a002449_irwin needs n >= 1, got {n}")
-    return _chain(p, n, Lit(2), lambda k: Mul(Lit(2), Prev()), Mul(Lit(2), Prev()), lower=1)
+    return _chain(p, n, Lit(2), Mul(Lit(2), Prev()), Mul(Lit(2), Prev()), lower=1)
 
 
 @_preset("fibonacci_lahlou", ("n",), "F(n+1), three-minus form",
@@ -326,7 +336,7 @@ def _build_fibonacci_lahlou(p: Params) -> SummationProgram:
     n = p["n"]
     if n < 2:
         raise ParameterError(f"fibonacci_lahlou needs n >= 2, got {n}")
-    return _chain(p, n - 1, Lit(1), lambda k: Sub(Lit(3), Prev()), Sub(Lit(3), Prev()), lower=1)
+    return _chain(p, n - 1, Lit(1), Sub(Lit(3), Prev()), Sub(Lit(3), Prev()), lower=1)
 
 
 def preset_names() -> List[str]:

@@ -106,6 +106,7 @@ def keep_bound(k: int) -> Expr:
 
 
 FOLD_RULES = ("keep", "level", "prev", "prev_plus", "mult_x", "const_x")
+LEVEL_FREE_RULES = ("prev", "prev_plus", "const_x")  # their bound is the same at every level
 
 
 def fold_bound(rule: str, k: int, offset: int = 0) -> Expr:

@@ -52,7 +52,7 @@ from moessner.expr import (
     eval_expr_counted,
     validate_expr,
 )
-from moessner.presets import build
+from moessner.presets import build, expected
 
 
 def reference_evaluate(program):
@@ -142,6 +142,8 @@ def test_counting_matches_reference_on_presets(name, params):
 
 # random well-founded programs: bounds keep indices small, bodies stay nonnegative
 _bound_head = st.one_of(st.integers(0, 3).map(Lit), st.just(Param("x")))
+# a level 1 this wide makes level 2's table wider than engine._NARROW: its affine levels take slices
+_wide_head = st.integers(10, 14).map(Lit)
 
 
 def _later_bound(k):
@@ -165,21 +167,21 @@ def _later_bound(k):
 
 
 def _affine_bound(k):
-    """(a*i_{k-1} + c) // q, with i_{k-1} spelled Prev or Hist(k-1) and c a literal, maybe plus Level or x."""
+    """(a*i_{k-1} + c) // q, with i_{k-1} spelled Prev or Hist(k-1) and c a literal, maybe plus Level or x.
+
+    A falling bound (a < 0) is spelled c - |a|*i_{k-1}, with c up to 16 so that
+    the first indices have nonempty sums and the last ones may not."""
 
     def bound(a, prev, c, extra, q):
-        num = Add(Mul(Lit(a), prev), Lit(c))
+        index = Mul(Lit(abs(a)), prev)
+        num = Add(index, Lit(c)) if a >= 0 else Sub(Lit(c), index)
         num = num if extra is None else Add(num, extra)
         return FloorDiv(num, q) if q > 1 else num
 
-    return st.builds(
-        bound,
-        st.integers(0, 4),
-        st.sampled_from((Prev(), Hist(k - 1))),
-        st.integers(-3, 3),
-        st.sampled_from((None, Level(), Param("x"))),
-        st.integers(1, 5),
-    )
+    prevs, extras, qs = st.sampled_from((Prev(), Hist(k - 1))), st.sampled_from((None, Level(), Param("x"))), st.integers(1, 5)
+    rising = st.builds(bound, st.integers(0, 4), prevs, st.integers(-3, 3), extras, qs)
+    falling = st.builds(bound, st.integers(-4, -1), prevs, st.integers(0, 16), extras, qs)
+    return st.one_of(rising, falling)
 
 
 _bodies = st.sampled_from(
@@ -198,8 +200,10 @@ _root_bodies = st.sampled_from(
      Add(Table(Param("x")), Lit(1)),
      IfZero(Param("x"), Add(Param("x"), Lit(1)), Add(Add(Param("x"), Param("x")), Lit(1)))]
 )
-# level 1 reads at most 3 and a later bound at most 4 * i_{k-1} + 3 + max(k, x), so the innermost
-# index is at most 4 * (4 * (4 * 3 + 6) + 6) + 7 = 319 and Table(Prev() + 1) reads at most f[320]
+# A rising bound at level k reads at most 4 * i_{k-1} + 3 + max(k, x); a falling one at most
+# 16 + max(k, x) = 20; a reused bound no more. Level 1 reads at most 3, so at depth 4 the innermost
+# index is at most 4 * (4 * (4 * 3 + 6) + 6) + 7 = 319; a wide level 1 (at most 14) comes only at
+# depth <= 3, where it is at most 4 * (4 * 14 + 6) + 6 = 254. Table(Prev() + 1) reads at most f[320].
 _TABLE = tuple(i * 7 % 5 for i in range(321))
 
 
@@ -209,7 +213,12 @@ def _programs(draw):
     levels = []
     for k in range(1, depth + 1):
         lower = draw(st.sampled_from((0, 1)))
-        bound = draw(_bound_head) if k == 1 else draw(_later_bound(k))
+        if k == 1:
+            bound = draw(_bound_head if depth == 4 else st.one_of(_bound_head, _wide_head))
+        elif draw(st.integers(0, 3)) == 0:  # the previous level's bound object, at either lower
+            bound = levels[-1].bound
+        else:
+            bound = draw(_later_bound(k))
         levels.append(LevelSpec(lower, bound))
     body = draw(_bodies if depth else _root_bodies)
     x = draw(st.integers(0, 3))
@@ -496,16 +505,58 @@ def test_memoized_slices_gather_the_tables_rows_do(name, grid):
 
 
 def test_memoized_slices_cut_the_leading_empty_sums():
-    # i1 in 0..7, i2 up to (a*i1 + c) // q: a negative c empties the sums of the first i1, residue by residue
-    for a in range(1, 5):
-        for q in range(1, 6):
-            for c in range(-12, 3):
-                for lower in (0, 1):
-                    bound = FloorDiv(Add(Mul(Lit(a), Prev()), Lit(c)), q)
-                    prog = SummationProgram(2, (LevelSpec(0, Lit(7)), LevelSpec(lower, bound)), Add(Prev(), Lit(1)))
-                    tables = list(level_tables(prog))
-                    assert tables == list(level_tables(_through_rows(prog))), (a, q, c, lower)
-                    assert tables[-1] == [reference_evaluate(prog)], (a, q, c, lower)
+    # i1 in 0..top, i2 up to (a*i1 + c) // q: a negative c empties the sums of the first i1, residue by residue;
+    # level 1 is as wide as a positions list may be, or wider
+    for top in (engine._NARROW - 1, engine._NARROW + 4):
+        for a in range(1, 5):
+            for q in range(1, 6):
+                for c in range(-12, 3):
+                    for lower in (0, 1):
+                        bound = FloorDiv(Add(Mul(Lit(a), Prev()), Lit(c)), q)
+                        prog = SummationProgram(2, (LevelSpec(0, Lit(top)), LevelSpec(lower, bound)), Add(Prev(), Lit(1)))
+                        tables = list(level_tables(prog))
+                        assert tables == list(level_tables(_through_rows(prog))), (top, a, q, c, lower)
+                        assert tables[-1] == [reference_evaluate(prog)], (top, a, q, c, lower)
+
+
+def test_memoized_slices_cut_the_trailing_empty_sums():
+    # i1 in 0..top, then two levels that share one falling bound (c - a*i) // q: a larger c fills more of
+    # the sums, from all empty to all full; level 1 is as wide as a positions list may be, or wider
+    for top in (engine._NARROW - 1, engine._NARROW + 4):
+        for a in range(1, 5):
+            for q in range(1, 6):
+                for c in range(-1, a * top + q + 1):
+                    for lower in (0, 1):
+                        falling = LevelSpec(lower, FloorDiv(Sub(Lit(c), Mul(Lit(a), Prev())), q))
+                        prog = SummationProgram(3, (LevelSpec(0, Lit(top)), falling, falling), Add(Prev(), Lit(1)))
+                        tables = list(level_tables(prog))
+                        assert tables == list(level_tables(_through_rows(prog))), (top, a, q, c, lower)
+                        assert tables[-1] == [reference_evaluate(prog)], (top, a, q, c, lower)
+
+
+def test_memoized_repeated_levels_reuse_their_step(monkeypatch):
+    forms, hashes, rows = [], [], []
+    level_form, row, sub_hash = engine._level_form, engine._row, Sub.__hash__
+    monkeypatch.setattr(engine, "_level_form", lambda *args: forms.append(args) or level_form(*args))
+    monkeypatch.setattr(Sub, "__hash__", lambda self: hashes.append(self) or sub_hash(self))
+    prog = build("fibonacci", {"n": 2000})  # one bound object for levels 2..2000
+    tables = list(level_tables(prog))
+    assert tables[-1] == [expected("fibonacci", {"n": 2000})]
+    # one form per bound, and the shared bound is hashed only by its first lookup (get, then set)
+    assert len(forms) == 2 and len(hashes) == 2
+    forms.clear()
+    loaded = program_from_json(program_to_json(prog))  # equal bounds, but one object per level
+    assert list(level_tables(loaded)) == tables
+    assert len(forms) == 2
+
+    def counted(*args):  # counts the calls of each generated row, which builds a step
+        made = row(*args)
+        return lambda lo, hi: rows.append((lo, hi)) or made(lo, hi)
+
+    monkeypatch.setattr(engine, "_row", counted)
+    assert list(level_tables(_through_rows(prog))) == tables
+    # level 1, level 2 over the root's 0..0, and one step for the 1,998 levels below, each over 0..1
+    assert rows == [(0, 0), (0, 0), (0, 1)]
 
 
 def test_affine_bounds_generate_no_rows(monkeypatch):
@@ -517,19 +568,19 @@ def test_affine_bounds_generate_no_rows(monkeypatch):
         return row(params, expr, k, lower)
 
     monkeypatch.setattr(engine, "_row", counted)
-    # fibonacci and euler_zigzag subtract the index (a < 0): their bounds stay rows
-    for name, params, rows in (
-        ("moessner", {"x": 4, "n": 6}, False),
-        ("catalan", {"n": 7}, False),
-        ("binomial", {"x": 5, "n": 4}, False),
-        ("xfold_factorial", {"x": 3, "n": 5}, False),
-        ("fibonacci", {"n": 8}, True),
-        ("euler_zigzag", {"n": 7}, True),
+    # fibonacci and euler_zigzag subtract the index (a < 0): their bounds are gathered as well
+    for name, params in (
+        ("moessner", {"x": 4, "n": 6}),
+        ("catalan", {"n": 7}),
+        ("binomial", {"x": 5, "n": 4}),
+        ("xfold_factorial", {"x": 3, "n": 5}),
+        ("fibonacci", {"n": 8}),
+        ("euler_zigzag", {"n": 7}),
+        ("euler_zigzag", {"n": 60}),  # wide enough that its falling levels take slices
     ):
         made.clear()
-        prog = build(name, params)
-        assert evaluate_memoized(prog) == evaluate(prog), name
-        assert any(lower is not None for lower in made) == rows, name
+        assert evaluate_memoized(build(name, params)) == expected(name, params), name
+        assert all(lower is None for lower in made), name
 
 
 @pytest.mark.parametrize(

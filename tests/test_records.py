@@ -133,6 +133,15 @@ def test_programs_survive_deepcopy_and_pickle():
     assert pickle.loads(pickle.dumps(nodes[0])) == nodes[0]
 
 
+def test_preset_records_survive_deepcopy_and_pickle():
+    # a record built without defaults gets a fresh plain {}, which copies as a mapping proxy would not
+    bare, given = PresetInfo("p", ("n",), "n", build, len), PresetInfo("q", ("n",), "n", build, len, defaults={"b": 2})
+    assert bare.defaults == {} and bare.defaults is not PresetInfo("p", ("n",), "n", build, len).defaults
+    for info in (bare, given):
+        for twin in (copy.deepcopy(info), pickle.loads(pickle.dumps(info)), copy.copy(info)):
+            assert twin == info and twin.defaults == info.defaults
+
+
 def test_dataclasses_replace_on_a_program():
     program = build("long2", {"x": 2, "n": 3, "a": 1, "d": 2})
     counted = dataclasses.replace(program, body=Lit(1))
