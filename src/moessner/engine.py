@@ -9,13 +9,18 @@ several presets rely on to terminate chains whose bounds go negative.
 Three evaluators:
   evaluate          plain value: the whole sum generated as one Python `for`
                     nest over local indices (_nest), bounds and body inlined
-  evaluate_counting value plus exact addition/leaf tallies, added inline by
-                    the same generated nest
+  evaluate_counting value plus exact addition/leaf tallies: for a Markov
+                    program whose walk would loop more times than the
+                    tables hold cells, the memo's dynamic program over a
+                    row per tally (_counted_tables);
+                    else, or where the tables raise, added inline by the same
+                    generated nest, whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
                     root's entry of level_tables; a wide level with an affine
                     bound is gathered out of running prefix sums by strided
                     slices, any other by a list of positions and map, and a
-                    repeated level reuses the step of the one above
+                    repeated level reuses the step of the one above; one
+                    forward pass (_steps) serves the plain and counted tables
 
 validate and is_markov read one analysis per program, SummationProgram._summary,
 kept in the program's one slot that is not a field; presets.sweep is the one
@@ -26,9 +31,10 @@ expr.eval_expr and eval_expr_counted are references.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Tuple
+from operator import mul, sub
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import DomainError, ParameterError, PreconditionError, ValidationError, digit_limit
+from .errors import DomainError, MoessnerError, ParameterError, PreconditionError, ValidationError, digit_limit
 from .expr import (
     PARAM_NAMES,
     Add,
@@ -170,14 +176,32 @@ def evaluate(program: SummationProgram) -> int:
 
 
 def evaluate_counting(program: SummationProgram) -> EvalReport:
-    """Same walk as evaluate, with exact operation accounting.
+    """The value with exact operation accounting.
 
     Each materialized sum of m >= 1 terms costs m - 1 additions (empty sums
     cost nothing); additions inside body evaluations are counted per leaf;
     bound arithmetic is never counted. leaves is the number of body
     evaluations: at depth 0, with no sum, one leaf and the body's additions.
+
+    A Markov program whose walk would nest two loops or more (depth, less one
+    for a Lit body, which the walk sums unwalked) runs the tables' forward
+    pass (_counted_tables), and is counted by the tables where the walk's
+    loops would run more times than their rows hold cells; any other runs
+    evaluate's nest with the counts added inline, in constant memory. One
+    loop or none never runs more times than the rows hold cells.
+    The tables run every bound before any body and name a negative body by
+    its innermost index alone, so on any MoessnerError from them, a width
+    past their cap included, or a MemoryError, the nest runs instead: the
+    errors are the walk's, which are the reference's first.
     """
     validate(program)
+    if program._summary.markov and program.depth - isinstance(program.body, Lit) >= 2:
+        try:
+            report = _counted_tables(program, routed=True)
+        except (MoessnerError, MemoryError):
+            report = None
+        if report is not None:
+            return report
     return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
 
 
@@ -293,24 +317,12 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     The sub-sum below level k depends only on i_{k-1}, and the reachable
     values of each index form one contiguous range, so every distinct sub-sum
     is computed once from running prefix sums. Above level 1 stands a root
-    with the one index 0. A level's bound, per reachable index of the level
-    above, is a prefix position, 0 for an empty sum; the largest is the
-    level's width. A level's form (_level_form) is its affine (a, c, q),
-    read by _affine, where the bound is (a * i_{k-1} + c) // q, or else one
-    generated row of positions (_row); forms are reused within a call by
-    (expression, lower, and the level number where the program reads Level).
-    Its step over the window above is a list of positions, gathered with
-    map, for a row or a level no wider than _NARROW; a wider affine level is
-    gathered by one slice per residue of the index mod q (_gather). Its width
-    is its largest position: at the window's top where a >= 0, at its bottom
-    where a < 0. A level whose form and window are the previous level's
-    appends the previous step; where its bound is the previous bound object
-    at the same lower, the form is not looked up either. A level wider than
-    _MAX_WIDTH is refused before the next step is built. The body row comes
-    first (empty below a level empty everywhere); each next table gathers its
-    level's positions from the prefix sums of the one before, and the root's
-    one entry is the whole sum. Every bound runs before any body, so a bound
-    error wins over a negative body that the walk may meet first.
+    with the one index 0. The forward pass (_steps) gives each level's step
+    over the window above; the backward pass here starts from the body row
+    (empty below a level empty everywhere), and each next table gathers its
+    level's positions from the prefix sums of the one before (_take); the
+    root's one entry is the whole sum. Every bound runs before any body, so a
+    bound error wins over a negative body that the walk may meet first.
     """
     validate(program)
     if not is_markov(program):
@@ -319,6 +331,34 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             "(bounds read at most the previous index; body at most the innermost)"
         )
     const = _lit_body(program)
+    steps, lo, hi = _steps(program)
+    table = [const] * (hi - lo + 1) if const is not None else _row(program.params, program.body, program.depth + 1, None)(lo, hi)
+    yield table
+    for step in reversed(steps):
+        table = _take([0, *accumulate(table)], step)
+        yield table
+
+
+def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
+    """The tables' forward pass: each level's step, outermost first, and the window lo..hi of
+    the innermost index, for a validated Markov program.
+
+    A level's bound, per reachable index of the level above, is a prefix
+    position, 0 for an empty sum; the largest is the level's width. A
+    level's form (_level_form) is its affine (a, c, q), read by _affine,
+    where the bound is (a * i_{k-1} + c) // q, or else one generated row of
+    positions (_row); forms are reused within a call by (expression, lower,
+    and the level number where the program reads Level). Its step over the
+    window above is a list of positions, gathered with map, for a row or a
+    level no wider than _NARROW; a wider affine level is gathered by one
+    slice per residue of the index mod q (_gather). Its width is its largest
+    position: at the window's top where a >= 0, at its bottom where a < 0. A
+    level whose form and window are the previous level's appends the previous
+    step; where its bound is the previous bound object at the same lower, the
+    form is not looked up either. A level wider than _MAX_WIDTH is refused
+    before the next step is built. The steps stop at a level empty under
+    every reachable parent, and the window below it is empty.
+    """
     params, reads_level = program.params, program._summary.reads_level
     forms: Dict[Tuple[Expr, int, Optional[int]], Any] = {}
 
@@ -332,7 +372,7 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             return _row(params, spec.bound, k, spec.lower)
         return found
 
-    # forward pass: contiguous reachable range per level, lo..hi, from the root's 0..0
+    # contiguous reachable range per level, lo..hi, from the root's 0..0
     lo = hi = 0
     steps: List[Any] = []  # per level: its positions over lo..hi above, or (lo, width, a, c, q)
     bound = lower = found = made = window = None
@@ -360,14 +400,90 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
         steps.append(step)
         if top == 0:
             break  # level k is empty under every reachable parent, and so is lo..hi
+    return steps, lo, hi
 
-    # backward pass: table of sub-sum values per possible previous index
-    table = [const] * (hi - lo + 1) if const is not None else _row(params, program.body, program.depth + 1, None)(lo, hi)
-    yield table
+
+def _take(prefix: Sequence[int], step: Any) -> List[int]:
+    """A level's step applied to the prefix sums of the row below: its positions through map,
+    or the slices of _gather. prefix may be a range, the prefix sums of a row of ones."""
+    return _gather(prefix, *step) if type(step) is tuple else list(map(prefix.__getitem__, step))
+
+
+def _tuples(steps: List[Any], width: int) -> int:
+    """The number of index tuples through the last step's level, whose window holds width
+    indices; with no step, the root's one. A count per index is gathered level by level from
+    the prefix sums of the one below, the first from a range, the prefix sums of a row of ones."""
+    prefix: Sequence[int] = range(width + 1)
     for step in reversed(steps):
-        prefix = [0, *accumulate(table)]
-        table = _gather(prefix, *step) if type(step) is tuple else list(map(prefix.__getitem__, step))
-        yield table
+        prefix = [0, *accumulate(_take(prefix, step))]
+    return prefix[-1]
+
+
+def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
+    """Whether the walk's loops over the levels of steps, whose windows hold widths indices,
+    run more than most times in all. Top down: each index's count of the tuples through its
+    level (1 at the root) times its position sums to the next level's loops; an index below
+    counts the parents whose sums reach it. Stops as soon as the loops pass most, so where
+    the parents share much this reads a few levels."""
+    counts, loops = [1], 0
+    for k, step in enumerate(steps):
+        if k:  # the parents' counts, less those of the sums that end below each index
+            ends = [0] * (width + 1)
+            for count, p in zip(counts, positions):
+                ends[p] += count
+            counts = list(accumulate(ends[:-1], sub, initial=sum(counts)))[1:]
+        width = widths[k]
+        positions = _take(range(width + 1), step)
+        loops += sum(map(mul, counts, positions))
+        if loops > most:
+            return True
+    return False
+
+
+def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
+    """evaluate_counting(program) by the tables, for a validated Markov program: the
+    forward pass of level_tables, then a backward pass over a row per tally.
+
+    The product semiring over (value, additions, leaves): a sum of p >= 1
+    terms has the terms' values and leaves and their additions plus p - 1,
+    and an empty sum is (0, 0, 0). The additions ride as B = additions + 1,
+    so a sum of p >= 1 terms has B = the sum of its terms' B, and an empty
+    sum, at position 0, reads B = 1 from its prefix sums' first entry. A
+    closure body's leaves are counted apart (_tuples), with no row of ones;
+    its rows are its values and its additions_expr plus 1. A Lit body c has
+    no value row, as each value is c times the leaves, and no body row: the
+    innermost sum of p copies of c is p leaves and p - 1 additions, with p
+    gathered from a range. Bound and body errors, and widths past
+    _MAX_WIDTH, raise as in level_tables.
+
+    With routed, None where the walk's loops (over every level, or every
+    level but the innermost for a Lit body) would run no more times than
+    the two rows hold cells over their windows (_loops_past): there the walk
+    does no more work than the tables, in constant memory. How much the
+    parents share is what the tables buy, and the forward pass shows it
+    before any body runs.
+    """
+    const = _lit_body(program)
+    steps, lo, hi = _steps(program)
+    if routed:
+        sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
+        cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
+        if not _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
+            return None
+    if const is None:
+        params, k, per_leaf = program.params, program.depth + 1, additions_expr(program.body)
+        value = _row(params, program.body, k, None)(lo, hi)
+        plus = _row(params, Add(per_leaf, Lit(1)), k, None)(lo, hi)
+        for step in reversed(steps):
+            value = _take([0, *accumulate(value)], step)
+            plus = _take([1, *accumulate(plus)], step)
+        return EvalReport(value[0], plus[0] - 1, _tuples(steps, hi - lo + 1))
+    row = _take(range(hi - lo + 2), steps.pop()) if steps else [1]
+    plus = [p or 1 for p in row]
+    for step in reversed(steps):
+        row = _take([0, *accumulate(row)], step)
+        plus = _take([1, *accumulate(plus)], step)
+    return EvalReport(const * row[0], plus[0] - 1, row[0])
 
 
 def evaluate_memoized(program: SummationProgram) -> int:
@@ -451,20 +567,21 @@ def _affine(expr: Expr, params: Mapping[str, Any], k: int) -> Optional[Tuple[int
     return (a, c, q) if a else (0, c // q, 1)
 
 
-def _gather(prefix: List[int], lo: int, width: int, a: int, c: int, q: int) -> List[int]:
+def _gather(prefix: Sequence[int], lo: int, width: int, a: int, c: int, q: int) -> List[int]:
     """[prefix[max((a * v + c) // q, 0)] for v in lo..lo+width-1] by slices.
 
     Each q steps of v move the position by a, so each residue of v mod q reads
     one strided slice of prefix. The empty sums (position 0) are one leading
     run where a > 0, and one trailing run where a < 0, whose slices step down
-    through prefix. A constant position (a = 0) is one repeated entry."""
+    through prefix; they read prefix[0]. A constant position (a = 0) is one
+    repeated entry."""
     if a == 0:
         return [prefix[max(c // q, 0)]] * width
     if a > 0:  # the offsets first.. have nonempty sums
         first, end = min(max((q - 1 - c) // a + 1 - lo, 0), width), width
     else:  # the offsets ..end - 1 have nonempty sums
         first, end = 0, min(max((c - q) // -a + 1 - lo, 0), width)
-    out = [0] * width
+    out = [prefix[0]] * width
     for j in range(first, min(first + q, end)):
         p = (a * (lo + j) + c) // q
         stop = p + a * len(range(j, end, q))  # below 0 (a < 0) it would count from the end of prefix

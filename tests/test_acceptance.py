@@ -243,3 +243,12 @@ def test_c12_power_prefixes_without_multiplication():
             for x, entry in enumerate(row):
                 assert entry.multiplications == 0
                 assert entry.additions <= 2 * (x + 1).bit_length()
+
+
+def test_c13_counted_tables_past_the_walk():
+    # (x+1)^n leaves, each sum of m terms folding m - 1 of them: the walk would visit 201^40 leaves
+    x, n = 200, 40
+    for name in ("moessner", "moessner_stolid"):
+        report = evaluate_counting(build(name, {"x": x, "n": n}))
+        assert report.value == report.leaves == pow_fast(x + 1, n), name
+        assert report.additions == pow_fast(x + 1, n) - 1, name

@@ -128,6 +128,14 @@ def test_eval_count_adds_memoized_reports_a_disagreement(capsys, monkeypatch):
     assert err == "error: memoized value 65 disagrees with counted value 64\n"
 
 
+@pytest.mark.parametrize("memoized", [(), ("--memoized",)], ids=["counted", "memoized"])
+def test_eval_count_adds_answers_past_the_walk(capsys, memoized):
+    # 16! leaves: the counted tables answer, and --memoized still checks the memo against them
+    argv = ("eval", "--preset", "factorial_rising", "--params", "n=16", "--count-adds", *memoized)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, "355687428096000 355687428095999\n", "")
+
+
 def test_eval_rejects_repeated_parameter(capsys):
     code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,x=5,n=2")
     assert (code, out) == (2, "")

@@ -1182,3 +1182,156 @@ def test_program_json_past_the_digit_limit_is_a_validation_error(default_digit_l
     text = program_to_json(build("moessner", {"x": 1, "n": 1})).replace('"x": 1', '"x": ' + "9" * 5000)
     with pytest.raises(ValidationError, match=f"limit of {default_digit_limit} digits"):
         program_from_json(text)
+
+
+# The counted tables (engine._counted_tables) are called directly here: through
+# evaluate_counting, a table that raised would be rescued by the walk unseen.
+@given(_programs().filter(is_markov))
+@settings(max_examples=250, deadline=None)
+def test_counted_tables_match_the_reference_on_random_programs(prog):
+    want = _outcome(reference_counting, prog)
+    if isinstance(want, EvalReport):
+        assert engine._counted_tables(prog) == want
+
+
+@pytest.mark.parametrize("name,grid", MEMOIZED_GRID, ids=lambda v: str(v)[:24])
+def test_counted_tables_match_the_reference_on_the_memo_grid(name, grid):
+    for params in grid:
+        prog = build(name, params)
+        assert engine._counted_tables(prog) == reference_counting(prog), (name, params)
+
+
+@pytest.mark.parametrize("name,params", PRESET_SAMPLES, ids=lambda v: str(v))
+def test_counted_tables_match_the_reference_on_presets(name, params):
+    prog = build(name, params)
+    if is_markov(prog):
+        assert engine._counted_tables(prog) == reference_counting(prog)
+
+
+def _refusing_tables(program, routed=False):
+    raise AssertionError("the tables ran")
+
+
+def test_shallow_programs_keep_the_walk(monkeypatch):
+    # depth <= 1, or depth 2 with a Lit body: the walk opens at most one loop, and the tables never run
+    monkeypatch.setattr(engine, "_counted_tables", _refusing_tables)
+    shallow = [
+        SummationProgram(0, (), Add(Param("x"), Lit(2)), {"x": 7}),
+        SummationProgram(1, (LevelSpec(0, Lit(5)),), Add(Prev(), Lit(1))),
+        SummationProgram(1, (LevelSpec(1, Lit(5)),), Lit(3)),
+        build("moessner", {"x": 6, "n": 1}),
+        build("moessner", {"x": 6, "n": 2}),
+        build("moessner_stolid", {"x": 6, "n": 2}),
+        build("fibonacci", {"n": 2}),
+    ]
+    for prog in shallow:
+        assert is_markov(prog)
+        assert evaluate_counting(prog) == reference_counting(prog)
+    # a deeper Markov program runs the tables' forward pass, which picks the route
+    for prog in (build("moessner", {"x": 2, "n": 3}), SummationProgram(2, (LevelSpec(0, Lit(2)), LevelSpec(0, Prev())), Prev())):
+        with pytest.raises(AssertionError, match="the tables ran"):
+            evaluate_counting(prog)
+
+
+def _walk_loops(prog):
+    # the loops at level k are the value of the first k levels over a body of 1; a Lit body's
+    # innermost level is summed unwalked
+    m = prog.depth - isinstance(prog.body, Lit)
+    return sum(evaluate(SummationProgram(k, prog.levels[:k], Lit(1), prog.params)) for k in range(1, m + 1))
+
+
+@given(_programs().filter(is_markov))
+@settings(max_examples=250, deadline=None)
+def test_loops_past_counts_the_walks_loops(prog):
+    m = prog.depth - isinstance(prog.body, Lit)
+    try:
+        loops = _walk_loops(prog)
+        steps, lo, hi = engine._steps(prog)
+    except MoessnerError:
+        return
+    sizes = [step[1] if type(step) is tuple else len(step) for step in steps]
+    widths = [*sizes[1:], hi - lo + 1]
+    assert engine._loops_past(steps[:m], widths, loops - 1) == (m > 0)
+    assert not engine._loops_past(steps[:m], widths, loops)
+
+
+def _sparse(w, body, depth=2):
+    # level 1 in 0..1, level 2 in 0..w*i1 (and level 3 in 0..i2): the parents share no cells
+    levels = (LevelSpec(0, Lit(1)), LevelSpec(0, Mul(Lit(w), Prev())), LevelSpec(0, Prev()))
+    return SummationProgram(depth, levels[:depth], body)
+
+
+@pytest.mark.parametrize(
+    "prog,cells",
+    [
+        (_sparse(1000, Add(Prev(), Lit(1))), 2 * (1 + 2 + 1001)),
+        (_sparse(1000, Lit(1), depth=3), 2 * (1 + 2 + 1001)),
+        (_sparse(1000, Add(Prev(), Lit(1)), depth=3), 2 * (1 + 2 + 1001 + 1001)),
+        (build("moessner", {"x": 3, "n": 4}), 2 * (1 + 4 + 7 + 10)),
+        (build("factorial_rising", {"n": 6}), 2 * (1 + 2 + 3 + 4 + 5 + 6)),
+    ],
+    ids=["sparse-closure", "sparse-lit", "sparse-depth-3", "moessner", "factorial_rising"],
+)
+def test_counting_routes_by_loops_against_cells(monkeypatch, prog, cells):
+    # the walk keeps a program whose loops run no more often in all than the two rows hold cells
+    # (over every window, the innermost one only for a closure body)
+    walked = _walk_loops(prog)
+    nests = []
+    monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
+    want = reference_counting(prog)
+    assert engine._counted_tables(prog) == want
+    assert evaluate_counting(prog) == want
+    assert (engine._counted_tables(prog, routed=True) is None, len(nests)) == ((True, 1) if walked <= cells else (False, 0))
+
+
+def test_counting_falls_back_to_the_walk_on_a_memory_error(monkeypatch):
+    calls = []
+
+    def out_of_memory(*args):
+        calls.append(args)
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "_take", out_of_memory)
+    prog = build("moessner", {"x": 3, "n": 4})
+    assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(256, 255, 256)
+    assert len(calls) == 1
+
+
+def test_counting_falls_back_to_the_walk_past_the_tables_width_cap(monkeypatch):
+    # level 2 is 6 cells wide, past a cap of 3, but the walk visits only 2 indices at level 1
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 3)
+    prog = SummationProgram(3, (LevelSpec(0, Lit(1)), LevelSpec(0, Lit(5)), LevelSpec(1, Prev())), Lit(2))
+    with pytest.raises(PreconditionError, match="^level 2 has width 6, past the 3 cells a table may hold$"):
+        engine._counted_tables(prog)
+    assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(60, 31, 30)
+
+
+def test_counting_validates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "validate", lambda program: calls.append(program) or validate(program))
+    prog = build("moessner", {"x": 3, "n": 4})
+    assert evaluate_counting(prog) == EvalReport(256, 255, 256)
+    assert calls == [prog]
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [{"node": "Lit", "value": True}, {"node": "Lit", "value": 1.0}],
+    ids=["bool", "float"],
+)
+def test_json_load_refuses_a_bound_equal_to_a_valid_one(bound):
+    # Lit(True) == Lit(1) and Lit(1.0) == Lit(1): interning equal bounds before validation would let these in
+    data = {"depth": 2, "levels": [{"lower": 0, "bound": {"node": "Lit", "value": 1}}, {"lower": 0, "bound": bound}],
+            "body": {"node": "Lit", "value": 1}}
+    with pytest.raises(ValidationError, match="literal must be an int"):
+        program_from_dict(data)
+
+
+def test_counted_tables_reach_past_the_walks_depth_cap():
+    # the tables nest no Python frames: a Markov program deeper than the walk's call chain is counted
+    n = engine._MAX_DEPTH + 1
+    prog = build("fibonacci", {"n": n})
+    with pytest.raises(PreconditionError, match=f"depth {n} is past"):
+        evaluate(prog)
+    value = expected("fibonacci", {"n": n})
+    assert evaluate_counting(prog) == EvalReport(value, value - 1, value)
