@@ -18,8 +18,8 @@ from typing import Any, Dict, List, Optional
 # presets and engine run in five of the eight subcommands; every other module
 # is imported by the handler that runs it, so a cold call loads only its own
 from . import presets
-from .engine import evaluate, evaluate_counting, evaluate_memoized, is_natural
-from .errors import ConsistencyError, MoessnerError, ParameterError
+from .engine import _counted_tables, evaluate, evaluate_counting, evaluate_memoized, is_natural
+from .errors import MoessnerError, ParameterError
 
 # names perfbench/tracer.py wraps here, though the handlers import them when they run
 _TRACED = {"is_markov": "engine", "run_process": "process", "dp_power": "process", "run_inverse": "inverse"}
@@ -69,17 +69,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     rows = []
     for params in _assignments(args):
         program = presets.build(args.preset, params)
-        # the memo first: it refuses a non-Markov program before any walk
-        value = evaluate_memoized(program) if args.memoized else None
-        additions = None
-        if args.count_adds:
-            report = evaluate_counting(program)
-            if value not in (None, report.value):
-                raise ConsistencyError(f"memoized value {value} disagrees with counted value {report.value}")
-            value, additions = report.value, report.additions
-        elif value is None:
-            value = evaluate(program)
-        rows.append((params, value, additions))
+        if args.count_adds:  # with --memoized by the tables alone, which refuse a non-Markov program
+            report = (_counted_tables if args.memoized else evaluate_counting)(program)
+            rows.append((params, report.value, report.additions))
+        else:
+            rows.append((params, (evaluate_memoized if args.memoized else evaluate)(program), None))
 
     if args.format == "json":
         payload: Any = []
@@ -236,7 +230,8 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_polygonal(args: argparse.Namespace) -> int:
-    from .polygonal import check_terms, polygonal_closed, quotient_sum
+    from .oracles import polygonal_closed
+    from .polygonal import check_terms, quotient_sum
 
     check_terms(args.k, args.k * args.count * (args.count + 1) // 2 + args.count)  # row n adds k(n+1) + 1 terms
     mismatches = 0
@@ -313,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--preset", required=True)
     p_eval.add_argument("--params", default="", help="comma list like x=3,n=4; tables as f=1:3:2")
     p_eval.add_argument("--count", type=_count, default=None, metavar="M", help="evaluate n=0..M-1 instead")
-    p_eval.add_argument("--memoized", action="store_true", help="use the table-folding evaluator")
+    p_eval.add_argument(
+        "--memoized", action="store_true", help="use the table-folding evaluator; with --count-adds, count by the tables"
+    )
     p_eval.add_argument("--count-adds", action="store_true", help="also report additions performed")
     add_format(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)

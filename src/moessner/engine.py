@@ -11,16 +11,17 @@ Three evaluators:
                     nest over local indices (_nest), bounds and body inlined
   evaluate_counting value plus exact addition/leaf tallies: for a Markov
                     program whose walk would loop more times than the
-                    tables hold cells, the memo's dynamic program over a
-                    row per tally (_counted_tables);
+                    tables hold cells, the memo's dynamic program run once
+                    per tally (_counts);
                     else, or where the tables raise, added inline by the same
                     generated nest, whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
                     root's entry of level_tables; a wide level with an affine
                     bound is gathered out of running prefix sums by strided
                     slices, any other by a list of positions and map, and a
-                    repeated level reuses the step of the one above; one
-                    forward pass (_steps) serves the plain and counted tables
+                    repeated level reuses the step of the one above; the plain
+                    and counted tables share one forward entry (_forward)
+                    and one backward pass (_fold)
 
 validate and is_markov read one analysis per program, SummationProgram._summary,
 kept in the program's one slot that is not a field; presets.sweep is the one
@@ -185,23 +186,27 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
 
     A Markov program whose walk would nest two loops or more (depth, less one
     for a Lit body, which the walk sums unwalked) runs the tables' forward
-    pass (_counted_tables), and is counted by the tables where the walk's
-    loops would run more times than their rows hold cells; any other runs
-    evaluate's nest with the counts added inline, in constant memory. One
-    loop or none never runs more times than the rows hold cells.
-    The tables run every bound before any body and name a negative body by
-    its innermost index alone, so on any MoessnerError from them, a width
-    past their cap included, or a MemoryError, the nest runs instead: the
+    entry (_forward), and is counted by the tables (_counts) where the walk's
+    loops would run more times than two rows hold cells over their windows
+    (_loops_past); any other runs evaluate's nest with the counts added
+    inline, in constant memory. One loop or none never runs more times than
+    the rows hold cells. The tables run every bound before any body and name
+    a negative body by its innermost index alone, so on any MoessnerError
+    from them, a width past their cap included, or a MemoryError, the nest
+    runs instead, validated again (a parameter error raises anew): the
     errors are the walk's, which are the reference's first.
     """
-    validate(program)
     if program._summary.markov and program.depth - isinstance(program.body, Lit) >= 2:
         try:
-            report = _counted_tables(program, routed=True)
+            const, steps, lo, hi = _forward(program)
+            sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
+            cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
+            if _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
+                return _counts(program, const, steps, lo, hi)
         except (MoessnerError, MemoryError):
-            report = None
-        if report is not None:
-            return report
+            validate(program)
+    else:
+        validate(program)
     return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
 
 
@@ -317,13 +322,22 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     The sub-sum below level k depends only on i_{k-1}, and the reachable
     values of each index form one contiguous range, so every distinct sub-sum
     is computed once from running prefix sums. Above level 1 stands a root
-    with the one index 0. The forward pass (_steps) gives each level's step
-    over the window above; the backward pass here starts from the body row
-    (empty below a level empty everywhere), and each next table gathers its
-    level's positions from the prefix sums of the one before (_take); the
-    root's one entry is the whole sum. Every bound runs before any body, so a
-    bound error wins over a negative body that the walk may meet first.
+    with the one index 0. The forward entry (_forward) gives each level's
+    step over the window above; the body row comes first (empty below a
+    level empty everywhere), and the backward pass (_fold) the tables above
+    it; the root's one entry is the whole sum. Every bound runs before any
+    body, so a bound error wins over a negative body that the walk may meet
+    first.
     """
+    const, steps, lo, hi = _forward(program)
+    table = [const] * (hi - lo + 1) if const is not None else _row(program.params, program.body, program.depth + 1, None)(lo, hi)
+    yield table
+    yield from _fold([0, *accumulate(table)], steps, 0)
+
+
+def _forward(program: SummationProgram) -> Tuple[Optional[int], List[Any], int, int]:
+    """The tables' forward entry: validate, refuse a program that is not Markov and a negative
+    Lit body, then _steps. The Lit body's value (else None), the steps and the window lo..hi."""
     validate(program)
     if not is_markov(program):
         raise PreconditionError(
@@ -331,12 +345,17 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
             "(bounds read at most the previous index; body at most the innermost)"
         )
     const = _lit_body(program)
-    steps, lo, hi = _steps(program)
-    table = [const] * (hi - lo + 1) if const is not None else _row(program.params, program.body, program.depth + 1, None)(lo, hi)
-    yield table
+    return (const, *_steps(program))
+
+
+def _fold(prefix: Sequence[int], steps: List[Any], empty: int) -> Iterator[List[int]]:
+    """The tables' one backward pass: from the prefix sums of the innermost row, each level's
+    table up to the root's, gathered by its step from the prefix sums of the one below (_take).
+    An empty sum reads the prefix's first entry: empty, the tally's value for an empty sum."""
     for step in reversed(steps):
-        table = _take([0, *accumulate(table)], step)
+        table = _take(prefix, step)
         yield table
+        prefix = [empty, *accumulate(table)]
 
 
 def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
@@ -409,16 +428,6 @@ def _take(prefix: Sequence[int], step: Any) -> List[int]:
     return _gather(prefix, *step) if type(step) is tuple else list(map(prefix.__getitem__, step))
 
 
-def _tuples(steps: List[Any], width: int) -> int:
-    """The number of index tuples through the last step's level, whose window holds width
-    indices; with no step, the root's one. A count per index is gathered level by level from
-    the prefix sums of the one below, the first from a range, the prefix sums of a row of ones."""
-    prefix: Sequence[int] = range(width + 1)
-    for step in reversed(steps):
-        prefix = [0, *accumulate(_take(prefix, step))]
-    return prefix[-1]
-
-
 def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
     """Whether the walk's loops over the levels of steps, whose windows hold widths indices,
     run more than most times in all. Top down: each index's count of the tuples through its
@@ -440,50 +449,38 @@ def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
     return False
 
 
-def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
-    """evaluate_counting(program) by the tables, for a validated Markov program: the
-    forward pass of level_tables, then a backward pass over a row per tally.
+def _counted_tables(program: SummationProgram) -> EvalReport:
+    """evaluate_counting(program) by the tables, with level_tables' refusals and errors."""
+    return _counts(program, *_forward(program))
 
-    The product semiring over (value, additions, leaves): a sum of p >= 1
-    terms has the terms' values and leaves and their additions plus p - 1,
-    and an empty sum is (0, 0, 0). The additions ride as B = additions + 1,
-    so a sum of p >= 1 terms has B = the sum of its terms' B, and an empty
-    sum, at position 0, reads B = 1 from its prefix sums' first entry. A
-    closure body's leaves are counted apart (_tuples), with no row of ones;
-    its rows are its values and its additions_expr plus 1. A Lit body c has
-    no value row, as each value is c times the leaves, and no body row: the
-    innermost sum of p copies of c is p leaves and p - 1 additions, with p
-    gathered from a range. Bound and body errors, and widths past
-    _MAX_WIDTH, raise as in level_tables.
 
-    With routed, None where the walk's loops (over every level, or every
-    level but the innermost for a Lit body) would run no more times than
-    the two rows hold cells over their windows (_loops_past): there the walk
-    does no more work than the tables, in constant memory. How much the
-    parents share is what the tables buy, and the forward pass shows it
-    before any body runs.
+def _counts(program: SummationProgram, const: Optional[int], steps: List[Any], lo: int, hi: int) -> EvalReport:
+    """The counted tables over _forward's output: _fold once per tally of the product
+    semiring over (value, additions, leaves), one tally's rows held at a time.
+
+    A sum of p >= 1 terms has the terms' values and leaves and their additions
+    plus p - 1, and an empty sum is (0, 0, 0). The additions ride as B =
+    additions + 1, so a sum of p >= 1 terms has B = the sum of its terms' B,
+    and an empty sum reads B = 1. The leaves fold from range(width + 1), the
+    prefix sums of a row of ones, and B from the body's additions_expr plus 1.
+    A Lit body c builds no row: B folds from the leaves' prefix with 1 first,
+    and the value is c times the leaves.
     """
-    const = _lit_body(program)
-    steps, lo, hi = _steps(program)
-    if routed:
-        sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
-        cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
-        if not _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
-            return None
-    if const is None:
-        params, k, per_leaf = program.params, program.depth + 1, additions_expr(program.body)
-        value = _row(params, program.body, k, None)(lo, hi)
-        plus = _row(params, Add(per_leaf, Lit(1)), k, None)(lo, hi)
-        for step in reversed(steps):
-            value = _take([0, *accumulate(value)], step)
-            plus = _take([1, *accumulate(plus)], step)
-        return EvalReport(value[0], plus[0] - 1, _tuples(steps, hi - lo + 1))
-    row = _take(range(hi - lo + 2), steps.pop()) if steps else [1]
-    plus = [p or 1 for p in row]
-    for step in reversed(steps):
-        row = _take([0, *accumulate(row)], step)
-        plus = _take([1, *accumulate(plus)], step)
-    return EvalReport(const * row[0], plus[0] - 1, row[0])
+    params, k, width = program.params, program.depth + 1, hi - lo + 1
+
+    def root(prefix: Sequence[int], empty: int) -> int:
+        for prefix in _fold(prefix, steps, empty):  # ends on the root's table, or with no level the row's prefix sums
+            pass
+        return prefix[-1]
+
+    def tally(expr: Expr, empty: int) -> int:
+        return root([empty, *accumulate(_row(params, expr, k, None)(lo, hi))], empty)
+
+    leaves = root(range(width + 1), 0)
+    if const is not None:
+        return EvalReport(const * leaves, root([1, *range(1, width + 1)], 1) - 1, leaves)
+    value = tally(program.body, 0)
+    return EvalReport(value, tally(Add(additions_expr(program.body), Lit(1)), 1) - 1, leaves)
 
 
 def evaluate_memoized(program: SummationProgram) -> int:

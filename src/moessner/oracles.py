@@ -58,14 +58,14 @@ def multifactorial(step: int, n: int) -> int:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by building Pascal rows; k > n gives 0."""
+    """C(n, k) over min(k, n - k) steps, C(m, i) = C(m - 1, i - 1) * m / i; k > n gives 0."""
     _require_nat(n=n, k=k)
     if k > n:
         return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
+    k, c = min(k, n - k), 1
+    for i in range(1, k + 1):
+        c = _exact_div(c * (n - k + i), i, "binomial step")
+    return c
 
 
 def catalan(n: int) -> int:

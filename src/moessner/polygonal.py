@@ -1,9 +1,9 @@
 """Polygonal numbers as bounded sums of increasing integer quotients.
 
 Two index conventions coexist and both are exposed: quotient_sum uses the
-upper bound k*(n+1) and equals polygonal_closed; quotient_sum_shifted uses
-k*n and enumerates the familiar named streams (squares, pentagonal numbers,
-hexagonal numbers, and for k=1 the triangular numbers).
+upper bound k*(n+1) and equals the closed form oracles.polygonal_closed;
+quotient_sum_shifted uses k*n and enumerates the familiar named streams
+(squares, pentagonal, hexagonal numbers, and for k=1 the triangular numbers).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Callable
 
 from .counting import sigma
 from .errors import PreconditionError
-from .oracles import polygonal_closed  # noqa: F401  (re-exported: the closed-form side)
 
 
 def check_terms(k: int, terms: int) -> None:
@@ -26,7 +25,7 @@ def check_terms(k: int, terms: int) -> None:
 
 
 def quotient_sum(k: int, n: int) -> int:
-    """sum_{i=0}^{k*(n+1)} i // k; equals polygonal_closed(k, n)."""
+    """sum_{i=0}^{k*(n+1)} i // k; equals oracles.polygonal_closed(k, n)."""
     return quotient_sum_shifted(k, n + 1)
 
 

@@ -17,10 +17,11 @@ from moessner.oracles import (
     fibonacci,
     long2_closed,
     multiset,
+    polygonal_closed,
     pow_fast,
     product_table,
 )
-from moessner.polygonal import polygonal_closed, quotient_sum, quotient_sum_shifted
+from moessner.polygonal import quotient_sum, quotient_sum_shifted
 from moessner.presets import build
 from moessner.process import dp_power, forward_intermediate, run_process
 

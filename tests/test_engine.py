@@ -1208,13 +1208,13 @@ def test_counted_tables_match_the_reference_on_presets(name, params):
         assert engine._counted_tables(prog) == reference_counting(prog)
 
 
-def _refusing_tables(program, routed=False):
+def _refusing_tables(program):
     raise AssertionError("the tables ran")
 
 
 def test_shallow_programs_keep_the_walk(monkeypatch):
     # depth <= 1, or depth 2 with a Lit body: the walk opens at most one loop, and the tables never run
-    monkeypatch.setattr(engine, "_counted_tables", _refusing_tables)
+    monkeypatch.setattr(engine, "_forward", _refusing_tables)
     shallow = [
         SummationProgram(0, (), Add(Param("x"), Lit(2)), {"x": 7}),
         SummationProgram(1, (LevelSpec(0, Lit(5)),), Add(Prev(), Lit(1))),
@@ -1276,12 +1276,13 @@ def test_counting_routes_by_loops_against_cells(monkeypatch, prog, cells):
     # the walk keeps a program whose loops run no more often in all than the two rows hold cells
     # (over every window, the innermost one only for a closure body)
     walked = _walk_loops(prog)
-    nests = []
-    monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
     want = reference_counting(prog)
     assert engine._counted_tables(prog) == want
+    nests, counts = [], []
+    monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
+    monkeypatch.setattr(engine, "_counts", lambda *args, _counts=engine._counts: counts.append(args) or _counts(*args))
     assert evaluate_counting(prog) == want
-    assert (engine._counted_tables(prog, routed=True) is None, len(nests)) == ((True, 1) if walked <= cells else (False, 0))
+    assert (not counts, len(nests)) == ((True, 1) if walked <= cells else (False, 0))
 
 
 def test_counting_falls_back_to_the_walk_on_a_memory_error(monkeypatch):

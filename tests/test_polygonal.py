@@ -11,8 +11,8 @@ from moessner import engine
 from moessner.cli import main
 from moessner.errors import PreconditionError
 from moessner.oeis import load_fixture
+from moessner.oracles import polygonal_closed
 from moessner.polygonal import (
-    polygonal_closed,
     quotient_sum,
     quotient_sum_shifted,
     verify_block_split,
