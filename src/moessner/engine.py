@@ -12,7 +12,9 @@ Three evaluators:
   evaluate_counting value plus exact addition/leaf tallies: for a Markov
                     program whose walk would loop more times than the
                     tables hold cells, the memo's dynamic program run once
-                    per tally (_counts);
+                    per tally (_counts); for any other whose walk would loop
+                    more than twice per state, tables keyed on the live state
+                    (the states module, loaded only then);
                     else, or where the tables raise, added inline by the same
                     generated nest, whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
@@ -83,6 +85,7 @@ class _Summary(NamedTuple):
     reads_level: bool
     markov: bool
     running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
+    last_read: Optional[Dict[int, int]]  # not Markov: index j -> the deepest level reading i_j, by Hist(j) or Prev
 
 
 class SummationProgram(Record):
@@ -113,6 +116,7 @@ class SummationProgram(Record):
             pass
         params: set = set()
         reads_table, reads_level, markov, sum_to, prod_to = False, False, True, 0, 0
+        last_read: Dict[int, int] = {}
         for level, role, expr in _exprs(self):
             refs = validate_expr(expr, level, role=role)
             params |= refs["params"]
@@ -121,7 +125,12 @@ class SummationProgram(Record):
             whole_history = refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and refs["hist"] <= {level - 1}
             sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
-        summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to))
+            for j in refs["hist"]:  # levels come outermost first: the last write is the deepest reader
+                last_read[j] = level
+            if refs["prev"]:
+                last_read[level - 1] = level
+        # only the state tables read last_read, and only for a program that is not Markov
+        summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to), None if markov else last_read)
         object.__setattr__(self, "_analysis", summary)
         return summary
 
@@ -184,30 +193,52 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     bound arithmetic is never counted. leaves is the number of body
     evaluations: at depth 0, with no sum, one leaf and the body's additions.
 
-    A Markov program whose walk would nest two loops or more (depth, less one
-    for a Lit body, which the walk sums unwalked) runs the tables' forward
-    entry (_forward), and is counted by the tables (_counts) where the walk's
-    loops would run more times than two rows hold cells over their windows
-    (_loops_past); any other runs evaluate's nest with the counts added
-    inline, in constant memory. One loop or none never runs more times than
-    the rows hold cells. The tables run every bound before any body and name
-    a negative body by its innermost index alone, so on any MoessnerError
-    from them, a width past their cap included, or a MemoryError, the nest
-    runs instead, validated again (a parameter error raises anew): the
-    errors are the walk's, which are the reference's first.
+    A program whose walk would nest two loops or more (depth, less one for a
+    Lit body, which the walk sums unwalked) runs a forward pass first. A
+    Markov program runs the tables' forward entry (_forward) and is counted
+    by the tables (_counts) where the walk's loops would run more times than
+    two rows hold cells over their windows (_loops_past). Any other runs the
+    forward pass of the tables keyed on its live state (states.routed),
+    which counts the walk's loops through every reachable state, and is
+    counted by them where those loops pass twice the states, the forward
+    pass stopping early where they fall short of that past a budget of
+    states. Every other program runs evaluate's nest with the
+    counts added inline, in constant memory; one loop or none never runs
+    more times than the rows hold cells. The tables run every bound before
+    any body and name a negative body by less than its history, so on any
+    MoessnerError from them, a width past their cap included, or a
+    MemoryError, the nest runs instead, validated again (a parameter error
+    raises anew): the errors are the walk's, which are the reference's first.
     """
-    if program._summary.markov and program.depth - isinstance(program.body, Lit) >= 2:
+    markov = program._summary.markov
+    if program.depth - isinstance(program.body, Lit) >= 2:
         try:
-            const, steps, lo, hi = _forward(program)
-            sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
-            cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
-            if _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
-                return _counts(program, const, steps, lo, hi)
+            found = _routed(program) if markov else _routed_states(program)
+            if found is not None:
+                return found
         except (MoessnerError, MemoryError):
             validate(program)
     else:
         validate(program)
     return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
+
+
+def _routed(program: SummationProgram) -> Optional[EvalReport]:
+    """A Markov program counted by the tables where the walk's loops pass two rows' cells; else None."""
+    const, steps, lo, hi = _forward(program)
+    sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
+    cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
+    if _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
+        return _counts(program, const, steps, lo, hi)
+    return None
+
+
+def _routed_states(program: SummationProgram) -> Optional[EvalReport]:
+    """A program that is not Markov counted by the tables keyed on its live state where its
+    parents share enough; else None. The module is loaded only here."""
+    from . import states
+
+    return states.routed(program)
 
 
 def _lit_body(program: SummationProgram) -> Optional[int]:
@@ -642,7 +673,25 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
         raise ValidationError(f"program dict is missing field {exc}") from None
     except RecursionError:
         raise ValidationError("program expressions are nested too deeply") from None
-    return program
+    return _shared_bounds(program)
+
+
+def _shared_bounds(program: SummationProgram) -> SummationProgram:
+    """The program with each level bound that equals the bound above as that one object, as
+    presets._chain builds it, so the memo reads a repeated level once (_steps). Only after
+    validation: there no bool or float leaf is left, and equal expressions mean the same, so
+    the analysis carries over. A bound too deep to compare is kept as it is."""
+    levels, above = list(program.levels), None
+    try:
+        for k, spec in enumerate(levels):
+            if above is not None and spec.bound is not above.bound and spec.bound == above.bound:
+                levels[k] = above if spec.lower == above.lower else LevelSpec(spec.lower, above.bound)
+            above = levels[k]
+    except RecursionError:
+        return program
+    shared = SummationProgram(program.depth, levels, program.body, program.params)
+    object.__setattr__(shared, "_analysis", program._analysis)
+    return shared
 
 
 def program_to_json(program: SummationProgram) -> str:

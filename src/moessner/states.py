@@ -1,0 +1,327 @@
+"""Counted tables for programs that are not Markov: the memo keyed on live state.
+
+engine.evaluate_counting loads this module for a program that the Markov
+tables refuse. The state after level k is what the levels below still read
+of the history, found from the program's one analysis
+(SummationProgram._summary):
+  - each index i_j, j <= k, that a deeper bound or the body reads, through
+    Hist(j) or Prev one level down;
+  - the running sum i_1 + ... + i_k, where SumHist is read below;
+  - the running product, where ProdHist is read below.
+Histories with one state have equal sums below them, so each reachable state
+is summed once (live-variable dataflow: Aho, Lam, Sethi and Ullman,
+Compilers, 2nd ed., 9.2.5). Markov programs are the case of one live index.
+
+A level's states are grouped by their older key, every slot but the one that
+moves with i_k. Where that slot moves by +1 per index (i_k itself, or the
+running sum) a group is a dense window over it, and a parent's sum is a range
+of the window: two reads of the row's prefix sums (Blelloch, Prefix Sums and
+Their Applications, CMU-CS-90-190). Where no slot moves with i_k, a parent
+has one child state, taken as many times as it has indices; elsewhere (a
+running product, or two slots that move) it finds its child states one by
+one, each with its multiplicity.
+
+forward runs every bound over the reachable states, outermost first, and
+counts the histories through each state, so the walk's loops are known
+before any body runs; counts folds the tallies back up, as engine._counts
+does. routed, the entry evaluate_counting calls, folds them only where the
+walk would loop more than twice per state. The rows are generated through
+expr.Source over the state's slots. A program that is Markov has no
+last_read in its analysis and is the engine's tables' to count.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate
+from operator import add, mul, sub
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+from . import engine
+from .engine import EvalReport, SummationProgram, _lit_body
+from .errors import DomainError, PreconditionError
+from .expr import Add, Expr, Lit, Reads, Source, additions_expr
+
+Label = Union[int, str]  # a state slot: an index j (i_j), "s" (the running sum) or "p" (the running product)
+Group = Tuple[tuple, int, int, int]  # (older key, base, width, offset): cells base..base+width-1 of a window
+Read = Tuple[str, Any, Any]  # how a level's parents read its row (_fold)
+Found = Tuple[List[Group], List[int], Read, int]  # a level's groups, their cells' counts, its read, and its work
+
+
+class Plan(NamedTuple):
+    """forward's output: the innermost level's states and, per level, how its parents read it."""
+
+    program: SummationProgram
+    const: Optional[int]  # the Lit body's value, else None
+    labels: Tuple[Label, ...]  # the innermost state's slots; the last one is the window's where dense
+    dense: bool
+    groups: List[Group]  # the innermost level's cells, in row order
+    counts: List[int]  # histories through each innermost cell; 0 where none reaches it
+    reads: List[Read]  # per level, outermost first
+    loops: int  # the walk's loops: the histories through every level it walks
+    cells: int  # cells of every level, and child states found one by one
+
+
+_ABSENT = (None, 0, 0)  # a dense parent that no history reaches or whose sum is empty: no key, an empty range
+
+
+def _too_wide(k: int, width: int, what: str = "has {} states") -> None:
+    if width > engine._MAX_WIDTH:
+        raise PreconditionError(f"level {k} {what.format(width)}, past the {engine._MAX_WIDTH} cells a table may hold")
+
+
+def _negative(value: int) -> None:
+    raise DomainError(f"body evaluated to {value}")
+
+
+class _Gen:
+    """Generated code over the states after one level: a row of their cells, or a child state's key."""
+
+    def __init__(self, params: Any, labels: Sequence[Label], dense: bool, level: int) -> None:
+        names = {label: f"o{p}" for p, label in enumerate(labels)}
+        if dense:
+            names[labels[-1]] = "v"
+        older = len(labels) - dense
+        self.names, self.src = names, Source(params)
+        self.src.env.update(_negative=_negative, _absent=_ABSENT)
+        self.head = f"    {''.join(f'o{p}, ' for p in range(older))}= o\n" if older else ""
+        # a subtree compiled apart reads a history sequence, which a state does not hold
+        self.at = Reads(level, names.get(level - 1, ""), names.__getitem__, names.get("s", ""), names.get("p", ""), "_seq")
+
+    def emit(self, expr: Expr) -> str:
+        text = self.src.emit(expr, self.at)
+        if "_seq" in text:
+            raise PreconditionError("an expression nests too deeply for the state tables")
+        return text
+
+    def keep(self, labels: Sequence[Label]) -> str:
+        """The slots of labels, as the items of a tuple display."""
+        return "".join(f"{self.names[label]}, " for label in labels)
+
+    def row(self, cell: str, absent: str) -> Callable[[tuple, int, List[int]], list]:
+        """`_row(o, base, cnt)`: cell for each state of the group, absent where no history reaches it."""
+        self.src.run(
+            f"def _row(o, base, cnt):\n{self.head}"
+            f"    return [({cell}) if n else {absent} for v, n in zip(range(base, base + len(cnt)), cnt)]\n",
+            "exec",
+        )
+        return self.src.env["_row"]
+
+    def key(self, key: str) -> Callable[[tuple, int, int], tuple]:
+        """`_key(o, v, i)`: the child state of index i."""
+        self.src.run(f"def _key(o, v, i):\n{self.head}    return {key}\n", "exec")
+        return self.src.env["_key"]
+
+
+# The backward pass costs about as much per cell as the walk per loop, two for the rows of a closure
+# body (CPython 3.11), so with the forward pass done the tables fold where the walk would loop more
+# than twice per cell. The forward pass costs several loops per cell: where the parents share little,
+# it stops once it holds _PLANNED cells, so the walk it leaves to runs at most that much later.
+_LOOPS_PER_CELL = 2
+_PLANNED = 1024
+
+
+def routed(program: SummationProgram) -> Optional[EvalReport]:
+    """evaluate_counting(program) by the state tables where the walk's loops pass
+    _LOOPS_PER_CELL per cell; else None, for the walk."""
+    plan = forward(program, routed=True)
+    return None if plan is None else counts(plan)
+
+
+def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
+    """Validate, refuse a negative Lit body, then find each level's reachable states.
+
+    Per level k, from the states after level k - 1 and their counts of
+    histories: the slots of the state after level k (the live indices, then
+    the slots that move with i_k), each parent's bound and child states, and
+    the counts of the child states, the parents' counts spread over their
+    children. Cells that no history reaches run no expression. A level's code
+    is generated once per bound object, lower bound and slots (and level
+    number, where the program reads Level). A level of more cells than
+    engine._MAX_WIDTH is refused before its counts are built, and a level
+    whose child states are found one by one past that many. Routed, the
+    plan is None where the walk is the cheaper: at the end, or as soon as
+    the cells pass _PLANNED, where the walk's loops so far do not pass
+    _LOOPS_PER_CELL per cell.
+    """
+    engine.validate(program)  # through the module, as the engine's own callers see it
+    const = _lit_body(program)
+    params, summary = program.params, program._summary
+    sum_to, prod_to = summary.running
+    last = summary.last_read
+    # the root: S_0 = 0 and P_0 = 1 where they are read
+    labels: Tuple[Label, ...] = ("s",) * (sum_to > 0) + ("p",) * (prod_to > 0)
+    dense, groups, counts = False, [((0,) * (sum_to > 0) + (1,) * (prod_to > 0), 0, 1, 0)], [1]
+    live: List[int] = []
+    made: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}
+    reads: List[Read] = []
+    loops = cells = 0
+    for k, spec in enumerate(program.levels, 1):
+        live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
+        older = tuple(j for j in live if j < k)
+        moves = (k in live, k < sum_to, k < prod_to)  # the slots that move with i_k: i_k, the running sum, product
+        shape = (id(spec.bound), spec.lower, labels, dense, older, moves, summary.reads_level and k)
+        code = made.get(shape)
+        if code is None:
+            code = made[shape] = _code(params, labels, dense, k, spec, older, moves)
+        how, row, key = code
+        if how == "one":
+            groups, counts, read, work = _single(groups, counts, row)
+        elif how == "range":
+            groups, counts, read, work = _windows(k, groups, counts, row)
+        else:
+            groups, counts, read, work = _each(k, groups, counts, row, spec.lower, key)
+        labels = (*older, *[label for label, moved in zip((k, "s", "p"), moves) if moved])
+        dense = how == "range"
+        reads.append(read)
+        cells += work
+        if k < program.depth or const is None:  # a Lit body's innermost sum is not walked
+            loops += sum(counts)
+        if routed and cells > _PLANNED and loops <= _LOOPS_PER_CELL * cells:
+            return None
+    if routed and loops <= _LOOPS_PER_CELL * cells:
+        return None
+    return Plan(program, const, labels, dense, groups, counts, reads, loops, cells)
+
+
+def _code(params: Any, labels: Tuple[Label, ...], dense: bool, k: int, spec: Any, older: Tuple[int, ...],
+          moves: Tuple[bool, bool, bool]) -> Tuple[str, Callable, Optional[Callable]]:
+    """Level k's code over the states after level k - 1: how its parents read it, the row of
+    their cells and, where each index's child state is found apart, its key function."""
+    gen = _Gen(params, labels, dense, k)
+    bound, lower, keep = gen.emit(spec.bound), spec.lower, gen.keep(older)
+    names = gen.names
+    if not any(moves):  # one child state, taken once per index
+        return "one", gen.row(f"(({keep}), max({bound} - {lower} + 1, 0))", "(None, 0)"), None
+    if moves in ((True, False, False), (False, True, False)):  # a dense window over i_k, or over the running sum
+        c = "0" if moves[0] else names["s"]  # the window's coordinate less i_k
+        return "range", gen.row(f"(({keep}), {c} + {lower}, {c} + b + 1) if (b := {bound}) >= {lower} else _absent", "_absent"), None
+    moved = [text for text, moved in zip(("i", f"({names.get('s')} + i)", f"({names.get('p')} * i)"), moves) if moved]
+    return "kids", gen.row(bound, "None"), gen.key(f"({keep}{''.join(f'{text}, ' for text in moved)})")
+
+
+def _windows(k: int, groups: List[Group], counts: List[int], row: Callable) -> Found:
+    """A dense level: one window per older key, the hull of its parents' ranges; the cells'
+    counts; and each parent's range as (start, stop) into the prefix sums of the level's row,
+    the windows laid end to end."""
+    ranges: List[Tuple[Optional[tuple], int, int]] = []
+    for o, base, width, off in groups:
+        ranges += row(o, base, counts[off:off + width])
+    hull: Dict[tuple, List[int]] = {}
+    for key, s, e in ranges:
+        if key is not None:
+            h = hull.get(key)
+            if h is None:
+                hull[key] = [s, e]
+            else:
+                if s < h[0]:
+                    h[0] = s
+                if e > h[1]:
+                    h[1] = e
+    out: List[Group] = []
+    at: Dict[Optional[tuple], int] = {None: 0}  # a flat position is at[key] + the window coordinate
+    width = 0
+    for key, (s, e) in hull.items():
+        at[key] = width - s
+        out.append((key, s, e - s, width))
+        width += e - s
+    _too_wide(k, width)
+    keys, starts, stops = zip(*ranges) if ranges else ((), (), ())
+    offsets = list(map(at.__getitem__, keys))
+    starts, stops = list(map(add, offsets, starts)), list(map(add, offsets, stops))
+    diff = [0] * (width + 1)
+    for s, e, n in zip(starts, stops, counts):
+        diff[s] += n
+        diff[e] -= n
+    return out, list(accumulate(diff[:-1])), ("range", starts, stops), width
+
+
+def _single(groups: List[Group], counts: List[int], row: Callable) -> Found:
+    """A level where no slot moves with its index: each parent's one child state and its
+    multiplicity, the number of its indices."""
+    found: List[Tuple[Optional[tuple], int]] = []
+    for o, base, width, off in groups:
+        found += row(o, base, counts[off:off + width])
+    index: Dict[tuple, int] = {}
+    cells = [index.setdefault(child, len(index)) if m else 0 for child, m in found]
+    times = [m for _, m in found]
+    totals = [0] * len(index)
+    for j, m, n in zip(cells, times, counts):
+        if m:  # an empty sum has no child, and its 0 is no cell where no level k state exists
+            totals[j] += m * n
+    return [(child, 0, 1, j) for child, j in index.items()], totals, ("one", cells, times), len(index)
+
+
+def _each(k: int, groups: List[Group], counts: List[int], row: Callable, lower: int,
+          key: Callable) -> Found:
+    """A level whose state moves with its index in another way (a running product, or two slots):
+    each parent's child states key(o, v, i) for i in lower..bound, as (cell, multiplicity) pairs."""
+    index: Dict[tuple, int] = {}
+    kids: List[List[Tuple[int, int]]] = []
+    edges = 0
+    for o, base, width, off in groups:
+        for v, b in zip(range(base, base + width), row(o, base, counts[off:off + width])):
+            if b is None or b < lower:
+                kids.append([])
+                continue
+            edges += b - lower + 1
+            _too_wide(k, edges, "finds {} child states one by one")
+            tally: Dict[tuple, int] = {}
+            for i in range(lower, b + 1):
+                child = key(o, v, i)
+                tally[child] = tally.get(child, 0) + 1
+            kids.append([(index.setdefault(child, len(index)), m) for child, m in tally.items()])
+    totals = [0] * len(index)
+    for mine, n in zip(kids, counts):
+        for j, m in mine:
+            totals[j] += m * n
+    return [(child, 0, 1, j) for child, j in index.items()], totals, ("kids", kids, None), len(index) + edges
+
+
+def _fold(reads: List[Read], row: List[int], empty: int) -> int:
+    """One tally folded from the innermost row up to the root's one entry: per level, each parent
+    reads a range of the row's prefix sums ("range"), its one child times its multiplicity
+    ("one"), or its kids with theirs ("kids"). An empty sum reads empty; a nonempty sum of a
+    tally that reads 1 there (B) is at least 1, so only the 0 of an empty range is replaced."""
+    for how, a, b in reversed(reads):
+        if how == "range":
+            prefix = [0, *accumulate(row)]
+            row = list(map(sub, map(prefix.__getitem__, b), map(prefix.__getitem__, a)))
+        elif how == "one":  # a level empty under every parent has no cell: its parents read 0 times 0
+            row = list(map(mul, map((row or [0]).__getitem__, a), b))
+        else:
+            row = [sum(m * row[j] for j, m in mine) for mine in a]
+        if empty:
+            row = [t or empty for t in row]
+    return row[0]
+
+
+def counts(plan: Plan) -> EvalReport:
+    """The tallies (value, additions + 1, leaves) folded from the innermost states to the root.
+
+    A sum of p >= 1 terms has its terms' tallies summed, additions as B =
+    additions + 1, and an empty sum is (0, 1, 0). The innermost row is the
+    body's value, its additions_expr plus 1, and 1 per leaf; a Lit body c
+    builds no value row: the value is c times the leaves.
+    """
+    program = plan.program
+    gen = _Gen(program.params, plan.labels, plan.dense, program.depth + 1)
+
+    def body(expr: Expr, negative: bool) -> List[int]:
+        text = gen.emit(expr)
+        made = gen.row(f"(w if (w := {text}) >= 0 else _negative(w))" if negative else text, "0")
+        out: List[int] = []
+        for o, base, width, off in plan.groups:
+            out += made(o, base, plan.counts[off:off + width])
+        return out
+
+    ones = [1] * sum(g[2] for g in plan.groups)
+    leaves = _fold(plan.reads, ones, 0)
+    if plan.const is not None:
+        return EvalReport(plan.const * leaves, _fold(plan.reads, ones, 1) - 1, leaves)
+    value = _fold(plan.reads, body(program.body, True), 0)
+    return EvalReport(value, _fold(plan.reads, body(Add(additions_expr(program.body), Lit(1)), False), 1) - 1, leaves)
+
+
+def counted_tables(program: SummationProgram) -> EvalReport:
+    """evaluate_counting(program) by the state tables, whatever the walk would cost, with their errors."""
+    return counts(forward(program))

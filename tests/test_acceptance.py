@@ -22,7 +22,7 @@ from moessner.oracles import (
     product_table,
 )
 from moessner.polygonal import quotient_sum, quotient_sum_shifted
-from moessner.presets import build
+from moessner.presets import build, expected
 from moessner.process import dp_power, forward_intermediate, run_process
 
 
@@ -253,3 +253,16 @@ def test_c13_counted_tables_past_the_walk():
         report = evaluate_counting(build(name, {"x": x, "n": n}))
         assert report.value == report.leaves == pow_fast(x + 1, n), name
         assert report.additions == pow_fast(x + 1, n) - 1, name
+
+
+def test_c14_state_tables_past_the_walk():
+    # not Markov: the walk would visit 5.8e13 and 1.0e16 leaves; the tables keyed on live state answer
+    for name, params in (("a137273", {"n": 16}), ("a125860", {"x": 1, "n": 12})):
+        started = time.monotonic()
+        report = evaluate_counting(build(name, params))
+        assert time.monotonic() - started < 1.0, name
+        value = expected(name, params)
+        assert report.value == report.leaves == value, name
+        assert report.additions == value - 1, name
+    assert value == 10_047_909_839_840_456
+    assert expected("a137273", {"n": 16}) == 57_753_201_767_477

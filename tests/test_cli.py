@@ -119,6 +119,22 @@ def test_eval_count_adds_memoized_refuses_before_walking(capsys, monkeypatch):
     assert "Markov" in err
 
 
+def test_eval_count_adds_memoized_refuses_a_non_markov_preset_with_the_memos_text(capsys, monkeypatch):
+    # the state tables count a137273 through evaluate_counting, but --memoized runs the Markov tables alone
+    from moessner import states
+
+    def tables(program):
+        raise AssertionError("the state tables ran")
+
+    monkeypatch.setattr(states, "forward", tables)
+    code, out, err = run_cli(capsys, "eval", "--preset", "a137273", "--params", "n=12", "--memoized", "--count-adds")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: memoized evaluation requires a Markov program "
+        "(bounds read at most the previous index; body at most the innermost)\n"
+    )
+
+
 def test_eval_count_adds_memoized_runs_the_counted_tables_alone(capsys, monkeypatch):
     def other(program):
         raise AssertionError("a second evaluator ran")

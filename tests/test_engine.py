@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moessner import engine
+from moessner import engine, states
 from moessner import expr as expr_module
 from moessner.engine import (
     EvalReport,
@@ -160,9 +160,12 @@ def _later_bound(k):
         FloorDiv(Mul(Lit(3), Prev()), 2),
         SumHist(),
         IfZero(Prev(), Lit(2), Sub(Prev(), Lit(1))),
+        # the running product, kept small
+        Sub(Lit(3), ProdHist()),
+        FloorDiv(ProdHist(), 16),
     ]
-    if k >= 3:
-        opts.append(Add(Hist(k - 2), Hist(k - 1)))
+    if k >= 3:  # indices further back than the previous one
+        opts += [Add(Hist(k - 2), Hist(k - 1)), Hist(1), Add(Hist(1), Lit(1))]
     return st.one_of(st.sampled_from(opts), _affine_bound(k))
 
 
@@ -192,7 +195,9 @@ _bodies = st.sampled_from(
      # table index arithmetic is not counted; indices stay below _TABLE's length
      Add(Table(Add(Prev(), Lit(1))), Lit(1)),
      FloorDiv(Add(Prev(), Level()), 2),
-     Sub(Add(Prev(), Lit(2)), Lit(1))]
+     Sub(Add(Prev(), Lit(2)), Lit(1)),
+     # the history past the innermost index
+     Hist(1), ProdHist(), Add(SumHist(), Prev()), Mul(Hist(1), Prev())]
 )
 # depth 0: the body stands at level 1, with no enclosing index to read
 _root_bodies = st.sampled_from(
@@ -200,11 +205,15 @@ _root_bodies = st.sampled_from(
      Add(Table(Param("x")), Lit(1)),
      IfZero(Param("x"), Add(Param("x"), Lit(1)), Add(Add(Param("x"), Param("x")), Lit(1)))]
 )
-# A rising bound at level k reads at most 4 * i_{k-1} + 3 + max(k, x); a falling one at most
-# 16 + max(k, x) = 20; a reused bound no more. Level 1 reads at most 3, so at depth 4 the innermost
-# index is at most 4 * (4 * (4 * 3 + 6) + 6) + 7 = 319; a wide level 1 (at most 14) comes only at
-# depth <= 3, where it is at most 4 * (4 * 14 + 6) + 6 = 254. Table(Prev() + 1) reads at most f[320].
-_TABLE = tuple(i * 7 % 5 for i in range(321))
+# The largest index each level can reach, over every bound the generator draws (x <= 3): a rising
+# affine bound at level k reads at most 4 * i_{k-1} + 3 + max(k, 3), a falling one at most
+# 16 + max(k, 3), SumHist the indices' sum, Hist(k-2) + Hist(k-1) two of them, Hist(1) + 1 and
+# 3 - ProdHist little, and ProdHist // 16 the indices' product over 16; a reused bound is one of
+# these at the next level. Level 1 reads at most 3, so the levels reach at most 3, 19 (falling),
+# 4 * 19 + 6 = 82 and 4 * 82 + 7 = 335 (past 3 + 19 + 82 = 104 and 3 * 19 * 82 // 16 = 291). A wide
+# level 1 (at most 14) comes only at depth <= 3, which reaches at most 14, 62 and 4 * 62 + 6 = 254.
+# Table(Prev() + 1) reads at most f[336].
+_TABLE = tuple(i * 7 % 5 for i in range(337))
 
 
 @st.composite
@@ -1326,6 +1335,133 @@ def test_json_load_refuses_a_bound_equal_to_a_valid_one(bound):
             "body": {"node": "Lit", "value": 1}}
     with pytest.raises(ValidationError, match="literal must be an int"):
         program_from_dict(data)
+
+
+# The state tables (states.counted_tables) are called directly here, as the counted tables are above.
+@given(_programs().filter(lambda prog: not is_markov(prog)))
+@settings(max_examples=300, deadline=None)
+def test_state_tables_match_the_reference_on_random_programs(prog):
+    want = _outcome(reference_counting, prog)
+    if isinstance(want, EvalReport):
+        assert states.counted_tables(prog) == want
+
+
+@pytest.mark.parametrize("name,params", [(n, p) for n, p in PRESET_SAMPLES if not is_markov(build(n, p))],
+                         ids=lambda v: str(v))
+def test_state_tables_match_the_reference_on_presets(name, params):
+    prog = build(name, params)
+    assert states.counted_tables(prog) == reference_counting(prog)
+
+
+def _refusing_state_tables(plan):
+    raise AssertionError("the state tables ran")
+
+
+def _low_sharing(w):
+    # i1 in 0..w, i2 in 0..i1, i3 in 0..i1, body i3 + i2: every (i1, i2) is its own state
+    levels = (LevelSpec(0, Lit(w)), LevelSpec(0, Prev()), LevelSpec(0, Hist(1)))
+    return SummationProgram(3, levels, Add(Prev(), Hist(2)))
+
+
+def test_low_sharing_programs_keep_the_walk(monkeypatch):
+    # the forward pass runs and counts the walk's loops against its cells; the tallies never fold
+    monkeypatch.setattr(states, "counts", _refusing_state_tables)
+    # moessner's bounds with the body SumHist: the state is (i_k, the running sum), and few repeat
+    running = SummationProgram(4, (LevelSpec(0, Param("x")), *[LevelSpec(0, Prev())] * 3), SumHist(), {"x": 3})
+    for prog in (_low_sharing(5), running, build("a125860", {"x": 0, "n": 9})):
+        plan = states.forward(prog)
+        assert plan.loops <= states._LOOPS_PER_CELL * plan.cells
+        assert evaluate_counting(prog) == reference_counting(prog)
+    # where the parents share much, the tables fold: i1 in 0..30, then three levels bounded by i1
+    shared = SummationProgram(4, (LevelSpec(0, Lit(30)), *[LevelSpec(0, Hist(1))] * 3), Add(Prev(), Hist(1)))
+    for prog in (shared, build("a137273", {"n": 11}), build("positive_integers", {"n": 200})):
+        plan = states.forward(prog)
+        assert plan.loops > states._LOOPS_PER_CELL * plan.cells
+        with pytest.raises(AssertionError, match="the state tables ran"):
+            evaluate_counting(prog)
+
+
+def test_low_sharing_programs_stop_the_forward_pass_early(monkeypatch):
+    # levels 1 and 2 of _low_sharing(60) hold 61 + 1891 states, one per history: past _PLANNED
+    # cells with no sharing so far, the routed pass does not plan level 3 and the walk runs
+    levels = []
+    monkeypatch.setattr(states, "_windows", lambda k, *args, _w=states._windows: levels.append(k) or _w(k, *args))
+    prog = _low_sharing(60)
+    assert states.forward(prog).cells > states._PLANNED
+    assert levels == [1, 2, 3]
+    levels.clear()
+    assert states.forward(prog, routed=True) is None
+    assert levels == [1, 2]
+    assert evaluate_counting(prog) == reference_counting(prog)
+
+
+def test_shallow_non_markov_programs_never_plan(monkeypatch):
+    # depth 1, or depth 2 with a Lit body: the walk opens at most one loop
+    monkeypatch.setattr(states, "forward", _refusing_state_tables)
+    for prog in (
+        SummationProgram(1, (LevelSpec(0, Lit(5)),), SumHist()),
+        SummationProgram(2, (LevelSpec(0, Lit(5)), LevelSpec(0, SumHist())), Lit(3)),
+        build("positive_integers", {"n": 2}),
+    ):
+        assert not is_markov(prog)
+        assert evaluate_counting(prog) == reference_counting(prog)
+
+
+def test_state_tables_fall_back_to_the_walk_past_the_width_cap(monkeypatch):
+    # the walk visits the one index of level 1; the tables' level 2 holds six states (i1, i2), past a cap of 3
+    monkeypatch.setattr(engine, "_MAX_WIDTH", 3)
+    levels = (LevelSpec(0, Lit(0)), LevelSpec(0, Lit(5)), LevelSpec(1, Add(Hist(1), Hist(2))))
+    prog = SummationProgram(3, levels, Lit(2))
+    with pytest.raises(PreconditionError, match="^level 2 has 6 states, past the 3 cells a table may hold$"):
+        states.counted_tables(prog)
+    assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(30, 15, 15)
+
+
+def test_state_tables_fall_back_to_the_walk_on_a_memory_error(monkeypatch):
+    calls = []
+
+    def out_of_memory(*args):
+        calls.append(args)
+        raise MemoryError
+
+    monkeypatch.setattr(states, "_fold", out_of_memory)
+    prog = build("a137273", {"n": 10})
+    value = expected("a137273", {"n": 10})
+    assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(value, value - 1, value)
+    assert len(calls) == 1
+
+
+def test_state_tables_validate_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "validate", lambda program: calls.append(program) or validate(program))
+    for prog in (build("a137273", {"n": 10}), build("a137273", {"n": 7})):  # the tables, then the walk
+        calls.clear()
+        value = expected("a137273", {"n": prog.depth})
+        assert evaluate_counting(prog) == EvalReport(value, value - 1, value)
+        assert calls == [prog]
+
+
+def test_state_tables_count_a_depth_0_program():
+    # SumHist is 0 at level 1: the root is the one state, and its one leaf
+    prog = SummationProgram(0, (), Add(SumHist(), Param("x")), {"x": 4})
+    assert not is_markov(prog)
+    assert states.counted_tables(prog) == reference_counting(prog) == EvalReport(4, 1, 1)
+
+
+def test_round_tripped_bounds_share_one_object():
+    prog = build("fibonacci", {"n": 300})
+    loaded = program_from_json(program_to_json(prog))
+    assert loaded == prog
+    assert len({id(spec.bound) for spec in loaded.levels[1:]}) == 1
+    assert len({id(spec) for spec in loaded.levels[1:]}) == 1  # one lower, so one level record
+    assert list(level_tables(loaded)) == list(level_tables(prog))
+    # a bound equal to the one above at another lower shares the bound alone
+    data = {"depth": 3, "levels": [{"lower": 0, "bound": {"node": "Lit", "value": 2}}] * 2
+            + [{"lower": 1, "bound": {"node": "Lit", "value": 2}}], "body": {"node": "Prev"}}
+    loaded = program_from_dict(data)
+    assert [spec.lower for spec in loaded.levels] == [0, 0, 1]
+    assert len({id(spec.bound) for spec in loaded.levels}) == 1
+    assert evaluate_counting(loaded) == reference_counting(loaded)
 
 
 def test_counted_tables_reach_past_the_walks_depth_cap():

@@ -21,7 +21,7 @@ shown = {"json", "dataclasses", "inspect"}
 print(code, *sorted(m for m in sys.modules if m in shown or m.startswith("moessner.")), file=sys.stderr)
 """
 
-_NOT_FOR_EVAL = {"process", "inverse", "polygonal", "counting", "elision", "oeis"}
+_NOT_FOR_EVAL = {"process", "inverse", "polygonal", "counting", "elision", "oeis", "states"}
 
 
 def _cold(*argv):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -119,3 +120,18 @@ def test_cli_refuses_a_huge_k_at_once():
     assert result.stderr.splitlines() == [
         "error: 600000000000000000003 quotient terms are past the 100000000 terms polygonal sums may add"
     ]
+
+
+def test_cli_sums_a_run_near_the_cap_by_blocks():
+    # 98,071,400 quotient terms, just under the cap: each row adds its blocks of k quotients, not its terms
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", "polygonal", "--k", "100", "--count", "1400"],
+        capture_output=True, text=True, timeout=120,
+    )
+    elapsed = time.monotonic() - started
+    lines = result.stdout.splitlines()
+    assert (result.returncode, result.stderr, len(lines)) == (0, "", 1401)
+    assert lines[0] == "n=0 sum 1 closed 1 match"
+    assert lines[-2:] == ["n=1399 sum 97931400 closed 97931400 match", "1400/1400 match"]
+    assert elapsed < 5.0
