@@ -26,15 +26,16 @@ Three evaluators:
                     and one backward pass (_fold)
 
 validate and is_markov read one analysis per program, SummationProgram._summary,
-kept in the program's one slot that is not a field; presets.sweep is the one
-caller that chooses an evaluator. Depth 0 is the zero-level case of all three;
-expr.eval_expr and eval_expr_counted are references.
+kept in the program's one slot that is not a field: one step per run of levels
+that share one bound object, one validate_expr walk per expression object.
+presets.sweep is the one caller that chooses an evaluator. Depth 0 is the
+zero-level case of all three; expr.eval_expr and eval_expr_counted are references.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, groupby
+from operator import attrgetter, mul, sub
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, MoessnerError, ParameterError, PreconditionError, ValidationError, digit_limit
@@ -108,8 +109,12 @@ class SummationProgram(Record):
 
     @property
     def _summary(self) -> _Summary:
-        """One validate_expr walk per expression, kept in the slot _analysis; a
-        structural error raises and keeps nothing. Copies start without it."""
+        """The one analysis, kept in the slot _analysis; a structural error raises and keeps
+        nothing. Copies start without it. Each run of levels that share one bound object folds
+        in one step (_runs), and validate_expr walks each expression object once, at its
+        shallowest level: one valid at level f is valid, with the same reads, at every deeper level
+        (Prev needs a level past 1, Hist(j) one past j), so the first error and its role text are
+        those of a walk per level."""
         try:
             return self._analysis
         except AttributeError:
@@ -117,29 +122,37 @@ class SummationProgram(Record):
         params: set = set()
         reads_table, reads_level, markov, sum_to, prod_to = False, False, True, 0, 0
         last_read: Dict[int, int] = {}
-        for level, role, expr in _exprs(self):
-            refs = validate_expr(expr, level, role=role)
+        walked: Dict[int, Dict[str, Any]] = {}  # an expression's id -> its reads
+        for f, l, expr in _runs(self):
+            refs = walked.get(id(expr))
+            if refs is None:
+                refs = walked[id(expr)] = validate_expr(expr, f, role=f"level {f} bound" if f <= self.depth else "body")
+            hist = refs["hist"]
             params |= refs["params"]
             reads_table = reads_table or refs["table"]
             reads_level = reads_level or refs["level"]
             whole_history = refs["sum_hist"] or refs["prod_hist"]
-            markov = markov and not whole_history and refs["hist"] <= {level - 1}
-            sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
-            for j in refs["hist"]:  # levels come outermost first: the last write is the deepest reader
-                last_read[j] = level
-            if refs["prev"]:
-                last_read[level - 1] = level
+            markov = markov and not whole_history and (not hist or f == l and hist <= {f - 1})
+            sum_to, prod_to = (l if refs["sum_hist"] else sum_to), (l if refs["prod_hist"] else prod_to)
+            for j in hist:  # runs come outermost first: the last write is the deepest reader
+                last_read[j] = l
+            if refs["prev"]:  # level k reads i_{k-1}, but i_{f-1} is read at l where Hist(f-1) is
+                k = f + (f - 1 in hist)
+                last_read.update(zip(range(k - 1, l), range(k, l + 1)))
         # only the state tables read last_read, and only for a program that is not Markov
         summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to), None if markov else last_read)
         object.__setattr__(self, "_analysis", summary)
         return summary
 
 
-def _exprs(program: SummationProgram) -> Iterator[Tuple[int, str, Expr]]:
-    """(level, role, expression) for each bound, outermost first, then the body."""
-    for k, spec in enumerate(program.levels, start=1):
-        yield k, f"level {k} bound", spec.bound
-    yield program.depth + 1, "body", program.body
+def _runs(program: SummationProgram) -> Iterator[Tuple[int, int, Expr]]:
+    """(first level, last level, bound) per run of consecutive levels that share one bound
+    object, outermost first, then (depth + 1, depth + 1, body)."""
+    last = 0
+    for _, run in groupby(map(id, map(attrgetter("bound"), program.levels))):
+        first, last = last + 1, last + len(list(run))
+        yield first, last, program.levels[first - 1].bound
+    yield program.depth + 1, program.depth + 1, program.body
 
 
 def is_natural(value: Any) -> bool:
@@ -655,14 +668,15 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
         depth = data["depth"]
         entries = data["levels"]
         if not isinstance(entries, (list, tuple)) or not all(
-            isinstance(entry, Mapping) for entry in entries
+            type(entry) is dict or isinstance(entry, Mapping) for entry in entries  # a dict skips the slow ABC check
         ):
             raise ValidationError(f"program levels must be a list of objects, got {entries!r}")
-        levels = tuple(
-            LevelSpec(lower=entry["lower"], bound=expr_from_dict(entry["bound"]))
-            for entry in entries
-        )
-        body = expr_from_dict(data["body"])
+        shared: Dict[tuple, Any] = {}  # equal subtrees, and equal level records, as one object
+        levels = []
+        for entry in entries:
+            spec = LevelSpec(entry["lower"], expr_from_dict(entry["bound"], shared))  # lower: an int, 0 or 1
+            levels.append(shared.setdefault((LevelSpec, spec.lower, id(spec.bound)), spec))
+        body = expr_from_dict(data["body"], shared)
         params = data.get("params", {})
         if not isinstance(params, Mapping):
             raise ValidationError(f"program params must be an object, got {params!r}")
@@ -673,25 +687,7 @@ def program_from_dict(data: Mapping[str, Any]) -> SummationProgram:
         raise ValidationError(f"program dict is missing field {exc}") from None
     except RecursionError:
         raise ValidationError("program expressions are nested too deeply") from None
-    return _shared_bounds(program)
-
-
-def _shared_bounds(program: SummationProgram) -> SummationProgram:
-    """The program with each level bound that equals the bound above as that one object, as
-    presets._chain builds it, so the memo reads a repeated level once (_steps). Only after
-    validation: there no bool or float leaf is left, and equal expressions mean the same, so
-    the analysis carries over. A bound too deep to compare is kept as it is."""
-    levels, above = list(program.levels), None
-    try:
-        for k, spec in enumerate(levels):
-            if above is not None and spec.bound is not above.bound and spec.bound == above.bound:
-                levels[k] = above if spec.lower == above.lower else LevelSpec(spec.lower, above.bound)
-            above = levels[k]
-    except RecursionError:
-        return program
-    shared = SummationProgram(program.depth, levels, program.body, program.params)
-    object.__setattr__(shared, "_analysis", program._analysis)
-    return shared
+    return program
 
 
 def program_to_json(program: SummationProgram) -> str:

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from types import CodeType
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Tuple, Union, get_args
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union, get_args
 
 from .errors import ParameterError, ValidationError
 from .record import Record
@@ -323,6 +323,9 @@ _CHILDREN: Dict[type, Tuple[str, ...]] = {
 _FIELDS = {kind: kind._fields for kind in get_args(Expr)}
 _KINDS = {kind.__name__: kind for kind in _FIELDS}
 _DICT_KEY = {"orelse": "else"}  # Python keyword on one side, dict key on the other
+_FROM_DICT = {  # per kind, each field's dict key and whether it holds a node
+    kind: [(_DICT_KEY.get(f, f), f in _CHILDREN.get(kind, ())) for f in fields] for kind, fields in _FIELDS.items()
+}
 _FLAGS = {Level: "level", Prev: "prev", SumHist: "sum_hist", ProdHist: "prod_hist", Table: "table"}
 
 
@@ -374,21 +377,35 @@ def expr_to_dict(expr: Expr) -> Dict[str, Any]:
     return out
 
 
-def expr_from_dict(data: Dict[str, Any]) -> Expr:
+def expr_from_dict(data: Dict[str, Any], shared: Optional[Dict[tuple, Any]] = None) -> Expr:
+    """The expression of a node dict, equal subtrees as one object, across the calls given one
+    `shared` table too (hash-consing: Filliatre and Conchon, ML Workshop 2006). Scalars are
+    keyed with their types: Lit(True) == Lit(1), yet validation must refuse the bool."""
     if not isinstance(data, dict) or "node" not in data:
         raise ValidationError(f"expression dict needs a 'node' tag: {data!r}")
     tag = data["node"]
     kind = _KINDS.get(tag) if isinstance(tag, str) else None
     if kind is None:
         raise ValidationError(f"unknown expression node tag {tag!r}")
-    values = []
+    shared = {} if shared is None else shared
+    values, key = [], [kind]  # each child's id and each scalar with its type
     try:
-        for name in _FIELDS[kind]:
-            value = data[_DICT_KEY.get(name, name)]
-            values.append(expr_from_dict(value) if name in _CHILDREN.get(kind, ()) else value)
+        for name, child in _FROM_DICT[kind]:
+            value = data[name]
+            if child:
+                value = expr_from_dict(value, shared)
+            values.append(value)
+            key.append(id(value) if child else (type(value), value))
     except KeyError as exc:
         raise ValidationError(f"{tag} node is missing field {exc}") from None
-    return kind(*values)
+    key = tuple(key)
+    try:
+        found = shared.get(key)
+    except TypeError:  # an unhashable scalar, which validation refuses
+        return kind(*values)
+    if found is None:
+        found = shared[key] = kind(*values)
+    return found
 
 
 # precedence levels for rendering: 1 add/sub, 2 mul/div, 3 atoms

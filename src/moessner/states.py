@@ -26,8 +26,9 @@ counts the histories through each state, so the walk's loops are known
 before any body runs; counts folds the tallies back up, as engine._counts
 does. routed, the entry evaluate_counting calls, folds them only where the
 walk would loop more than twice per state. The rows are generated through
-expr.Source over the state's slots. A program that is Markov has no
-last_read in its analysis and is the engine's tables' to count.
+expr.Source over the state's slots, once per shape of a level read back from
+it (_back). A program that is Markov has no last_read in its analysis and is
+the engine's tables' to count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from . import engine
 from .engine import EvalReport, SummationProgram, _lit_body
 from .errors import DomainError, PreconditionError
-from .expr import Add, Expr, Lit, Reads, Source, additions_expr
+from .expr import Add, Expr, Hist, Lit, Prev, Reads, Source, additions_expr
+from .record import Record
 
 Label = Union[int, str]  # a state slot: an index j (i_j), "s" (the running sum) or "p" (the running product)
 Group = Tuple[tuple, int, int, int]  # (older key, base, width, offset): cells base..base+width-1 of a window
@@ -135,13 +137,13 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     the slots that move with i_k), each parent's bound and child states, and
     the counts of the child states, the parents' counts spread over their
     children. Cells that no history reaches run no expression. A level's code
-    is generated once per bound object, lower bound and slots (and level
-    number, where the program reads Level). A level of more cells than
-    engine._MAX_WIDTH is refused before its counts are built, and a level
-    whose child states are found one by one past that many. Routed, the
-    plan is None where the walk is the cheaper: at the end, or as soon as
-    the cells pass _PLANNED, where the walk's loops so far do not pass
-    _LOOPS_PER_CELL per cell.
+    is generated once per shape: its bound and slots read back from the level
+    (_back), its lower bound, and the level number where the program reads
+    Level. A level of more cells than engine._MAX_WIDTH is refused before its
+    counts are built, and a level whose child states are found one by one
+    past that many. Routed, the plan is None where the walk is the cheaper:
+    at the end, or as soon as the cells pass _PLANNED, where the walk's loops
+    so far do not pass _LOOPS_PER_CELL per cell.
     """
     engine.validate(program)  # through the module, as the engine's own callers see it
     const = _lit_body(program)
@@ -152,17 +154,23 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     labels: Tuple[Label, ...] = ("s",) * (sum_to > 0) + ("p",) * (prod_to > 0)
     dense, groups, counts = False, [((0,) * (sum_to > 0) + (1,) * (prod_to > 0), 0, 1, 0)], [1]
     live: List[int] = []
-    made: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}
+    made: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by bound object and slots
+    shaped: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by level-relative shape
     reads: List[Read] = []
     loops = cells = 0
     for k, spec in enumerate(program.levels, 1):
         live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
         older = tuple(j for j in live if j < k)
         moves = (k in live, k < sum_to, k < prod_to)  # the slots that move with i_k: i_k, the running sum, product
-        shape = (id(spec.bound), spec.lower, labels, dense, older, moves, summary.reads_level and k)
-        code = made.get(shape)
-        if code is None:
-            code = made[shape] = _code(params, labels, dense, k, spec, older, moves)
+        level = summary.reads_level and k  # bound into the code where it reads Level
+        by_object = (id(spec.bound), spec.lower, labels, dense, older, moves, level)
+        code = made.get(by_object)
+        if code is None:  # a new bound object or new slots: look up the shape, read back from k
+            shape = (_back(spec.bound, k), spec.lower, _back(labels, k), dense, _back(older, k), moves, level)
+            code = shaped.get(shape)
+            if code is None:
+                code = shaped[shape] = _code(params, labels, dense, k, spec, older, moves)
+            made[by_object] = code
         how, row, key = code
         if how == "one":
             groups, counts, read, work = _single(groups, counts, row)
@@ -181,6 +189,22 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     if routed and loops <= _LOOPS_PER_CELL * cells:
         return None
     return Plan(program, const, labels, dense, groups, counts, reads, loops, cells)
+
+
+def _back(at: Any, k: int) -> Any:
+    """What level k's generated code reads of an expression or a tuple of slots: each index as
+    the number of levels back it is (de Bruijn indices), so Prev is Hist(k - 1) and a137273's
+    Hist(k - 2) + Hist(k - 1) is one shape at every level; every other node as its kind and fields."""
+    kind = type(at)
+    if kind is Hist or kind is Prev:
+        return k - at.index if kind is Hist else 1
+    if kind is tuple:
+        return tuple(k - label if type(label) is int else label for label in at)
+    shape = [kind]
+    for name in kind._fields:  # a loop, not a comprehension: one frame per node, as validation takes
+        value = getattr(at, name)
+        shape.append(_back(value, k) if isinstance(value, Record) else value)
+    return tuple(shape)
 
 
 def _code(params: Any, labels: Tuple[Label, ...], dense: bool, k: int, spec: Any, older: Tuple[int, ...],

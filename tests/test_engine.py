@@ -448,11 +448,62 @@ def test_each_expression_is_walked_once(monkeypatch):
 
     monkeypatch.setattr(engine, "validate_expr", counted)
     prog = build("fibonacci", {"n": 50})
-    assert len(walks) == prog.depth + 1 == 51
+    # one walk per distinct expression object: levels 2..50 share one bound
+    assert len({id(spec.bound) for spec in prog.levels} | {id(prog.body)}) == 3
+    assert walks == ["level 1 bound", "level 2 bound", "body"]
     validate(prog)
     assert is_markov(prog)
     assert evaluate_memoized(prog) == 20365011074
-    assert len(walks) == 51
+    assert len(walks) == 3
+
+
+def _reference_summary(program):
+    """The analysis one level at a time: every expression walked at its own level, by role."""
+    params, reads_table, reads_level, markov, sum_to, prod_to, last_read = set(), False, False, True, 0, 0, {}
+    roles = [(k, f"level {k} bound", spec.bound) for k, spec in enumerate(program.levels, start=1)]
+    for level, role, expr in roles + [(program.depth + 1, "body", program.body)]:
+        refs = validate_expr(expr, level, role=role)
+        params |= refs["params"]
+        reads_table, reads_level = reads_table or refs["table"], reads_level or refs["level"]
+        markov = markov and not refs["sum_hist"] and not refs["prod_hist"] and refs["hist"] <= {level - 1}
+        sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
+        for j in refs["hist"]:
+            last_read[j] = level
+        if refs["prev"]:
+            last_read[level - 1] = level
+    return engine._Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to),
+                           None if markov else last_read)
+
+
+# Module-level objects, so a draw can share one bound over a run of levels, in several runs,
+# and with the body. Prev is invalid at level 1, Hist(j) at levels up to j, Lit(True) anywhere.
+_SHARED = [Prev(), Hist(1), Hist(2), Hist(3), SumHist(), ProdHist(), Lit(2), Lit(True), Param("x"), Level(),
+           Add(Prev(), Hist(1)), Sub(Lit(3), Hist(2)), Table(Prev()), Mul(SumHist(), Hist(1)), Add(Prev(), ProdHist())]
+
+
+@st.composite
+def _shared_runs(draw):
+    """Levels as runs that share one bound object ([LevelSpec(lower, bound)] * length), or
+    equal bounds as one object per level; the body one of the same objects or a Lit."""
+    levels = []
+    for _ in range(draw(st.integers(0, 5))):
+        bound, length, lower = draw(st.sampled_from(_SHARED)), draw(st.integers(1, 4)), draw(st.sampled_from((0, 1)))
+        if draw(st.booleans()):
+            levels += [LevelSpec(lower, bound)] * length
+        else:
+            levels += [LevelSpec(lower, copy.deepcopy(bound)) for _ in range(length)]
+    body = draw(st.sampled_from([*_SHARED, Lit(1)]))
+    return SummationProgram(len(levels), tuple(levels), body, {"x": 1})
+
+
+@given(_shared_runs())
+@settings(max_examples=400, deadline=None)
+def test_run_folded_analysis_matches_the_per_level_one(prog):
+    want = _outcome(_reference_summary, prog)
+    got = _outcome(lambda program: program._summary, prog)
+    assert got == want
+    if isinstance(want, engine._Summary) and want.last_read is not None:
+        assert list(got.last_read.items()) == list(want.last_read.items())  # in the same order too
 
 
 def test_validate_rechecks_params_every_call():
@@ -1462,6 +1513,62 @@ def test_round_tripped_bounds_share_one_object():
     assert [spec.lower for spec in loaded.levels] == [0, 0, 1]
     assert len({id(spec.bound) for spec in loaded.levels}) == 1
     assert evaluate_counting(loaded) == reference_counting(loaded)
+
+
+def test_loaded_programs_are_validated_before_equal_literals_share():
+    # Lit(True) == Lit(1), yet the bool is refused wherever it stands, shallower or deeper
+    one, true = {"node": "Lit", "value": 1}, {"node": "Lit", "value": True}
+    for bounds in ((one, true), (true, one)):
+        data = {"depth": 2, "levels": [{"lower": 0, "bound": bound} for bound in bounds], "body": one}
+        with pytest.raises(ValidationError, match="^literal must be an int, got True$"):
+            program_from_dict(data)
+    # a bound equal to the body is one object, walked once, at its shallowest level
+    data = {"depth": 2, "levels": [{"lower": 0, "bound": one}, {"lower": 1, "bound": {"node": "Prev"}}],
+            "body": {"node": "Prev"}}
+    loaded = program_from_dict(data)
+    assert loaded.levels[1].bound is loaded.body
+    assert evaluate_counting(loaded) == reference_counting(loaded) == EvalReport(1, 1, 1)
+
+
+def test_state_tables_generate_code_once_per_level_relative_shape(monkeypatch):
+    # a137273's bound Hist(k-2) + Hist(k-1) is a new object at every level, but one shape
+    made = []
+    code = states._code
+    monkeypatch.setattr(states, "_code", lambda *args: made.append(args[3]) or code(*args))
+    for n in (9, 12):
+        made.clear()
+        prog = build("a137273", {"n": n})
+        assert len({id(spec.bound) for spec in prog.levels}) == n
+        value = expected("a137273", {"n": n})
+        assert states.counted_tables(prog) == EvalReport(value, value - 1, value)
+        assert made == [1, 2, 3, n]  # the innermost level keeps no slot: a shape of its own
+
+
+def test_level_relative_shapes_read_indices_back_from_the_level():
+    assert states._back(Prev(), 5) == states._back(Hist(4), 5) != states._back(Hist(3), 5)
+    assert states._back(Add(Hist(3), Hist(4)), 5) == states._back(Add(Hist(5), Hist(6)), 7)
+    assert states._back(Lit(1), 3) != states._back(Lit(2), 3)
+    assert states._back((1, 2, "s"), 3) == states._back((3, 4, "s"), 5) != states._back((3, 4, "s"), 6)
+
+
+def test_state_tables_read_the_shape_of_a_deep_bound():
+    # a bound nested 700 deep passes validation, so reading its shape must not run out of frames:
+    # the tables refuse it as they generate its code, and the walk counts it
+    bound = Hist(1)
+    for _ in range(700):
+        bound = Add(bound, Lit(0))
+    prog = SummationProgram(3, (LevelSpec(0, Lit(2)), LevelSpec(0, Lit(2)), LevelSpec(0, bound)), SumHist())
+    with pytest.raises(PreconditionError, match="nests too deeply for the state tables"):
+        states.counted_tables(prog)
+    assert evaluate_counting(prog) == EvalReport(54, 17, 18)
+
+
+def test_state_tables_keep_apart_levels_whose_children_keep_other_indices():
+    # levels 3 and 4 both sum to the index above, but level 4's child states keep i_3 for level 5
+    levels = (LevelSpec(0, Lit(2)), LevelSpec(0, Add(Prev(), Lit(1))), LevelSpec(0, Prev()), LevelSpec(0, Prev()),
+              LevelSpec(0, Hist(3)))
+    prog = SummationProgram(5, levels, Hist(4))
+    assert states.counted_tables(prog) == reference_counting(prog) == EvalReport(63, 75, 76)
 
 
 def test_counted_tables_reach_past_the_walks_depth_cap():

@@ -157,6 +157,19 @@ def test_every_node_kind_serializes():
     assert {type(expr) for expr in ROUND_TRIP_CASES} == set(typing.get_args(Expr))
 
 
+def test_deserialized_equal_subtrees_are_one_object():
+    prev, lit = {"node": "Prev"}, {"node": "Lit", "value": 1}
+    sub = {"node": "Sub", "lhs": prev, "rhs": lit}
+    added = expr_from_dict({"node": "Add", "lhs": sub, "rhs": dict(sub)})
+    assert added.lhs is added.rhs
+    shared = {}
+    assert expr_from_dict(lit, shared) is expr_from_dict(dict(lit), shared)
+    # keyed by type as well as value: equal scalars of other types stay apart
+    for other in (True, 1.0):
+        found = expr_from_dict({"node": "Lit", "value": other}, shared)
+        assert found == Lit(1) and type(found.value) is type(other)
+
+
 def test_serialization_rejects_junk():
     with pytest.raises(ValidationError):
         expr_to_dict("not a node")
