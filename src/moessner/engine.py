@@ -505,14 +505,13 @@ def _counts(program: SummationProgram, const: Optional[int], steps: List[Any], l
     A sum of p >= 1 terms has the terms' values and leaves and their additions
     plus p - 1, and an empty sum is (0, 0, 0). The additions ride as B =
     additions + 1, so a sum of p >= 1 terms has B = the sum of its terms' B,
-    and an empty sum reads B = 1. The leaves fold from range(width + 1), the
-    prefix sums of a row of ones, and B from the body's additions_expr plus 1.
-    A Lit body c builds no row: B folds from the leaves' prefix with 1 first,
-    and the value is c times the leaves.
+    and an empty sum reads B = 1. The leaves fold from range(width + 1), the prefix
+    sums of a row of ones, and B from the body's additions_expr plus 1. A Lit body c builds
+    no row: B folds from the leaves' first table, each empty sum read as 1; the value is c * leaves.
     """
     params, k, width = program.params, program.depth + 1, hi - lo + 1
 
-    def root(prefix: Sequence[int], empty: int) -> int:
+    def root(prefix: Sequence[int], empty: int, steps: List[Any] = steps) -> int:
         for prefix in _fold(prefix, steps, empty):  # ends on the root's table, or with no level the row's prefix sums
             pass
         return prefix[-1]
@@ -520,9 +519,10 @@ def _counts(program: SummationProgram, const: Optional[int], steps: List[Any], l
     def tally(expr: Expr, empty: int) -> int:
         return root([empty, *accumulate(_row(params, expr, k, None)(lo, hi))], empty)
 
-    leaves = root(range(width + 1), 0)
+    first, above = (_take(range(width + 1), steps[-1]), steps[:-1]) if steps else ([1], steps)  # depth 0: one leaf
+    leaves = root([0, *accumulate(first)], 0, above)
     if const is not None:
-        return EvalReport(const * leaves, root([1, *range(1, width + 1)], 1) - 1, leaves)
+        return EvalReport(const * leaves, root([1, *accumulate([t or 1 for t in first])], 1, above) - 1, leaves)
     value = tally(program.body, 0)
     return EvalReport(value, tally(Add(additions_expr(program.body), Lit(1)), 1) - 1, leaves)
 

@@ -182,14 +182,15 @@ class Source:
         """One Python expression equal to eval_expr(e, params, at.level, history)."""
         kind, params, bind = type(e), self.params, self.bind
         if nesting >= _MAX_NESTING and _CHILDREN.get(kind):
-            return f"{bind(compile_expr(e, params, at.level))}({at.seq})"
+            try:  # a subtree compiled apart takes more frames than validation's one per node
+                return f"{bind(compile_expr(e, params, at.level))}({at.seq})"
+            except RecursionError:
+                raise ValidationError("program expressions are nested too deeply") from None
         nesting += 1
         if kind is Lit:
             return bind(e.value)
         if kind is Param:
-            if e.name in params:
-                return bind(params[e.name])
-            return f"_missing_param({bind(e.name)})"
+            return bind(params[e.name]) if e.name in params else f"_missing_param({bind(e.name)})"
         if kind is Level:
             return bind(at.level)
         if kind is Prev:
@@ -447,9 +448,7 @@ def render_expr(expr: Expr, level: int) -> str:
                 num = f"({num})"
             return f"{num}/{e.div}", 2
         if kind is IfZero:
-            c, _ = go(e.cond)
-            t, _ = go(e.then)
-            o, _ = go(e.orelse)
+            c, t, o = (go(part)[0] for part in (e.cond, e.then, e.orelse))
             return f"if0({c},{t},{o})", 3
         raise ValidationError(f"not an expression node: {e!r}")
 

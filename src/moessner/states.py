@@ -19,7 +19,9 @@ of the window: two reads of the row's prefix sums (Blelloch, Prefix Sums and
 Their Applications, CMU-CS-90-190). Where no slot moves with i_k, a parent
 has one child state, taken as many times as it has indices; elsewhere (a
 running product, or two slots that move) it finds its child states one by
-one, each with its multiplicity.
+one, each with its multiplicity. Each read then spreads the parents' counts
+(_spread); a level that runs the code of the level above over the same
+parents, reached at the same cells, reuses that step and only spreads.
 
 forward runs every bound over the reachable states, outermost first, and
 counts the histories through each state, so the walk's loops are known
@@ -46,7 +48,7 @@ from .record import Record
 Label = Union[int, str]  # a state slot: an index j (i_j), "s" (the running sum) or "p" (the running product)
 Group = Tuple[tuple, int, int, int]  # (older key, base, width, offset): cells base..base+width-1 of a window
 Read = Tuple[str, Any, Any]  # how a level's parents read its row (_fold)
-Found = Tuple[List[Group], List[int], Read, int]  # a level's groups, their cells' counts, its read, and its work
+Found = Tuple[List[Group], Read, int, int]  # a level's groups, its read, its cells and its work
 
 
 class Plan(NamedTuple):
@@ -136,7 +138,10 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     histories: the slots of the state after level k (the live indices, then
     the slots that move with i_k), each parent's bound and child states, and
     the counts of the child states, the parents' counts spread over their
-    children. Cells that no history reaches run no expression. A level's code
+    children (_spread). Cells that no history reaches run no expression, so a
+    level whose code object is the previous level's, over equal parents with
+    the same cells at count 0, reuses the previous level's groups, read and
+    work, whose widths have passed their checks. A level's code
     is generated once per shape: its bound and slots read back from the level
     (_back), its lower bound, and the level number where the program reads
     Level. A level of more cells than engine._MAX_WIDTH is refused before its
@@ -158,6 +163,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     shaped: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by level-relative shape
     reads: List[Read] = []
     loops = cells = 0
+    step: tuple = ()  # the previous level's code, parents and their counts, and what it found
     for k, spec in enumerate(program.levels, 1):
         live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
         older = tuple(j for j in live if j < k)
@@ -172,12 +178,18 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
                 code = shaped[shape] = _code(params, labels, dense, k, spec, older, moves)
             made[by_object] = code
         how, row, key = code
-        if how == "one":
-            groups, counts, read, work = _single(groups, counts, row)
+        # the previous level's step, where this level runs its code over the same reached parents
+        if step and code is step[0] and groups == step[1] and list(map(bool, counts)) == list(map(bool, step[2])):
+            found = step[3]
+        elif how == "one":
+            found = _single(groups, counts, row)
         elif how == "range":
-            groups, counts, read, work = _windows(k, groups, counts, row)
+            found = _windows(k, groups, counts, row)
         else:
-            groups, counts, read, work = _each(k, groups, counts, row, spec.lower, key)
+            found = _each(k, groups, counts, row, spec.lower, key)
+        step = (code, groups, counts, found)
+        groups, read, width, work = found
+        counts = _spread(read, counts, width)
         labels = (*older, *[label for label, moved in zip((k, "s", "p"), moves) if moved])
         dense = how == "range"
         reads.append(read)
@@ -224,9 +236,9 @@ def _code(params: Any, labels: Tuple[Label, ...], dense: bool, k: int, spec: Any
 
 
 def _windows(k: int, groups: List[Group], counts: List[int], row: Callable) -> Found:
-    """A dense level: one window per older key, the hull of its parents' ranges; the cells'
-    counts; and each parent's range as (start, stop) into the prefix sums of the level's row,
-    the windows laid end to end."""
+    """A dense level: one window per older key, the hull of its parents' ranges, and each
+    parent's range as (start, stop) into the prefix sums of the level's row, the windows laid
+    end to end."""
     ranges: List[Tuple[Optional[tuple], int, int]] = []
     for o, base, width, off in groups:
         ranges += row(o, base, counts[off:off + width])
@@ -251,12 +263,7 @@ def _windows(k: int, groups: List[Group], counts: List[int], row: Callable) -> F
     _too_wide(k, width)
     keys, starts, stops = zip(*ranges) if ranges else ((), (), ())
     offsets = list(map(at.__getitem__, keys))
-    starts, stops = list(map(add, offsets, starts)), list(map(add, offsets, stops))
-    diff = [0] * (width + 1)
-    for s, e, n in zip(starts, stops, counts):
-        diff[s] += n
-        diff[e] -= n
-    return out, list(accumulate(diff[:-1])), ("range", starts, stops), width
+    return out, ("range", list(map(add, offsets, starts)), list(map(add, offsets, stops))), width, width
 
 
 def _single(groups: List[Group], counts: List[int], row: Callable) -> Found:
@@ -268,11 +275,7 @@ def _single(groups: List[Group], counts: List[int], row: Callable) -> Found:
     index: Dict[tuple, int] = {}
     cells = [index.setdefault(child, len(index)) if m else 0 for child, m in found]
     times = [m for _, m in found]
-    totals = [0] * len(index)
-    for j, m, n in zip(cells, times, counts):
-        if m:  # an empty sum has no child, and its 0 is no cell where no level k state exists
-            totals[j] += m * n
-    return [(child, 0, 1, j) for child, j in index.items()], totals, ("one", cells, times), len(index)
+    return [(child, 0, 1, j) for child, j in index.items()], ("one", cells, times), len(index), len(index)
 
 
 def _each(k: int, groups: List[Group], counts: List[int], row: Callable, lower: int,
@@ -294,11 +297,28 @@ def _each(k: int, groups: List[Group], counts: List[int], row: Callable, lower: 
                 child = key(o, v, i)
                 tally[child] = tally.get(child, 0) + 1
             kids.append([(index.setdefault(child, len(index)), m) for child, m in tally.items()])
-    totals = [0] * len(index)
-    for mine, n in zip(kids, counts):
-        for j, m in mine:
+    return [(child, 0, 1, j) for child, j in index.items()], ("kids", kids, None), len(index), len(index) + edges
+
+
+def _spread(read: Read, counts: List[int], width: int) -> List[int]:
+    """The histories through a level's width cells: each parent's count spread by the read over
+    a range ("range"), onto one child times its multiplicity ("one"), or onto its kids ("kids")."""
+    how, a, b = read
+    totals = [0] * (width + 1)  # a range stops one past its last cell; an empty sum adds its 0 at cell 0
+    if how == "range":
+        for s, e, n in zip(a, b, counts):
+            totals[s] += n
+            totals[e] -= n
+        totals = list(accumulate(totals))
+    elif how == "one":
+        for j, m, n in zip(a, b, counts):
             totals[j] += m * n
-    return [(child, 0, 1, j) for child, j in index.items()], totals, ("kids", kids, None), len(index) + edges
+    else:
+        for mine, n in zip(a, counts):
+            for j, m in mine:
+                totals[j] += m * n
+    totals.pop()
+    return totals
 
 
 def _fold(reads: List[Read], row: List[int], empty: int) -> int:

@@ -3,9 +3,11 @@
 import copy
 import json
 import re
+import sys
+import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from moessner import engine, states
@@ -1579,3 +1581,165 @@ def test_counted_tables_reach_past_the_walks_depth_cap():
         evaluate(prog)
     value = expected("fibonacci", {"n": n})
     assert evaluate_counting(prog) == EvalReport(value, value - 1, value)
+
+
+def test_bounds_too_deep_to_generate_end_in_a_validation_error():
+    # validation walks a bound with one frame per node; code generation takes more, the frames of
+    # each subtree it compiles apart. On a thread's fresh stack with 4000 frames allowed, a chain
+    # 3900 deep loads and every evaluator refuses it with the loader's text; one 500 deep is summed.
+    def load(head, depth):
+        bound = {"node": head}
+        for _ in range(depth):
+            bound = {"node": "Add", "lhs": bound, "rhs": {"node": "Lit", "value": 0}}
+        levels = [{"lower": 0, "bound": {"node": "Lit", "value": 2}}] * 2 + [{"lower": 0, "bound": bound}]
+        return program_from_dict({"depth": 3, "levels": levels, "body": {"node": "Lit", "value": 1}})
+
+    outcomes = {}
+
+    def run():
+        for head, tables in (("Prev", evaluate_memoized), ("SumHist", states.counted_tables)):
+            for depth in (500, 3900):
+                prog = load(head, depth)
+                outcomes[head, depth] = [_outcome(f, prog) for f in (evaluate, evaluate_counting, tables)]
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4000)
+    try:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not thread.is_alive()
+    deep = [(ValidationError, "program expressions are nested too deeply")] * 3
+    assert outcomes == {
+        ("Prev", 500): [18, EvalReport(18, 17, 18), 18],
+        ("Prev", 3900): deep,
+        # the state tables generate no subtree apart: they refuse the 500-deep bound, and the walk counts it
+        ("SumHist", 500): [27, EvalReport(27, 26, 27), (PreconditionError, "an expression nests too deeply for the state tables")],
+        ("SumHist", 3900): deep,
+    }
+
+
+class _Apart(list):
+    """A level's groups equal to no other groups, so no level below reuses a step."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+def _level_steps(monkeypatch, apart=False):
+    """The levels whose step states.forward computes, by their parents' groups; apart, each
+    level's groups compare unequal, so every level computes its step."""
+    computed = []
+    for name in ("_single", "_windows", "_each"):
+        def step(*args, _level=getattr(states, name)):
+            computed.append(args)
+            groups, *rest = _level(*args)
+            return (_Apart(groups) if apart else groups, *rest)
+        monkeypatch.setattr(states, name, step)
+    return computed
+
+
+_REUSE_POINTS = [("positive_integers", {"n": 200}), ("a137273", {"n": 12}), ("a125860", {"x": 1, "n": 8})]
+
+
+def test_state_tables_reuse_a_repeated_levels_step(monkeypatch):
+    # positive_integers' levels 2..n share ProdHist, and from level 3 on the parents are p in {0, 1}:
+    # levels 1, 2 and the last (whose state keeps nothing) compute a step, whatever n
+    computed = _level_steps(monkeypatch)
+    for n in (3, 4, 20, 200):
+        computed.clear()
+        prog = build("positive_integers", {"n": n})
+        assert states.counted_tables(prog) == EvalReport(n + 1, n, n + 1)
+        assert len(computed) == 3
+    # where the states change from level to level, every level computes its own
+    for name, params in _REUSE_POINTS[1:]:
+        computed.clear()
+        prog = build(name, params)
+        assert states.counted_tables(prog).value == expected(name, params)
+        assert len(computed) == prog.depth
+
+
+def test_state_tables_reuse_no_step_over_other_reached_parents(monkeypatch):
+    # the window over the running sum is s in 1..4 after levels 2 and 3, and levels 3 and 4 share a
+    # bound: level 2 reaches s = 1 and s = 4 alone, level 3 every s, so level 4 computes its own step
+    spread = IfZero(Sub(SumHist(), Lit(1)), Lit(3), Lit(0))  # s = 1 reaches 1..4, any other s only itself
+    levels = (LevelSpec(0, Lit(3)), LevelSpec(1, IfZero(Mul(SumHist(), Sub(SumHist(), Lit(3))), Lit(1), Lit(0))),
+              LevelSpec(0, spread), LevelSpec(0, spread))
+    prog = SummationProgram(4, levels, SumHist())
+    computed = _level_steps(monkeypatch)
+    plan = states.forward(prog)
+    assert [args[1] for args in computed[2:]] == [[((), 1, 4, 0)]] * 2
+    assert [args[2] for args in computed[2:]] == [[1, 0, 0, 1], [1, 1, 1, 2]]
+    assert plan.counts == [1, 2, 2, 3]
+    assert states.counted_tables(prog) == reference_counting(prog)
+
+
+def test_reused_steps_plan_as_a_step_per_level(monkeypatch):
+    for name, params in _REUSE_POINTS:
+        prog = build(name, params)
+        with monkeypatch.context() as patched:
+            computed = _level_steps(patched, apart=True)
+            each = states.forward(prog)
+            assert len(computed) == prog.depth
+        plan = states.forward(prog)
+        assert plan.groups == list(each.groups) and plan.counts == each.counts
+        assert (plan.loops, plan.cells) == (each.loops, each.cells)
+        assert plan.reads == each.reads  # by value: a reused level holds the level above's read object
+        assert [len(read[1]) for read in plan.reads] == [len(read[1]) for read in each.reads]
+
+
+# Later levels that share one bound object, with few states: from some level on, a level runs the
+# code of the one above over the same parents. Each bound is drawn with a lower that keeps at most
+# two indices per sum where level 1 reads at most 1, so depth 10 has at most 2 ** 10 histories.
+_REPEATED = [
+    (Hist(1), 0),
+    (Hist(1), 1),
+    (Add(Hist(1), Lit(1)), 1),
+    (Sub(Lit(3), ProdHist()), 1),
+    (FloorDiv(ProdHist(), 16), 0),
+    (IfZero(Prev(), Lit(1), Hist(1)), 0),
+]
+
+
+@st.composite
+def _repeating_programs(draw):
+    depth = draw(st.integers(5, 10))
+    bound, lower = draw(st.sampled_from(_REPEATED))
+    head = draw(st.sampled_from((Lit(0), Lit(1), Param("x"))))
+    second = draw(st.sampled_from((None, Lit(1), Prev(), Sub(Lit(1), Prev()))))  # a level 2 of its own, or none
+    levels = [LevelSpec(lower, head)] + [LevelSpec(lower, second)] * (second is not None)
+    levels += [LevelSpec(lower, bound)] * (depth - len(levels))
+    body = draw(_bodies)
+    return SummationProgram(depth, tuple(levels), body, {"x": draw(st.integers(0, 1)), "f": _TABLE})
+
+
+@given(_repeating_programs())
+@settings(max_examples=300, deadline=None)
+def test_state_tables_match_the_reference_on_repeating_programs(prog):
+    with pytest.MonkeyPatch.context() as patched:
+        computed = _level_steps(patched)
+        got = _outcome(states.counted_tables, prog)
+    event("reuses a step" if len(computed) < prog.depth else "computes every step")
+    want = _outcome(reference_counting, prog)
+    if isinstance(want, EvalReport):
+        assert got == want
+
+
+def test_repeating_programs_reuse_steps(monkeypatch):
+    # every bound of the strategy under each head and three bodies: most reuse a step. Those that
+    # do not sum an empty level 2, read a running sum that grows with each level, or keep i_1 and
+    # the moving index, whose shape read back from the level changes with it.
+    computed = _level_steps(monkeypatch)
+    reused = []
+    for bound, lower in _REPEATED:
+        for head in (Lit(0), Lit(1)):
+            for body in (Lit(1), Prev(), SumHist()):
+                prog = SummationProgram(8, (LevelSpec(lower, head), *[LevelSpec(lower, bound)] * 7), body)
+                computed.clear()
+                assert states.counted_tables(prog) == reference_counting(prog)
+                reused.append(len(computed) < prog.depth)
+    assert sum(reused) >= len(reused) / 2
