@@ -15,52 +15,59 @@ Compilers, 2nd ed., 9.2.5). Markov programs are the case of one live index.
 A level's states are grouped by their older key, every slot but the one that
 moves with i_k. Where that slot moves by +1 per index (i_k itself, or the
 running sum) a group is a dense window over it, and a parent's sum is a range
-of the window: two reads of the row's prefix sums (Blelloch, Prefix Sums and
-Their Applications, CMU-CS-90-190). Where no slot moves with i_k, a parent
-has one child state, taken as many times as it has indices; elsewhere (a
-running product, or two slots that move) it finds its child states one by
-one, each with its multiplicity. Each read then spreads the parents' counts
+of the window: two writes to a row of differences, which one running sum
+turns into counts (Blelloch, Prefix Sums and Their Applications,
+CMU-CS-90-190). Where no slot moves with i_k, a parent has one child state,
+taken as many times as it has indices; elsewhere (a running product, or two
+slots that move) it finds its child states one by one, each with its
+multiplicity. Each read then spreads the parents' counts
 (_spread); a level that runs the code of the level above over the same
 parents, reached at the same cells, reuses that step and only spreads.
 
 forward runs every bound over the reachable states, outermost first, and
 counts the histories through each state, so the walk's loops are known
-before any body runs; counts folds the tallies back up, as engine._counts
-does. routed, the entry evaluate_counting calls, folds them only where the
-walk would loop more than twice per state. The rows are generated through
-expr.Source over the state's slots, once per shape of a level read back from
-it (_back). A program that is Markov has no last_read in its analysis and is
-the engine's tables' to count.
+before any body runs. The report is read off those counts, summed forward
+(the inside and outside sums of a dynamic program over a DAG give one total:
+Goodman, Semiring Parsing, Computational Linguistics 25(4), 1999). The body
+reads only the innermost state, so the value is the sum over those states of
+count times body, and likewise the body's additions; a sum of m >= 1 terms
+costs m - 1 additions, so level k's sums cost the histories through level k
+less those above it whose sum there opens, which forward tallies per level.
+routed, the entry evaluate_counting calls, counts by the tables unless the
+forward pass gives up early. The rows are generated through expr.Source over
+the state's slots, once per shape of a level read back from it (_back). A
+program that is Markov has no last_read in its analysis and is the engine's
+tables' to count.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import add, mul, sub
+from itertools import accumulate, compress
+from operator import add, gt, mul
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import engine
 from .engine import EvalReport, SummationProgram, _lit_body
 from .errors import DomainError, PreconditionError
-from .expr import Add, Expr, Hist, Lit, Prev, Reads, Source, additions_expr
+from .expr import Expr, Hist, Lit, Prev, Reads, Source, additions_expr
 from .record import Record
 
 Label = Union[int, str]  # a state slot: an index j (i_j), "s" (the running sum) or "p" (the running product)
 Group = Tuple[tuple, int, int, int]  # (older key, base, width, offset): cells base..base+width-1 of a window
-Read = Tuple[str, Any, Any]  # how a level's parents read its row (_fold)
+Read = Tuple[str, Any, Any]  # how a level's parents read its row (_spread)
 Found = Tuple[List[Group], Read, int, int]  # a level's groups, its read, its cells and its work
 
 
 class Plan(NamedTuple):
-    """forward's output: the innermost level's states and, per level, how its parents read it."""
+    """forward's output: the innermost level's states, their counts of histories and, per level,
+    the additions its sums cost."""
 
     program: SummationProgram
-    const: Optional[int]  # the Lit body's value, else None
     labels: Tuple[Label, ...]  # the innermost state's slots; the last one is the window's where dense
     dense: bool
     groups: List[Group]  # the innermost level's cells, in row order
     counts: List[int]  # histories through each innermost cell; 0 where none reaches it
-    reads: List[Read]  # per level, outermost first
+    sums: List[int]  # per level, outermost first: the histories through it less the sums opened there
     loops: int  # the walk's loops: the histories through every level it walks
     cells: int  # cells of every level, and child states found one by one
 
@@ -116,17 +123,17 @@ class _Gen:
         return self.src.env["_key"]
 
 
-# The backward pass costs about as much per cell as the walk per loop, two for the rows of a closure
-# body (CPython 3.11), so with the forward pass done the tables fold where the walk would loop more
-# than twice per cell. The forward pass costs several loops per cell: where the parents share little,
-# it stops once it holds _PLANNED cells, so the walk it leaves to runs at most that much later.
+# The forward pass costs several of the walk's loops per cell. Where the parents share little, it
+# stops once it holds _PLANNED cells with the walk's loops so far at most _LOOPS_PER_CELL per cell,
+# so the walk it leaves to runs at most that much later. A completed pass answers: what is left is
+# at most two rows over the innermost states, never more than the walk's leaves.
 _LOOPS_PER_CELL = 2
 _PLANNED = 1024
 
 
 def routed(program: SummationProgram) -> Optional[EvalReport]:
-    """evaluate_counting(program) by the state tables where the walk's loops pass
-    _LOOPS_PER_CELL per cell; else None, for the walk."""
+    """evaluate_counting(program) by the state tables; None, for the walk, where the forward
+    pass stops early."""
     plan = forward(program, routed=True)
     return None if plan is None else counts(plan)
 
@@ -138,17 +145,19 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     histories: the slots of the state after level k (the live indices, then
     the slots that move with i_k), each parent's bound and child states, and
     the counts of the child states, the parents' counts spread over their
-    children (_spread). Cells that no history reaches run no expression, so a
+    children (_spread), and the level's additions, its histories less the
+    parents' counts where a sum opens, read off the read before it spreads and
+    not kept. Cells that no history reaches run no expression, so a
     level whose code object is the previous level's, over equal parents with
     the same cells at count 0, reuses the previous level's groups, read and
     work, whose widths have passed their checks. A level's code
     is generated once per shape: its bound and slots read back from the level
-    (_back), its lower bound, and the level number where the program reads
+    (_back), its lower bound, and the level number where its bound reads
     Level. A level of more cells than engine._MAX_WIDTH is refused before its
     counts are built, and a level whose child states are found one by one
-    past that many. Routed, the plan is None where the walk is the cheaper:
-    at the end, or as soon as the cells pass _PLANNED, where the walk's loops
-    so far do not pass _LOOPS_PER_CELL per cell.
+    past that many. Routed, the plan is None, for the walk, as soon as the
+    cells pass _PLANNED where the walk's loops so far do not pass
+    _LOOPS_PER_CELL per cell.
     """
     engine.validate(program)  # through the module, as the engine's own callers see it
     const = _lit_body(program)
@@ -161,14 +170,14 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     live: List[int] = []
     made: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by bound object and slots
     shaped: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by level-relative shape
-    reads: List[Read] = []
+    sums: List[int] = []
     loops = cells = 0
     step: tuple = ()  # the previous level's code, parents and their counts, and what it found
     for k, spec in enumerate(program.levels, 1):
         live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
         older = tuple(j for j in live if j < k)
         moves = (k in live, k < sum_to, k < prod_to)  # the slots that move with i_k: i_k, the running sum, product
-        level = summary.reads_level and k  # bound into the code where it reads Level
+        level = id(spec.bound) in summary.reads_level and k  # bound into the code where the bound reads Level
         by_object = (id(spec.bound), spec.lower, labels, dense, older, moves, level)
         code = made.get(by_object)
         if code is None:  # a new bound object or new slots: look up the shape, read back from k
@@ -189,18 +198,19 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
             found = _each(k, groups, counts, row, spec.lower, key)
         step = (code, groups, counts, found)
         groups, read, width, work = found
+        _, a, b = read  # the parents whose sum opens: a range past its start, a child taken, or kids
+        opened = sum(compress(counts, map(gt, b, a) if how == "range" else b if how == "one" else a))
         counts = _spread(read, counts, width)
+        through = sum(counts)
+        sums.append(through - opened)
         labels = (*older, *[label for label, moved in zip((k, "s", "p"), moves) if moved])
         dense = how == "range"
-        reads.append(read)
         cells += work
         if k < program.depth or const is None:  # a Lit body's innermost sum is not walked
-            loops += sum(counts)
+            loops += through
         if routed and cells > _PLANNED and loops <= _LOOPS_PER_CELL * cells:
             return None
-    if routed and loops <= _LOOPS_PER_CELL * cells:
-        return None
-    return Plan(program, const, labels, dense, groups, counts, reads, loops, cells)
+    return Plan(program, labels, dense, groups, counts, sums, loops, cells)
 
 
 def _back(at: Any, k: int) -> Any:
@@ -321,49 +331,32 @@ def _spread(read: Read, counts: List[int], width: int) -> List[int]:
     return totals
 
 
-def _fold(reads: List[Read], row: List[int], empty: int) -> int:
-    """One tally folded from the innermost row up to the root's one entry: per level, each parent
-    reads a range of the row's prefix sums ("range"), its one child times its multiplicity
-    ("one"), or its kids with theirs ("kids"). An empty sum reads empty; a nonempty sum of a
-    tally that reads 1 there (B) is at least 1, so only the 0 of an empty range is replaced."""
-    for how, a, b in reversed(reads):
-        if how == "range":
-            prefix = [0, *accumulate(row)]
-            row = list(map(sub, map(prefix.__getitem__, b), map(prefix.__getitem__, a)))
-        elif how == "one":  # a level empty under every parent has no cell: its parents read 0 times 0
-            row = list(map(mul, map((row or [0]).__getitem__, a), b))
-        else:
-            row = [sum(m * row[j] for j, m in mine) for mine in a]
-        if empty:
-            row = [t or empty for t in row]
-    return row[0]
-
-
 def counts(plan: Plan) -> EvalReport:
-    """The tallies (value, additions + 1, leaves) folded from the innermost states to the root.
+    """The tallies (value, additions, leaves) read off the innermost states' counts of histories.
 
-    A sum of p >= 1 terms has its terms' tallies summed, additions as B =
-    additions + 1, and an empty sum is (0, 1, 0). The innermost row is the
-    body's value, its additions_expr plus 1, and 1 per leaf; a Lit body c
-    builds no value row: the value is c times the leaves.
+    The body reads only the innermost state, so the leaves are the sum of
+    the counts, and the value and the body's additions the counts dotted with
+    a row of the body and of its additions_expr, each a product with the
+    leaves where it is a Lit (a negative Lit body is refused by forward). The
+    sums' additions are forward's, per level.
     """
-    program = plan.program
-    gen = _Gen(program.params, plan.labels, plan.dense, program.depth + 1)
+    program, groups, weights = plan.program, plan.groups, plan.counts
+    leaves = sum(weights)
 
-    def body(expr: Expr, negative: bool) -> List[int]:
+    def tally(expr: Expr, negative: bool) -> int:
+        if type(expr) is Lit:
+            return expr.value * leaves
+        gen = _Gen(program.params, plan.labels, plan.dense, program.depth + 1)
         text = gen.emit(expr)
-        made = gen.row(f"(w if (w := {text}) >= 0 else _negative(w))" if negative else text, "0")
-        out: List[int] = []
-        for o, base, width, off in plan.groups:
-            out += made(o, base, plan.counts[off:off + width])
-        return out
+        row = gen.row(f"(w if (w := {text}) >= 0 else _negative(w))" if negative else text, "0")
+        total = 0
+        for o, base, width, off in groups:
+            cnt = weights[off:off + width]
+            total += sum(map(mul, row(o, base, cnt), cnt))
+        return total
 
-    ones = [1] * sum(g[2] for g in plan.groups)
-    leaves = _fold(plan.reads, ones, 0)
-    if plan.const is not None:
-        return EvalReport(plan.const * leaves, _fold(plan.reads, ones, 1) - 1, leaves)
-    value = _fold(plan.reads, body(program.body, True), 0)
-    return EvalReport(value, _fold(plan.reads, body(Add(additions_expr(program.body), Lit(1)), False), 1) - 1, leaves)
+    value = tally(program.body, True)
+    return EvalReport(value, sum(plan.sums) + tally(additions_expr(program.body), False), leaves)
 
 
 def counted_tables(program: SummationProgram) -> EvalReport:

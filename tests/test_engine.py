@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from moessner import engine, states
@@ -461,19 +461,19 @@ def test_each_expression_is_walked_once(monkeypatch):
 
 def _reference_summary(program):
     """The analysis one level at a time: every expression walked at its own level, by role."""
-    params, reads_table, reads_level, markov, sum_to, prod_to, last_read = set(), False, False, True, 0, 0, {}
+    params, reads_table, reads_level, markov, sum_to, prod_to, last_read = set(), False, set(), True, 0, 0, {}
     roles = [(k, f"level {k} bound", spec.bound) for k, spec in enumerate(program.levels, start=1)]
     for level, role, expr in roles + [(program.depth + 1, "body", program.body)]:
         refs = validate_expr(expr, level, role=role)
         params |= refs["params"]
-        reads_table, reads_level = reads_table or refs["table"], reads_level or refs["level"]
+        reads_table, reads_level = reads_table or refs["table"], reads_level | {id(expr)} if refs["level"] else reads_level
         markov = markov and not refs["sum_hist"] and not refs["prod_hist"] and refs["hist"] <= {level - 1}
         sum_to, prod_to = (level if refs["sum_hist"] else sum_to), (level if refs["prod_hist"] else prod_to)
         for j in refs["hist"]:
             last_read[j] = level
         if refs["prev"]:
             last_read[level - 1] = level
-    return engine._Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to),
+    return engine._Summary(frozenset(params), reads_table, frozenset(reads_level), markov, (sum_to, prod_to),
                            None if markov else last_read)
 
 
@@ -1391,12 +1391,33 @@ def test_json_load_refuses_a_bound_equal_to_a_valid_one(bound):
 
 
 # The state tables (states.counted_tables) are called directly here, as the counted tables are above.
-@given(_programs().filter(lambda prog: not is_markov(prog)))
+@given(_programs().filter(lambda prog: not is_markov(prog)), st.one_of(st.none(), st.integers(0, 3)))
 @settings(max_examples=300, deadline=None)
-def test_state_tables_match_the_reference_on_random_programs(prog):
+def test_state_tables_match_the_reference_on_random_programs(prog, const):
+    # the report is read off the forward pass's counts, with the body as drawn or a Lit c, which
+    # runs no row; where the reference raises, a reached bound or body raises in the tables too
+    if const is not None:
+        prog = SummationProgram(prog.depth, prog.levels, Lit(const), prog.params)
+    assume(not is_markov(prog))
     want = _outcome(reference_counting, prog)
+    got = _outcome(states.counted_tables, prog)
     if isinstance(want, EvalReport):
-        assert states.counted_tables(prog) == want
+        assert got == want
+    else:
+        assert not isinstance(got, EvalReport)
+
+
+def test_lit_body_counts_generate_no_row_after_the_forward_pass(monkeypatch):
+    # a Lit body c is c times the leaves, the sums of the innermost counts; the additions are the
+    # forward pass's tally, empty sums included (level 3 of the last program is empty under i2 = 0)
+    empty = SummationProgram(3, (LevelSpec(0, Lit(3)), LevelSpec(0, SumHist()), LevelSpec(1, Prev())), Lit(3))
+    programs = [build("a137273", {"n": 9}), build("a125860", {"x": 1, "n": 5}), build("positive_integers", {"n": 20}),
+                SummationProgram(3, _low_sharing(6).levels, Lit(2)), empty]
+    for prog in programs:
+        plan = states.forward(prog)
+        with monkeypatch.context() as patched:
+            patched.setattr(states._Gen, "row", lambda *args: pytest.fail("a row was generated"))
+            assert states.counts(plan) == reference_counting(prog)
 
 
 @pytest.mark.parametrize("name,params", [(n, p) for n, p in PRESET_SAMPLES if not is_markov(build(n, p))],
@@ -1416,22 +1437,22 @@ def _low_sharing(w):
     return SummationProgram(3, levels, Add(Prev(), Hist(2)))
 
 
-def test_low_sharing_programs_keep_the_walk(monkeypatch):
-    # the forward pass runs and counts the walk's loops against its cells; the tallies never fold
-    monkeypatch.setattr(states, "counts", _refusing_state_tables)
+def test_completed_forward_passes_count_by_the_tables(monkeypatch):
+    # once the forward pass is done, the tables count, whether the parents share little or much:
+    # what is left is at most two rows over the innermost states, never more than the walk's leaves
+    monkeypatch.setattr(engine, "_nest", lambda *args: pytest.fail("the walk ran"))
     # moessner's bounds with the body SumHist: the state is (i_k, the running sum), and few repeat
     running = SummationProgram(4, (LevelSpec(0, Param("x")), *[LevelSpec(0, Prev())] * 3), SumHist(), {"x": 3})
     for prog in (_low_sharing(5), running, build("a125860", {"x": 0, "n": 9})):
         plan = states.forward(prog)
         assert plan.loops <= states._LOOPS_PER_CELL * plan.cells
         assert evaluate_counting(prog) == reference_counting(prog)
-    # where the parents share much, the tables fold: i1 in 0..30, then three levels bounded by i1
+    # where the parents share much: i1 in 0..30, then three levels bounded by i1
     shared = SummationProgram(4, (LevelSpec(0, Lit(30)), *[LevelSpec(0, Hist(1))] * 3), Add(Prev(), Hist(1)))
     for prog in (shared, build("a137273", {"n": 11}), build("positive_integers", {"n": 200})):
         plan = states.forward(prog)
         assert plan.loops > states._LOOPS_PER_CELL * plan.cells
-        with pytest.raises(AssertionError, match="the state tables ran"):
-            evaluate_counting(prog)
+        assert evaluate_counting(prog) == reference_counting(prog)
 
 
 def test_low_sharing_programs_stop_the_forward_pass_early(monkeypatch):
@@ -1477,7 +1498,7 @@ def test_state_tables_fall_back_to_the_walk_on_a_memory_error(monkeypatch):
         calls.append(args)
         raise MemoryError
 
-    monkeypatch.setattr(states, "_fold", out_of_memory)
+    monkeypatch.setattr(states, "_spread", out_of_memory)
     prog = build("a137273", {"n": 10})
     value = expected("a137273", {"n": 10})
     assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(value, value - 1, value)
@@ -1663,6 +1684,27 @@ def test_state_tables_reuse_a_repeated_levels_step(monkeypatch):
         assert len(computed) == prog.depth
 
 
+def test_only_a_bound_that_reads_level_binds_the_level_number(monkeypatch):
+    # a body that reads Level keeps the levels' code apart from the level number; a bound that
+    # reads it does not, so its levels compute a step each
+    computed = _level_steps(monkeypatch)
+    reads_level = Add(ProdHist(), Sub(Level(), Level()))
+    for bound, body, steps in ((ProdHist(), Lit(1), 3), (ProdHist(), Level(), 3), (reads_level, Lit(1), 20)):
+        computed.clear()
+        prog = SummationProgram(20, (LevelSpec(0, Lit(1)), *[LevelSpec(0, bound)] * 19), body)
+        assert states.counted_tables(prog) == reference_counting(prog)
+        assert len(computed) == steps
+    # the Markov tables look a level's form up again only where its bound reads Level
+    forms = []
+    level_form = engine._level_form
+    monkeypatch.setattr(engine, "_level_form", lambda *args: forms.append(args[2]) or level_form(*args))
+    for bound, body, looked_up in ((Prev(), Level(), [1, 2]), (Add(Prev(), Sub(Level(), Level())), Lit(1), list(range(1, 21)))):
+        forms.clear()
+        prog = SummationProgram(20, (LevelSpec(0, Lit(2)), *[LevelSpec(0, bound)] * 19), body)
+        assert evaluate_memoized(prog) == reference_evaluate(prog)
+        assert forms == looked_up
+
+
 def test_state_tables_reuse_no_step_over_other_reached_parents(monkeypatch):
     # the window over the running sum is s in 1..4 after levels 2 and 3, and levels 3 and 4 share a
     # bound: level 2 reaches s = 1 and s = 4 alone, level 3 every s, so level 4 computes its own step
@@ -1688,8 +1730,7 @@ def test_reused_steps_plan_as_a_step_per_level(monkeypatch):
         plan = states.forward(prog)
         assert plan.groups == list(each.groups) and plan.counts == each.counts
         assert (plan.loops, plan.cells) == (each.loops, each.cells)
-        assert plan.reads == each.reads  # by value: a reused level holds the level above's read object
-        assert [len(read[1]) for read in plan.reads] == [len(read[1]) for read in each.reads]
+        assert plan.sums == each.sums  # a reused level tallies its own opened sums
 
 
 # Later levels that share one bound object, with few states: from some level on, a level runs the
