@@ -84,7 +84,7 @@ class EvalReport(Record):
 class _Summary(NamedTuple):
     params: FrozenSet[str]  # parameter names the expressions read
     reads_table: bool
-    reads_level: FrozenSet[int]  # the ids of the expression objects (bounds, body) that read Level
+    reads_level: bool
     markov: bool
     running: Tuple[int, int]  # the deepest level (body: depth+1) reading SumHist, ProdHist; 0 if none
     last_read: Optional[Dict[int, int]]  # not Markov: index j -> the deepest level reading i_j, by Hist(j) or Prev
@@ -121,7 +121,7 @@ class SummationProgram(Record):
         except AttributeError:
             pass
         params: set = set()
-        reads_table, reads_level, markov, sum_to, prod_to = False, set(), True, 0, 0
+        reads_table, reads_level, markov, sum_to, prod_to = False, False, True, 0, 0
         last_read: Dict[int, int] = {}
         walked: Dict[int, Dict[str, Any]] = {}  # an expression's id -> its reads
         for f, l, expr in _runs(self):
@@ -131,8 +131,7 @@ class SummationProgram(Record):
             hist = refs["hist"]
             params |= refs["params"]
             reads_table = reads_table or refs["table"]
-            if refs["level"]:
-                reads_level.add(id(expr))
+            reads_level = reads_level or refs["level"]
             whole_history = refs["sum_hist"] or refs["prod_hist"]
             markov = markov and not whole_history and (not hist or f == l and hist <= {f - 1})
             sum_to, prod_to = (l if refs["sum_hist"] else sum_to), (l if refs["prod_hist"] else prod_to)
@@ -142,8 +141,7 @@ class SummationProgram(Record):
                 k = f + (f - 1 in hist)
                 last_read.update(zip(range(k - 1, l), range(k, l + 1)))
         # only the state tables read last_read, and only for a program that is not Markov
-        summary = _Summary(frozenset(params), reads_table, frozenset(reads_level), markov, (sum_to, prod_to),
-                           None if markov else last_read)
+        summary = _Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to), None if markov else last_read)
         object.__setattr__(self, "_analysis", summary)
         return summary
 
@@ -414,7 +412,7 @@ def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
     level's form (_level_form) is its affine (a, c, q), read by _affine,
     where the bound is (a * i_{k-1} + c) // q, or else one generated row of
     positions (_row); forms are reused within a call by (expression, lower,
-    and the level number where the bound reads Level). Its step over the
+    and the level number where the program reads Level). Its step over the
     window above is a list of positions, gathered with map, for a row or a
     level no wider than _NARROW; a wider affine level is gathered by one
     slice per residue of the index mod q (_gather). Its width is its largest
@@ -426,10 +424,10 @@ def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
     every reachable parent, and the window below it is empty.
     """
     params, reads_level = program.params, program._summary.reads_level
-    forms: Dict[Tuple[Expr, int, Any], Any] = {}
+    forms: Dict[Tuple[Expr, int, Optional[int]], Any] = {}
 
-    def form(spec: LevelSpec, k: int, level: Any) -> Any:  # one lookup per level: its affine (a, c, q), or its row
-        key = (spec.bound, spec.lower, level)
+    def form(spec: LevelSpec, k: int) -> Any:  # one lookup per level: its affine (a, c, q), or its row
+        key = (spec.bound, spec.lower, k if reads_level else None)
         try:
             found = forms.get(key)
             if found is None:
@@ -441,12 +439,11 @@ def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
     # contiguous reachable range per level, lo..hi, from the root's 0..0
     lo = hi = 0
     steps: List[Any] = []  # per level: its positions over lo..hi above, or (lo, width, a, c, q)
-    bound = lower = found = made = window = level = None
+    bound = lower = found = made = window = None
     for k, spec in enumerate(program.levels, 1):
-        if spec.bound is not bound or spec.lower != lower or level:
+        if spec.bound is not bound or spec.lower != lower or reads_level:
             bound, lower = spec.bound, spec.lower
-            level = id(bound) in reads_level and k  # where the bound reads Level, its form is looked up per level
-            found = form(spec, k, level)
+            found = form(spec, k)
         # one form object has one lower (its cache key holds it): the same form over the same
         # window above is the previous level's step, and the next window is the same too
         if found is not made or (lo, hi) != window:

@@ -152,7 +152,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     the same cells at count 0, reuses the previous level's groups, read and
     work, whose widths have passed their checks. A level's code
     is generated once per shape: its bound and slots read back from the level
-    (_back), its lower bound, and the level number where its bound reads
+    (_back), its lower bound, and the level number where the program reads
     Level. A level of more cells than engine._MAX_WIDTH is refused before its
     counts are built, and a level whose child states are found one by one
     past that many. Routed, the plan is None, for the walk, as soon as the
@@ -177,7 +177,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
         live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
         older = tuple(j for j in live if j < k)
         moves = (k in live, k < sum_to, k < prod_to)  # the slots that move with i_k: i_k, the running sum, product
-        level = id(spec.bound) in summary.reads_level and k  # bound into the code where the bound reads Level
+        level = summary.reads_level and k  # bound into the code where it reads Level
         by_object = (id(spec.bound), spec.lower, labels, dense, older, moves, level)
         code = made.get(by_object)
         if code is None:  # a new bound object or new slots: look up the shape, read back from k
