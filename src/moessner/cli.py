@@ -378,6 +378,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except MoessnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away: point stdout at devnull so the interpreter's
         # exit flush stays quiet, as in Python's documented SIGPIPE recipe

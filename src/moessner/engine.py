@@ -9,15 +9,14 @@ several presets rely on to terminate chains whose bounds go negative.
 Three evaluators:
   evaluate          plain value: the whole sum generated as one Python `for`
                     nest over local indices (_nest), bounds and body inlined
-  evaluate_counting value plus exact addition/leaf tallies: for a Markov
-                    program whose walk would loop more times than the
-                    tables hold cells, the memo's dynamic program run once
-                    per tally (_counts); for any other, tables keyed on the
-                    live state (the states module, loaded only then), unless
-                    their forward pass gives up early on a large program whose
-                    states share little;
-                    else, or where the tables raise, added inline by the same
-                    generated nest, whose errors are the reference's first
+  evaluate_counting value plus exact addition/leaf tallies by tables: for a
+                    Markov program the memo's dynamic program run once per
+                    tally (_counts), for any other tables keyed on the live
+                    state (the states module, loaded only then); by one rule
+                    for both, the walk answers instead where the plan passes
+                    _PLANNED cells and the walk loops at most _LOOPS_PER_CELL
+                    times per cell, or where the tables raise: added inline by
+                    the same generated nest, whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
                     root's entry of level_tables; a wide level with an affine
                     bound is gathered out of running prefix sums by strided
@@ -208,26 +207,29 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     evaluations: at depth 0, with no sum, one leaf and the body's additions.
 
     A program whose walk would nest two loops or more (depth, less one for a
-    Lit body, which the walk sums unwalked) runs a forward pass first. A
-    Markov program runs the tables' forward entry (_forward) and is counted
-    by the tables (_counts) where the walk's loops would run more times than
-    two rows hold cells over their windows (_loops_past). Any other runs the
-    forward pass of the tables keyed on its live state (states.routed),
-    which counts the histories through every reachable state, and is counted
-    by them, the report read off those counts, once that pass completes; it
-    stops early where, past a budget of states, the walk's loops so far fall
-    short of twice the states. Every other program runs evaluate's nest
-    with the counts added inline, in constant memory; one loop or none never
-    runs more times than the rows hold cells. The tables run every bound
-    before any body and name a negative body by less than its history, so on
-    any MoessnerError from them, a width past their cap included, or a
+    Lit body, which the walk sums unwalked) is counted by tables: a Markov
+    program by the tables over its windows (_counted_tables), any other by
+    the tables keyed on its live state (states.counted_tables, the module
+    loaded only then). One rule, both engines: the walk runs instead only
+    where the tables' plan holds more than _PLANNED cells and the walk's
+    loops come to at most _LOOPS_PER_CELL per cell; the state tables check it
+    after each level of their forward pass, and stop as soon as the levels
+    planned so far meet it. Every other program runs evaluate's nest with the
+    counts added inline, in constant memory; one loop or none never runs more
+    times than the rows hold cells. The tables run every bound before any
+    body and name a negative body by less than its history, so on any
+    MoessnerError from them, a width past their cap included, or a
     MemoryError, the nest runs instead, validated again (a parameter error
     raises anew): the errors are the walk's, which are the reference's first.
     """
-    markov = program._summary.markov
     if program.depth - isinstance(program.body, Lit) >= 2:
         try:
-            found = _routed(program) if markov else _routed_states(program)
+            if program._summary.markov:
+                found = _counted_tables(program, routed=True)
+            else:
+                from . import states
+
+                found = states.counted_tables(program, routed=True)
             if found is not None:
                 return found
         except (MoessnerError, MemoryError):
@@ -235,24 +237,6 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     else:
         validate(program)
     return EvalReport(*_nest(program, additions_expr(program.body))(0, 0, 0))
-
-
-def _routed(program: SummationProgram) -> Optional[EvalReport]:
-    """A Markov program counted by the tables where the walk's loops pass two rows' cells; else None."""
-    const, steps, lo, hi = _forward(program)
-    sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
-    cells = 2 * (sum(sizes) + (hi - lo + 1 if const is None else 0))
-    if _loops_past(steps[: program.depth - (const is not None)], [*sizes[1:], hi - lo + 1], cells):
-        return _counts(program, const, steps, lo, hi)
-    return None
-
-
-def _routed_states(program: SummationProgram) -> Optional[EvalReport]:
-    """A program that is not Markov counted by the tables keyed on its live state where its
-    parents share enough; else None. The module is loaded only here."""
-    from . import states
-
-    return states.routed(program)
 
 
 def _lit_body(program: SummationProgram) -> Optional[int]:
@@ -273,6 +257,14 @@ _MAX_WIDTH = 10**8  # cells in one level's table, and indices the walk visits at
 # Building and mapping the positions costs less than one _gather call up to about 8 cells where
 # q = 1 and about 12-16 where q > 1 (CPython 3.11); a step reused by a repeated level maps cheaper still.
 _NARROW = 8
+# The one rule for both counted engines. A table's forward pass costs several of the walk's loops
+# per cell. Where a plan holds more than _PLANNED cells and the walk's loops come to at most
+# _LOOPS_PER_CELL per cell, the walk counts instead, in constant memory, at most that much later;
+# the state tables' forward pass stops there early. A smaller plan answers, as does a completed
+# state pass: what is left is at most two rows over the innermost states, never more than the
+# walk's leaves.
+_LOOPS_PER_CELL = 2
+_PLANNED = 1024
 
 
 def _too_wide(width: int) -> None:
@@ -494,9 +486,19 @@ def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
     return False
 
 
-def _counted_tables(program: SummationProgram) -> EvalReport:
-    """evaluate_counting(program) by the tables, with level_tables' refusals and errors."""
-    return _counts(program, *_forward(program))
+def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
+    """evaluate_counting(program) by the tables, with level_tables' refusals and errors. Routed,
+    None, for the walk, where the plan's cells (the windows its steps cover, and the innermost
+    one for a closure body) pass _PLANNED and the walk's loops come to at most _LOOPS_PER_CELL
+    per cell (_loops_past)."""
+    const, steps, lo, hi = _forward(program)
+    if routed:
+        sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
+        cells = sum(sizes) + (hi - lo + 1 if const is None else 0)
+        walked = steps[: program.depth - (const is not None)]  # a Lit body's innermost level is not walked
+        if cells > _PLANNED and not _loops_past(walked, [*sizes[1:], hi - lo + 1], _LOOPS_PER_CELL * cells):
+            return None
+    return _counts(program, const, steps, lo, hi)
 
 
 def _counts(program: SummationProgram, const: Optional[int], steps: List[Any], lo: int, hi: int) -> EvalReport:

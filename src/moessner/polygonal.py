@@ -33,11 +33,10 @@ def quotient_sum_shifted(k: int, n: int) -> int:
     """sum_{i=0}^{k*n} i // k; 0, 1, then the named polygonal streams.
 
     The terms fall into n blocks of k, the q-th of them k quotients equal to q,
-    and the last term k*n // k: each block sums in closed form to k*q plus the
-    ramp sum_{j<k} j // k, so the sum adds n + 1 terms, not k*n + 1."""
+    and the last term k*n // k: each block sums in closed form to k*q, so the
+    sum adds n + 1 terms, not k*n + 1."""
     check_terms(k, k * n + 1)
-    ramp = sigma(0, k - 1, lambda j: j // k)
-    return sigma(0, n - 1, lambda q: k * q + ramp) + k * n // k
+    return sigma(0, n - 1, lambda q: k * q) + k * n // k
 
 
 def verify_block_split(x: int, y: int, f: Callable[[int], int]) -> bool:

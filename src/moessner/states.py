@@ -33,11 +33,12 @@ reads only the innermost state, so the value is the sum over those states of
 count times body, and likewise the body's additions; a sum of m >= 1 terms
 costs m - 1 additions, so level k's sums cost the histories through level k
 less those above it whose sum there opens, which forward tallies per level.
-routed, the entry evaluate_counting calls, counts by the tables unless the
-forward pass gives up early. The rows are generated through expr.Source over
-the state's slots, once per shape of a level read back from it (_back). A
-program that is Markov has no last_read in its analysis and is the engine's
-tables' to count.
+counted_tables is the one entry. Routed, as evaluate_counting calls it, it
+leaves the program to the walk where forward stops early, by the one rule
+both counted engines share (engine._PLANNED, engine._LOOPS_PER_CELL). The
+rows are generated through expr.Source over the state's slots, once per
+shape of a level read back from it (_back). A program that is Markov has no
+last_read in its analysis and is the engine's tables' to count.
 """
 
 from __future__ import annotations
@@ -123,21 +124,6 @@ class _Gen:
         return self.src.env["_key"]
 
 
-# The forward pass costs several of the walk's loops per cell. Where the parents share little, it
-# stops once it holds _PLANNED cells with the walk's loops so far at most _LOOPS_PER_CELL per cell,
-# so the walk it leaves to runs at most that much later. A completed pass answers: what is left is
-# at most two rows over the innermost states, never more than the walk's leaves.
-_LOOPS_PER_CELL = 2
-_PLANNED = 1024
-
-
-def routed(program: SummationProgram) -> Optional[EvalReport]:
-    """evaluate_counting(program) by the state tables; None, for the walk, where the forward
-    pass stops early."""
-    plan = forward(program, routed=True)
-    return None if plan is None else counts(plan)
-
-
 def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     """Validate, refuse a negative Lit body, then find each level's reachable states.
 
@@ -156,8 +142,8 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     Level. A level of more cells than engine._MAX_WIDTH is refused before its
     counts are built, and a level whose child states are found one by one
     past that many. Routed, the plan is None, for the walk, as soon as the
-    cells pass _PLANNED where the walk's loops so far do not pass
-    _LOOPS_PER_CELL per cell.
+    levels so far meet the engine's one rule: more than engine._PLANNED
+    cells, and the walk's loops at most engine._LOOPS_PER_CELL per cell.
     """
     engine.validate(program)  # through the module, as the engine's own callers see it
     const = _lit_body(program)
@@ -208,7 +194,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
         cells += work
         if k < program.depth or const is None:  # a Lit body's innermost sum is not walked
             loops += through
-        if routed and cells > _PLANNED and loops <= _LOOPS_PER_CELL * cells:
+        if routed and cells > engine._PLANNED and loops <= engine._LOOPS_PER_CELL * cells:
             return None
     return Plan(program, labels, dense, groups, counts, sums, loops, cells)
 
@@ -359,6 +345,8 @@ def counts(plan: Plan) -> EvalReport:
     return EvalReport(value, sum(plan.sums) + tally(additions_expr(program.body), False), leaves)
 
 
-def counted_tables(program: SummationProgram) -> EvalReport:
-    """evaluate_counting(program) by the state tables, whatever the walk would cost, with their errors."""
-    return counts(forward(program))
+def counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
+    """evaluate_counting(program) by the state tables, with their errors; routed, None, for the
+    walk, where the forward pass stops early."""
+    plan = forward(program, routed)
+    return None if plan is None else counts(plan)

@@ -664,6 +664,15 @@ def test_huge_rows_exit_2_before_they_are_built(capsys, argv, length):
     assert err == f"error: a row of length {length} is past the 100000000 cells a row may hold\n"
 
 
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    def out_of_memory(program):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "evaluate", out_of_memory)
+    code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,n=3")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_closed_pipe_exits_quietly():
     # about 1.1 MB of rows: far more than a pipe holds, so the reader's close lands mid-output
     proc = subprocess.Popen(

@@ -1324,27 +1324,59 @@ def _sparse(w, body, depth=2):
 
 
 @pytest.mark.parametrize(
-    "prog,cells",
+    "prog,cells,walks",
     [
-        (_sparse(1000, Add(Prev(), Lit(1))), 2 * (1 + 2 + 1001)),
-        (_sparse(1000, Lit(1), depth=3), 2 * (1 + 2 + 1001)),
-        (_sparse(1000, Add(Prev(), Lit(1)), depth=3), 2 * (1 + 2 + 1001 + 1001)),
-        (build("moessner", {"x": 3, "n": 4}), 2 * (1 + 4 + 7 + 10)),
-        (build("factorial_rising", {"n": 6}), 2 * (1 + 2 + 3 + 4 + 5 + 6)),
+        (_sparse(2000, Add(Prev(), Lit(1))), 1 + 2 + 2001, True),
+        (_sparse(2000, Lit(1), depth=3), 1 + 2 + 2001, True),
+        (_sparse(500, Add(Prev(), Lit(1))), 1 + 2 + 501, False),
+        (_sparse(500, Lit(1), depth=3), 1 + 2 + 501, False),
+        (_sparse(1000, Add(Prev(), Lit(1)), depth=3), 1 + 2 + 1001 + 1001, False),
+        (build("moessner", {"x": 3, "n": 4}), 1 + 4 + 7 + 10, False),
+        (build("factorial_rising", {"n": 6}), 1 + 2 + 3 + 4 + 5 + 6, False),
     ],
-    ids=["sparse-closure", "sparse-lit", "sparse-depth-3", "moessner", "factorial_rising"],
+    ids=["sparse-closure", "sparse-lit", "sparse-closure-planned", "sparse-lit-planned", "sparse-depth-3", "moessner",
+         "factorial_rising"],
 )
-def test_counting_routes_by_loops_against_cells(monkeypatch, prog, cells):
-    # the walk keeps a program whose loops run no more often in all than the two rows hold cells
-    # (over every window, the innermost one only for a closure body)
+def test_counting_routes_by_loops_against_cells(monkeypatch, prog, cells, walks):
+    # the walk keeps a program whose plan holds more than _PLANNED cells (every window its steps
+    # cover, the innermost one only for a closure body) and whose loops come to at most
+    # _LOOPS_PER_CELL per cell; a smaller plan always takes the tables
     walked = _walk_loops(prog)
+    assert walks == (cells > engine._PLANNED and walked <= engine._LOOPS_PER_CELL * cells)
     want = reference_counting(prog)
     assert engine._counted_tables(prog) == want
     nests, counts = [], []
     monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
     monkeypatch.setattr(engine, "_counts", lambda *args, _counts=engine._counts: counts.append(args) or _counts(*args))
     assert evaluate_counting(prog) == want
-    assert (not counts, len(nests)) == ((True, 1) if walked <= cells else (False, 0))
+    assert (not counts, len(nests)) == ((True, 1) if walks else (False, 0))
+
+
+def test_planned_markov_programs_take_the_tables_unrouted(monkeypatch):
+    # a plan of at most _PLANNED cells answers by the tables without counting the walk's loops
+    monkeypatch.setattr(engine, "_loops_past", lambda *args: pytest.fail("the loops were counted"))
+    monkeypatch.setattr(engine, "_nest", lambda *args: pytest.fail("the walk ran"))
+    for prog in (build("moessner", {"x": 2, "n": 3}), _sparse(500, Add(Prev(), Lit(1)))):
+        assert evaluate_counting(prog) == reference_counting(prog)
+
+
+def test_both_engines_route_by_the_engines_budget(monkeypatch):
+    # _sparse(500) plans 504 Markov cells and _low_sharing(20)'s state pass 21 + 231 by level 2, each
+    # with at most two loops per cell: both take the tables at a budget of 1024 cells and walk at 50.
+    # _low_sharing(60) walks at either budget, its state pass stopping after level 2 or after level 1
+    nests, levels = [], []
+    monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
+    monkeypatch.setattr(states, "_windows", lambda k, *args, _w=states._windows: levels.append(k) or _w(k, *args))
+    for planned, walked, stopped in ((1024, 0, [1, 2]), (50, 2, [1])):
+        monkeypatch.setattr(engine, "_PLANNED", planned)
+        nests.clear()
+        for prog in (_sparse(500, Add(Prev(), Lit(1))), _low_sharing(20)):
+            assert evaluate_counting(prog) == reference_counting(prog)
+        assert len(nests) == walked
+        nests.clear()
+        levels.clear()
+        assert evaluate_counting(_low_sharing(60)) == reference_counting(_low_sharing(60))
+        assert (len(nests), levels) == (1, stopped)
 
 
 def test_counting_falls_back_to_the_walk_on_a_memory_error(monkeypatch):
@@ -1451,13 +1483,13 @@ def test_completed_forward_passes_count_by_the_tables(monkeypatch):
     running = SummationProgram(4, (LevelSpec(0, Param("x")), *[LevelSpec(0, Prev())] * 3), SumHist(), {"x": 3})
     for prog in (_low_sharing(5), running, build("a125860", {"x": 0, "n": 9})):
         plan = states.forward(prog)
-        assert plan.loops <= states._LOOPS_PER_CELL * plan.cells
+        assert plan.loops <= engine._LOOPS_PER_CELL * plan.cells
         assert evaluate_counting(prog) == reference_counting(prog)
     # where the parents share much: i1 in 0..30, then three levels bounded by i1
     shared = SummationProgram(4, (LevelSpec(0, Lit(30)), *[LevelSpec(0, Hist(1))] * 3), Add(Prev(), Hist(1)))
     for prog in (shared, build("a137273", {"n": 11}), build("positive_integers", {"n": 200})):
         plan = states.forward(prog)
-        assert plan.loops > states._LOOPS_PER_CELL * plan.cells
+        assert plan.loops > engine._LOOPS_PER_CELL * plan.cells
         assert evaluate_counting(prog) == reference_counting(prog)
 
 
@@ -1467,7 +1499,7 @@ def test_low_sharing_programs_stop_the_forward_pass_early(monkeypatch):
     levels = []
     monkeypatch.setattr(states, "_windows", lambda k, *args, _w=states._windows: levels.append(k) or _w(k, *args))
     prog = _low_sharing(60)
-    assert states.forward(prog).cells > states._PLANNED
+    assert states.forward(prog).cells > engine._PLANNED
     assert levels == [1, 2, 3]
     levels.clear()
     assert states.forward(prog, routed=True) is None

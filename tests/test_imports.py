@@ -69,8 +69,12 @@ def test_unknown_names_raise_attribute_error():
 
 @pytest.mark.parametrize(
     "argv",
-    [["eval", "--preset", "moessner", "--params", "x=3,n=3"], ["list-presets"]],
-    ids=["eval", "list-presets"],
+    [
+        ["eval", "--preset", "moessner", "--params", "x=3,n=3"],
+        ["eval", "--preset", "moessner", "--params", "x=3,n=3", "--count-adds"],
+        ["list-presets"],
+    ],
+    ids=["eval", "eval count-adds", "list-presets"],
 )
 def test_plain_calls_load_neither_the_other_subcommands_nor_json(argv):
     code, out, loaded = _cold(*argv)

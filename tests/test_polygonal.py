@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moessner import engine
+from moessner import engine, polygonal
 from moessner.cli import main
 from moessner.errors import PreconditionError
 from moessner.oeis import load_fixture
@@ -53,6 +53,15 @@ def test_against_bundled_fixtures():
         table = {e.index: e.value for e in load_fixture(a_number)}
         for n, want in table.items():
             assert quotient_sum_shifted(k, n) == want, (k, n)
+
+
+def test_shifted_sum_adds_one_term_per_block(monkeypatch):
+    # k = 10**6, n = 3: the sum folds one term per block of k quotients, and the last term apart
+    terms = []
+    sigma = polygonal.sigma
+    monkeypatch.setattr(polygonal, "sigma", lambda lo, hi, f: sigma(lo, hi, lambda i: terms.append(i) or f(i)))
+    assert quotient_sum_shifted(10**6, 3) == 3 * 10**6 + 3
+    assert terms == [0, 1, 2]
 
 
 def test_block_rewrites():
