@@ -2,16 +2,15 @@
 """One sha256 over the cold CLI calls of the benchmark's cli workload.
 
 Each distinct argv of perfbench.workloads.make_ops("cli", seed), for the
-seeds 0..N-1 (N = 6 by default), runs as a cold `python -m moessner` call
-against a tree's src/, and the digest hashes (argv, exit code, stdout,
-stderr) for every argv in sorted order. Two trees with one digest answer
-every call of the workload byte for byte alike. Given two trees, it prints
-both digests and then each argv whose results differ.
+seeds 0..5, runs as a cold `python -m moessner` call against a tree's
+src/, and the digest hashes (argv, exit code, stdout, stderr) for every
+argv in sorted order. Two trees with one digest answer every call of the
+workload byte for byte alike. Given two trees, it prints both digests and
+then each argv whose results differ.
 
 Run from the repository root:
     python3 scripts/cli_digest.py                 # this tree
     python3 scripts/cli_digest.py OLD NEW         # two trees, and the argvs that differ
-    python3 scripts/cli_digest.py --seeds 2 TREE
 """
 
 from __future__ import annotations
@@ -26,16 +25,18 @@ from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
+SEEDS = range(6)
+
 Result = Tuple[int, bytes, bytes]
 
 
-def cli_argvs(seeds: int) -> List[Tuple[str, ...]]:
-    """The distinct argvs of the cli workload over the seeds 0..seeds-1, sorted."""
+def cli_argvs() -> List[Tuple[str, ...]]:
+    """The distinct argvs of the cli workload over SEEDS, sorted."""
     sys.dont_write_bytecode = True  # read perfbench/ without writing a __pycache__ into it
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import make_ops
 
-    return sorted({tuple(op["argv"]) for seed in range(seeds) for op in make_ops("cli", seed)})
+    return sorted({tuple(op["argv"]) for seed in SEEDS for op in make_ops("cli", seed)})
 
 
 def run_all(tree: Path, argvs: List[Tuple[str, ...]]) -> Dict[Tuple[str, ...], Result]:
@@ -58,12 +59,11 @@ def digest(results: Dict[Tuple[str, ...], Result]) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, help="trees to run (default: this one); two are compared")
-    parser.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 of the cli workload (default 6)")
     args = parser.parse_args()
     trees = [tree.resolve() for tree in args.trees] or [ROOT]
     if len(trees) > 2:
         parser.error("give at most two trees")
-    argvs = cli_argvs(args.seeds)
+    argvs = cli_argvs()
     runs = [run_all(tree, argvs) for tree in trees]
     for tree, results in zip(trees, runs):
         print(f"{digest(results)}  {len(results)} argvs  {tree}")

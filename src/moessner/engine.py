@@ -12,11 +12,10 @@ Three evaluators:
   evaluate_counting value plus exact addition/leaf tallies by tables: for a
                     Markov program the memo's dynamic program run once per
                     tally (_counts), for any other tables keyed on the live
-                    state (the states module, loaded only then); by one rule
-                    for both, the walk answers instead where the plan passes
-                    _PLANNED cells and the walk loops at most _LOOPS_PER_CELL
-                    times per cell, or where the tables raise: added inline by
-                    the same generated nest, whose errors are the reference's first
+                    state (the states module, loaded only then); the walk
+                    answers instead where _walks routes it, or where the
+                    tables raise: added inline by the same generated nest,
+                    whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
                     root's entry of level_tables; a wide level with an affine
                     bound is gathered out of running prefix sums by strided
@@ -210,13 +209,10 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     Lit body, which the walk sums unwalked) is counted by tables: a Markov
     program by the tables over its windows (_counted_tables), any other by
     the tables keyed on its live state (states.counted_tables, the module
-    loaded only then). One rule, both engines: the walk runs instead only
-    where the tables' plan holds more than _PLANNED cells and the walk's
-    loops come to at most _LOOPS_PER_CELL per cell; the state tables check it
-    after each level of their forward pass, and stop as soon as the levels
-    planned so far meet it. Every other program runs evaluate's nest with the
-    counts added inline, in constant memory; one loop or none never runs more
-    times than the rows hold cells. The tables run every bound before any
+    loaded only then); both leave a program to the walk where _walks routes
+    it. Every other program runs evaluate's nest with the counts added
+    inline, in constant memory; one loop or none never runs more times than
+    the rows hold cells. The tables run every bound before any
     body and name a negative body by less than its history, so on any
     MoessnerError from them, a width past their cap included, or a
     MemoryError, the nest runs instead, validated again (a parameter error
@@ -257,14 +253,21 @@ _MAX_WIDTH = 10**8  # cells in one level's table, and indices the walk visits at
 # Building and mapping the positions costs less than one _gather call up to about 8 cells where
 # q = 1 and about 12-16 where q > 1 (CPython 3.11); a step reused by a repeated level maps cheaper still.
 _NARROW = 8
-# The one rule for both counted engines. A table's forward pass costs several of the walk's loops
-# per cell. Where a plan holds more than _PLANNED cells and the walk's loops come to at most
-# _LOOPS_PER_CELL per cell, the walk counts instead, in constant memory, at most that much later;
-# the state tables' forward pass stops there early. A smaller plan answers, as does a completed
-# state pass: what is left is at most two rows over the innermost states, never more than the
-# walk's leaves.
+# The one walk-or-tables rule for both counted engines (_walks). A state table's forward pass costs
+# several of the walk's loops per cell, so past _PLANNED cells a plan whose walk loops at most
+# _LOOPS_PER_CELL times per cell is left to the walk, in constant memory, at most that much later;
+# the state pass stops there early. A smaller plan answers, as does a completed state pass: what is
+# left is at most two rows over the innermost states, never more than the walk's leaves. The budget
+# was set for the state tables; a Markov plan just under it can be slower and larger by the tables
+# than by the walk, and calibrating it per engine is open (ROADMAP item 22).
 _LOOPS_PER_CELL = 2
 _PLANNED = 1024
+
+
+def _walks(cells: int, within: Callable[[int], bool]) -> bool:
+    """Whether a plan of cells is left to the walk: past _PLANNED cells, where within(most)
+    tells that the walk's loops come to at most most, _LOOPS_PER_CELL per cell."""
+    return cells > _PLANNED and within(_LOOPS_PER_CELL * cells)
 
 
 def _too_wide(width: int) -> None:
@@ -488,15 +491,14 @@ def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
 
 def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
     """evaluate_counting(program) by the tables, with level_tables' refusals and errors. Routed,
-    None, for the walk, where the plan's cells (the windows its steps cover, and the innermost
-    one for a closure body) pass _PLANNED and the walk's loops come to at most _LOOPS_PER_CELL
-    per cell (_loops_past)."""
+    None, for the walk, where _walks leaves the plan to it: its cells are the windows its steps
+    cover, and the innermost one for a closure body."""
     const, steps, lo, hi = _forward(program)
     if routed:
         sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
         cells = sum(sizes) + (hi - lo + 1 if const is None else 0)
         walked = steps[: program.depth - (const is not None)]  # a Lit body's innermost level is not walked
-        if cells > _PLANNED and not _loops_past(walked, [*sizes[1:], hi - lo + 1], _LOOPS_PER_CELL * cells):
+        if _walks(cells, lambda most: not _loops_past(walked, [*sizes[1:], hi - lo + 1], most)):
             return None
     return _counts(program, const, steps, lo, hi)
 

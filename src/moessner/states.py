@@ -34,8 +34,7 @@ count times body, and likewise the body's additions; a sum of m >= 1 terms
 costs m - 1 additions, so level k's sums cost the histories through level k
 less those above it whose sum there opens, which forward tallies per level.
 counted_tables is the one entry. Routed, as evaluate_counting calls it, it
-leaves the program to the walk where forward stops early, by the one rule
-both counted engines share (engine._PLANNED, engine._LOOPS_PER_CELL). The
+leaves the program to the walk where forward stops early (engine._walks). The
 rows are generated through expr.Source over the state's slots, once per
 shape of a level read back from it (_back). A program that is Markov has no
 last_read in its analysis and is the engine's tables' to count.
@@ -141,9 +140,8 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     (_back), its lower bound, and the level number where the program reads
     Level. A level of more cells than engine._MAX_WIDTH is refused before its
     counts are built, and a level whose child states are found one by one
-    past that many. Routed, the plan is None, for the walk, as soon as the
-    levels so far meet the engine's one rule: more than engine._PLANNED
-    cells, and the walk's loops at most engine._LOOPS_PER_CELL per cell.
+    past that many. Routed, the plan is None, for the walk, as soon as
+    engine._walks leaves the levels so far to it.
     """
     engine.validate(program)  # through the module, as the engine's own callers see it
     const = _lit_body(program)
@@ -194,7 +192,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
         cells += work
         if k < program.depth or const is None:  # a Lit body's innermost sum is not walked
             loops += through
-        if routed and cells > engine._PLANNED and loops <= engine._LOOPS_PER_CELL * cells:
+        if routed and engine._walks(cells, loops.__le__):
             return None
     return Plan(program, labels, dense, groups, counts, sums, loops, cells)
 
