@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 _ORIGIN = {
     name: module
     for module, names in {
-        "counting": "CountingNat backward_difference log_add_power_prefix log_add_power_prefix_counted"
-        " prefix_sum sigma sigma_counted times_halving",
-        "elision": "drop_index is_dropped keep_index splice_index stair",
+        "counting": "CountingNat log_add_power_prefix log_add_power_prefix_counted sigma times_halving",
+        "elision": "drop_index is_dropped keep_index",
         "engine": "EvalReport LevelSpec SummationProgram evaluate evaluate_counting evaluate_memoized is_markov"
         " program_from_dict program_from_json program_to_dict program_to_json unfold_display validate",
         "errors": "BFileParseError ConsistencyError DomainError FetchError FixtureNotFoundError MoessnerError"
@@ -32,7 +31,7 @@ _ORIGIN = {
         " serialize_bfile",
         "oracles": "binomial catalan catalan_closed catalan_convolved euler_zigzag factorial fibonacci"
         " fuss_catalan long2_closed multifactorial multiset polygonal_closed pow_fast product_table",
-        "polygonal": "quotient_sum quotient_sum_shifted verify_block_split verify_double_reindex",
+        "polygonal": "quotient_sum quotient_sum_shifted",
         "presets": "PresetInfo build catalog expected preset_names",
         "process": "ProcessStep ProcessTrace dp_power drop_every forward_intermediate iteration_count"
         " naive_power prefix_sums required_length run_process",

@@ -1,9 +1,15 @@
-"""Exact operation counting for additive computations.
+"""Exact operation counting for additive computations: the addition-only power prefix.
 
 The central convention: folding a sum of m >= 1 terms costs m - 1 additions
 (there is no addition to a zero accumulator), and an empty sum costs nothing.
-Everything in this module tracks additions under that rule; multiplications
-are tracked separately so that addition-only schemes can prove they use none.
+The evaluators count under that rule on engine.EvalReport; this module keeps
+what reaches no evaluator but stands for a claim or a product path:
+
+- CountingNat (add and mul) and times_halving carry log_add_power_prefix and
+  log_add_power_prefix_counted, the power table built by doubling additions
+  with no multiplication. The acceptance claim c12 computes through them, and
+  process names them beside dp_power and naive_power.
+- sigma, the plain sum f(lo) + ... + f(hi), is what polygonal sums with.
 """
 
 from __future__ import annotations
@@ -46,42 +52,6 @@ class CountingNat(Record):
 def sigma(lo: int, hi: int, f: Callable[[int], int]) -> int:
     """Sum f(lo) + ... + f(hi); empty (hi < lo) gives 0."""
     return sum(f(i) for i in range(lo, hi + 1))
-
-
-def sigma_counted(lo: int, hi: int, f: Callable[[int], CountingNat]) -> CountingNat:
-    """Sum of counted terms under the m - 1 rule.
-
-    m terms cost the terms' own operations plus m - 1 combining additions;
-    zero terms cost nothing and the sum is 0.
-    """
-    total = CountingNat(0)
-    first = True
-    for i in range(lo, hi + 1):
-        term = f(i)
-        if first:
-            total = term
-            first = False
-        else:
-            total = total.add(term)
-    return total
-
-
-def backward_difference(f: Callable[[int], int], i: int) -> int:
-    """f(0) at i = 0, otherwise f(i) - f(i-1). May be negative in general."""
-    if i < 0:
-        raise PreconditionError("backward_difference index must be >= 0")
-    if i == 0:
-        return f(0)
-    return f(i) - f(i - 1)
-
-
-def prefix_sum(f: Callable[[int], int]) -> Callable[[int], int]:
-    """x |-> f(0) + ... + f(x). Right inverse of backward_difference."""
-
-    def summed(x: int) -> int:
-        return sigma(0, x, f)
-
-    return summed
 
 
 def times_halving(x: int, c: int) -> CountingNat:

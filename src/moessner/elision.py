@@ -1,15 +1,15 @@
 """Index maps for striking every (j+1)-st element out of a stream.
 
 keep_index(j, .) enumerates the surviving positions, drop_index(j, .) the
-struck ones, and together they partition the naturals. stair and splice_index
-describe where the survivors land; both return None at struck positions
-(an explicit absence, never a sentinel integer, because callers splice
-values at those holes and a fake index would corrupt the splice).
+struck ones, and together they partition the naturals. process strikes by
+slice and calls none of them: they state the schedule that its slices and
+required_length follow. The acceptance claim c07 checks the partition through
+all three, and tests/test_process.py reads drop_every against is_dropped and
+required_length against keep_index. Where inverse_step puts a survivor back is
+inverse's own splice: the survivor of rank (p-1)q + r returns to pq + r.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .errors import PreconditionError
 
@@ -35,23 +35,3 @@ def is_dropped(j: int, x: int) -> bool:
     """True iff position x is struck under period j+1."""
     _check_j(j)
     return x % (j + 1) == j
-
-
-def stair(j: int, x: int) -> Optional[int]:
-    """j * (x // (j+1)) at surviving positions, None at struck ones."""
-    _check_j(j)
-    if is_dropped(j, x):
-        return None
-    return j * (x // (j + 1))
-
-
-def splice_index(j: int, x: int) -> Optional[int]:
-    """Rank of a surviving position once the holes are closed up; None if struck.
-
-    Surviving positions enumerate 0, 1, 2, ... in order: j full steps per
-    block of j+1 plus the offset inside the block.
-    """
-    _check_j(j)
-    if is_dropped(j, x):
-        return None
-    return j * (x // (j + 1)) + x % (j + 1)

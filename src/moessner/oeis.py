@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .engine import evaluate, evaluate_memoized, is_markov  # noqa: F401  (wrapped by perfbench/tracer.py)
+from .engine import evaluate, evaluate_memoized, is_markov, is_natural  # noqa: F401  (the first three wrapped by perfbench/tracer.py)
 from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError, digit_limit
 from .record import Record
 
@@ -28,8 +28,10 @@ class BFileEntry(Record):
 
 
 def normalize_a_number(a_number: Union[str, int]) -> str:
-    """Return the canonical 'A000000' form."""
+    """Return the canonical 'A000000' form; a bool or a negative int is refused, as '-5' is."""
     if isinstance(a_number, int):
+        if not is_natural(a_number):
+            raise PreconditionError(f"bad sequence id {a_number!r}")
         number = a_number
     else:
         text = a_number.strip()

@@ -4,11 +4,11 @@ Two index conventions coexist and both are exposed: quotient_sum uses the
 upper bound k*(n+1) and equals the closed form oracles.polygonal_closed;
 quotient_sum_shifted uses k*n and enumerates the familiar named streams
 (squares, pentagonal, hexagonal numbers, and for k=1 the triangular numbers).
+The CLI's polygonal subcommand runs check_terms and quotient_sum, and the
+acceptance claim c10 reads both conventions.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .counting import sigma
 from .errors import PreconditionError
@@ -37,17 +37,3 @@ def quotient_sum_shifted(k: int, n: int) -> int:
     sum adds n + 1 terms, not k*n + 1."""
     check_terms(k, k * n + 1)
     return sigma(0, n - 1, lambda q: k * q) + k * n // k
-
-
-def verify_block_split(x: int, y: int, f: Callable[[int], int]) -> bool:
-    """sum_{i=0}^{(x+1)(y+1)} f(i) == sum_{i=0}^{x(y+1)+y} f(i) + f((x+1)(y+1))."""
-    lhs = sigma(0, (x + 1) * (y + 1), f)
-    rhs = sigma(0, x * (y + 1) + y, f) + f((x + 1) * (y + 1))
-    return lhs == rhs
-
-
-def verify_double_reindex(x: int, y: int, f: Callable[[int], int]) -> bool:
-    """sum_{i=0}^{x(y+1)+y} f(i) == sum_{i=0}^{x} sum_{j=0}^{y} f(i(y+1)+j)."""
-    lhs = sigma(0, x * (y + 1) + y, f)
-    rhs = sigma(0, x, lambda i: sigma(0, y, lambda j: f(i * (y + 1) + j)))
-    return lhs == rhs

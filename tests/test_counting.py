@@ -1,4 +1,4 @@
-"""Operation accounting: the m-1 rule, doubling multiplication, the power table."""
+"""Operation accounting: counted naturals, doubling multiplication, the power table."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from moessner.counting import (
     CountingNat,
-    backward_difference,
     log_add_power_prefix,
     log_add_power_prefix_counted,
-    prefix_sum,
     sigma,
-    sigma_counted,
     times_halving,
 )
 from moessner.errors import PreconditionError
@@ -37,28 +34,6 @@ def test_sigma():
     assert sigma(0, 4, lambda i: i) == 10
     assert sigma(3, 2, lambda i: 1) == 0  # empty by convention
     assert sigma(5, 5, lambda i: i * i) == 25
-
-
-def test_sigma_counted_m_minus_one_rule():
-    # m terms cost m-1 combining additions on top of the terms' own costs
-    three = sigma_counted(0, 2, lambda i: CountingNat(i + 1))
-    assert (three.value, three.additions) == (6, 2)
-    one = sigma_counted(7, 7, lambda i: CountingNat(5))
-    assert (one.value, one.additions) == (5, 0)
-    empty = sigma_counted(1, 0, lambda i: CountingNat(99))
-    assert (empty.value, empty.additions) == (0, 0)
-    # term costs are carried through
-    nested = sigma_counted(0, 1, lambda i: CountingNat(i, additions=10))
-    assert (nested.value, nested.additions) == (1, 21)
-
-
-def test_backward_difference_inverts_prefix_sum():
-    f = lambda i: (i + 1) ** 3
-    g = prefix_sum(f)
-    for i in range(30):
-        assert backward_difference(g, i) == f(i)
-    with pytest.raises(PreconditionError):
-        backward_difference(f, -1)
 
 
 def test_times_halving_frozen_counts():

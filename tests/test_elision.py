@@ -1,10 +1,10 @@
-"""Keep/drop index maps: partition of the naturals, inverses, frozen tables."""
+"""Keep/drop index maps: partition of the naturals, frozen tables."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moessner.elision import drop_index, is_dropped, keep_index, splice_index, stair
+from moessner.elision import drop_index, is_dropped, keep_index
 from moessner.errors import PreconditionError
 
 
@@ -15,15 +15,12 @@ def test_frozen_tables_j2():
     assert [is_dropped(2, x) for x in range(7)] == [
         False, False, True, False, False, True, False,
     ]
-    assert [stair(2, x) for x in range(9)] == [0, 0, None, 2, 2, None, 4, 4, None]
-    assert [splice_index(2, x) for x in range(9)] == [0, 1, None, 2, 3, None, 4, 5, None]
 
 
 def test_frozen_tables_j1():
     # period 2: odd positions struck
     assert [keep_index(1, x) for x in range(5)] == [0, 2, 4, 6, 8]
     assert [drop_index(1, x) for x in range(5)] == [1, 3, 5, 7, 9]
-    assert [splice_index(1, x) for x in range(6)] == [0, None, 1, None, 2, None]
 
 
 def test_partition_exhaustive():
@@ -50,33 +47,16 @@ def test_keep_index_strictly_increasing_and_never_struck():
             prev = k
 
 
-def test_splice_inverts_keep():
-    for j in range(1, 9):
-        for y in range(2000):
-            assert splice_index(j, keep_index(j, y)) == y
-
-
-def test_stair_against_definition():
-    for j in range(1, 7):
-        for x in range(500):
-            if is_dropped(j, x):
-                assert stair(j, x) is None
-                assert splice_index(j, x) is None
-            else:
-                assert stair(j, x) == j * (x // (j + 1))
-                assert splice_index(j, x) == stair(j, x) + x % (j + 1)
-
-
 @given(st.integers(1, 50), st.integers(0, 10**9))
 @settings(max_examples=200, deadline=None)
 def test_partition_membership_random(j, x):
     if is_dropped(j, x):
         assert drop_index(j, (x - j) // (j + 1)) == x
     else:
-        assert keep_index(j, splice_index(j, x)) == x
+        assert keep_index(j, x - x // (j + 1)) == x  # x's rank among the survivors
 
 
-@pytest.mark.parametrize("fn", [keep_index, drop_index, is_dropped, stair, splice_index])
+@pytest.mark.parametrize("fn", [keep_index, drop_index, is_dropped])
 def test_rejects_j_below_one(fn):
     with pytest.raises(PreconditionError):
         fn(0, 3)

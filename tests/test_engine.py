@@ -1,10 +1,12 @@
 """Engine cross-checks against a naive recursive reference, plus validation and Markov paths."""
 
 import copy
+import importlib.util
 import json
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -1802,3 +1804,37 @@ def test_repeating_programs_reuse_steps(monkeypatch):
                 assert states.counted_tables(prog) == reference_counting(prog)
                 reused.append(len(computed) < prog.depth)
     assert sum(reused) >= len(reused) / 2
+
+
+SAME_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "same_digest.py"
+
+
+def test_small_scope_slice_matches_the_references():
+    # the depth <= 1, leaf-body part of scripts/same_digest.py's corpus, every program of it (6,610):
+    # values and counts are the references', both walks raise the reference's first error, the
+    # tables of the program's kind raise wherever it raises, and an invalid program is refused by all
+    spec = importlib.util.spec_from_file_location("same_digest", SAME_DIGEST)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    leaves, every = corpus.expressions()
+    checked = 0
+    for prog in (*corpus.small_scope([], leaves), *corpus.small_scope([every], leaves)):
+        refused = _outcome(validate, prog)
+        if refused is not None:
+            for evaluator in (evaluate, evaluate_counting, engine._counted_tables, states.counted_tables,
+                              evaluate_memoized):
+                assert _outcome(evaluator, prog) == refused, prog
+            continue
+        checked += 1
+        markov = is_markov(prog)
+        tables = _outcome(engine._counted_tables if markov else states.counted_tables, prog)
+        memo = _outcome(evaluate_memoized, prog) if markov else None
+        want = _outcome(reference_counting, prog)
+        if isinstance(want, EvalReport):
+            assert (evaluate(prog), evaluate_counting(prog), tables) == (want.value, want, want), prog
+            assert memo in (None, want.value), prog
+        else:
+            assert _outcome(evaluate, prog) == _outcome(reference_evaluate, prog) == want, prog
+            assert _outcome(evaluate_counting, prog) == want, prog
+            assert not isinstance(tables, EvalReport) and not isinstance(memo, int), prog
+    assert checked > 3000

@@ -46,6 +46,14 @@ def test_normalize_a_number():
             normalize_a_number(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, -5, -1])
+def test_normalize_a_number_refuses_bools_and_negative_ints(bad):
+    # as the string path refuses '-5': no 'A-00005' id, b-file name or fetch URL is made of them
+    for call in (normalize_a_number, bfile_name, oeis.fetch):  # fetch refuses before any request
+        with pytest.raises(PreconditionError, match=f"^bad sequence id {bad!r}$"):
+            call(bad)
+
+
 def test_sequence_ids_past_the_digit_limit_name_the_limit(default_digit_limit):
     big = "9" * 5000
     for call in (

@@ -5,20 +5,13 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from moessner import engine, polygonal
 from moessner.cli import main
 from moessner.errors import PreconditionError
 from moessner.oeis import load_fixture
 from moessner.oracles import polygonal_closed
-from moessner.polygonal import (
-    quotient_sum,
-    quotient_sum_shifted,
-    verify_block_split,
-    verify_double_reindex,
-)
+from moessner.polygonal import quotient_sum, quotient_sum_shifted
 
 
 def test_quotient_sum_equals_closed_form():
@@ -62,24 +55,6 @@ def test_shifted_sum_adds_one_term_per_block(monkeypatch):
     monkeypatch.setattr(polygonal, "sigma", lambda lo, hi, f: sigma(lo, hi, lambda i: terms.append(i) or f(i)))
     assert quotient_sum_shifted(10**6, 3) == 3 * 10**6 + 3
     assert terms == [0, 1, 2]
-
-
-def test_block_rewrites():
-    f = lambda i: i // 3  # noqa: E731
-    for x in range(6):
-        for y in range(6):
-            assert verify_block_split(x, y, f)
-            assert verify_double_reindex(x, y, f)
-    assert verify_block_split(2, 3, lambda i: i * i)
-    assert verify_double_reindex(2, 3, lambda i: i * i)
-
-
-@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 9), st.integers(0, 4))
-@settings(max_examples=150, deadline=None)
-def test_block_rewrites_random(x, y, div, power):
-    f = lambda i: (i ** power) // div  # noqa: E731
-    assert verify_block_split(x, y, f)
-    assert verify_double_reindex(x, y, f)
 
 
 def test_quotient_block_identity():
