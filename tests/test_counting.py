@@ -36,6 +36,28 @@ def test_sigma():
     assert sigma(5, 5, lambda i: i * i) == 25
 
 
+def test_sigma_counted_m_minus_one_rule():
+    # folding m counted terms with add costs m-1 combining additions on top of
+    # the terms' own costs; zero terms cost nothing
+    def sum_counted(terms):
+        terms = list(terms)
+        if not terms:
+            return CountingNat(0)
+        total = terms[0]
+        for term in terms[1:]:
+            total = total.add(term)
+        return total
+
+    three = sum_counted(CountingNat(i + 1) for i in range(3))
+    assert (three.value, three.additions) == (6, 2)
+    one = sum_counted([CountingNat(5)])
+    assert (one.value, one.additions) == (5, 0)
+    empty = sum_counted([])
+    assert (empty.value, empty.additions) == (0, 0)
+    nested = sum_counted(CountingNat(i, additions=10) for i in range(2))
+    assert (nested.value, nested.additions) == (1, 21)
+
+
 def test_times_halving_frozen_counts():
     zero = times_halving(0, 7)
     assert (zero.value, zero.additions) == (0, 0)

@@ -1,4 +1,4 @@
-"""Keep/drop index maps: partition of the naturals, frozen tables."""
+"""Keep/drop index maps: partition of the naturals, survivor ranks, frozen tables."""
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +45,14 @@ def test_keep_index_strictly_increasing_and_never_struck():
             assert k > prev
             assert not is_dropped(j, k)
             prev = k
+
+
+def test_splice_inverts_keep():
+    # the survivor at keep_index(j, y) closes up to rank y once the holes go
+    for j in range(1, 9):
+        for y in range(2000):
+            x = keep_index(j, y)
+            assert x - x // (j + 1) == y
 
 
 @given(st.integers(1, 50), st.integers(0, 10**9))

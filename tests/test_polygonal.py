@@ -5,9 +5,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moessner import engine, polygonal
 from moessner.cli import main
+from moessner.counting import sigma
 from moessner.errors import PreconditionError
 from moessner.oeis import load_fixture
 from moessner.oracles import polygonal_closed
@@ -55,6 +58,35 @@ def test_shifted_sum_adds_one_term_per_block(monkeypatch):
     monkeypatch.setattr(polygonal, "sigma", lambda lo, hi, f: sigma(lo, hi, lambda i: terms.append(i) or f(i)))
     assert quotient_sum_shifted(10**6, 3) == 3 * 10**6 + 3
     assert terms == [0, 1, 2]
+
+
+def _block_split(x, y, f):
+    # sum_{i=0}^{(x+1)(y+1)} f(i) == sum_{i=0}^{x(y+1)+y} f(i) + f((x+1)(y+1))
+    return sigma(0, (x + 1) * (y + 1), f) == sigma(0, x * (y + 1) + y, f) + f((x + 1) * (y + 1))
+
+
+def _double_reindex(x, y, f):
+    # sum_{i=0}^{x(y+1)+y} f(i) == sum_{i=0}^{x} sum_{j=0}^{y} f(i(y+1)+j)
+    nested = sigma(0, x, lambda i: sigma(0, y, lambda j: f(i * (y + 1) + j)))
+    return sigma(0, x * (y + 1) + y, f) == nested
+
+
+def test_block_rewrites():
+    f = lambda i: i // 3  # noqa: E731
+    for x in range(6):
+        for y in range(6):
+            assert _block_split(x, y, f)
+            assert _double_reindex(x, y, f)
+    assert _block_split(2, 3, lambda i: i * i)
+    assert _double_reindex(2, 3, lambda i: i * i)
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 9), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_block_rewrites_random(x, y, div, power):
+    f = lambda i: (i ** power) // div  # noqa: E731
+    assert _block_split(x, y, f)
+    assert _double_reindex(x, y, f)
 
 
 def test_quotient_block_identity():
