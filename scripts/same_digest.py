@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Two sha256 digests per corpus part and evaluator: what the library answers, and by which route.
+"""Same behaviour in two trees: one sha256 per corpus part and evaluator of what each answers, and by which route.
 
-The corpus is a small-scope enumeration of summation programs, then the
-count ops of the benchmark. The expressions are ten leaves (Lit 0..2,
-Param x, Level, Prev, Hist(1), SumHist, ProdHist, Table(Prev)) and Add, Sub
-and Mul of two leaves; FloorDiv divides by a positive literal, so it takes a
-leaf over the value of Lit 1 or Lit 2: 330 expressions in all. Every
+The library corpus is a small-scope enumeration of summation programs, then
+fixed preset points. The expressions are ten leaves (Lit 0..2, Param x,
+Level, Prev, Hist(1), SumHist, ProdHist, Table(Prev)) and Add, Sub and Mul
+of two leaves; FloorDiv divides by a positive literal, so it takes a leaf
+over the value of Lit 1 or Lit 2: 330 expressions in all. Every enumerated
 program runs at x = 2 and f = (1, 0, 2). Each level's lower bound is 0 or 1.
 The parts, in this order:
 
@@ -13,21 +13,32 @@ The parts, in this order:
   depth1   every bound, both lowers, every body
   depth2   a leaf bound at level 1 and every bound at level 2, each at both
            lowers, with a leaf body
-  count    the count ops of perfbench/workloads.py for the seeds 0..5, each
-           distinct point once, read without writing bytecode into perfbench/
+  count    the count ops of perfbench/workloads.py for the seeds 0..5
+  presets  PRESET_SAMPLES and every point of MEMOIZED_GRID, read from
+           tests/test_engine.py without importing it. The tests'
+           derandomized hypothesis draws are left out: they come from
+           hypothesis's search, which is not a fixed corpus.
+  cli      the distinct argvs of the cli ops of perfbench/workloads.py for
+           the seeds 0..5, each a cold `python -m moessner` call in the tree
 
-The evaluators are evaluate, evaluate_counting, the unrouted tables of the
-program's kind (engine._counted_tables for a Markov program, else
+count and presets hold each distinct preset point once, in sorted order, and
+cli each distinct argv once, in sorted order. perfbench/ is read without
+writing bytecode into it.
+
+The library evaluators are evaluate, evaluate_counting, the unrouted tables
+of the program's kind (engine._counted_tables for a Markov program, else
 states.counted_tables) and evaluate_memoized, each on every program. The
 outcome digest hashes (program JSON, value and counts, or error class and
 text) over the part. The route digest hashes the calls each evaluator made
 to engine._nest, engine._counted_tables and states.counted_tables: the name,
 the argument count and what came back (None, a result, or the class of what
-was raised). A routing change moves only the route digest.
+was raised). A routing change moves only the route digest. The cli part has
+one outcome digest, over (argv, exit code, stdout, stderr), and no route.
 
-Each tree runs in its own `python` process with its src/ on the path, one
-after the other; the corpus comes from this file for both. Given two trees,
-it prints both sets of digests and then the first programs that differ.
+Each tree runs in its own `python` process with its src/ on the path and the
+tree as working directory, one after the other; the corpus comes from this
+file's tree for both. Given two trees, it prints both sets of digests and
+then the first programs or argvs that differ, with each tree's answers.
 
 Run from the repository root:
     python3 scripts/same_digest.py                 # this tree
@@ -37,6 +48,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -50,8 +62,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SEEDS = range(6)
 PARAMS = {"x": 2, "f": (1, 0, 2)}
-PARTS = ("depth0", "depth1", "depth2", "count")
+PARTS = ("depth0", "depth1", "depth2", "count", "presets", "cli")
 EVALUATORS = ("evaluate", "evaluate_counting", "tables", "evaluate_memoized")
+COLD = "python -m moessner"  # the cli part's one evaluator
 BLOCK = 1000  # programs per block digest, the unit in which two trees are compared first
 SHOWN = 5  # differing programs printed
 
@@ -79,25 +92,45 @@ def small_scope(bounds: List[List[Any]], bodies: List[Any]) -> Iterator[Any]:
             yield SummationProgram(len(levels), levels, body, dict(PARAMS))
 
 
-def count_programs() -> Iterator[Any]:
-    """The distinct points of the count workload over SEEDS, in sorted order."""
+def workload(name: str) -> List[Dict[str, Any]]:
+    """The ops of perfbench/workloads.py's name workload over SEEDS. The file is run, not imported,
+    so no bytecode is written into perfbench/ and neither sys.path nor sys.modules changes."""
+    path = ROOT / "perfbench" / "workloads.py"
+    found: Dict[str, Any] = {"__name__": "workloads"}
+    exec(compile(path.read_text(), str(path), "exec"), found)
+    return [op for seed in SEEDS for op in found["make_ops"](name, seed)]
+
+
+def fixed_sets() -> List[Tuple[str, Dict[str, Any]]]:
+    """PRESET_SAMPLES and every point of MEMOIZED_GRID: their two assignments in tests/test_engine.py,
+    evaluated alone, so neither the test module nor pytest is imported."""
+    module = ast.parse((ROOT / "tests" / "test_engine.py").read_text())
+    found = {target.id: eval(compile(ast.Expression(node.value), "test_engine.py", "eval"), {})
+             for node in module.body if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("PRESET_SAMPLES", "MEMOIZED_GRID")}
+    return found["PRESET_SAMPLES"] + [(name, params) for name, grid in found["MEMOIZED_GRID"] for params in grid]
+
+
+def preset_programs(points: List[Tuple[str, Dict[str, Any]]]) -> Iterator[Any]:
+    """Each distinct (preset, params) point once, in sorted order, built."""
     from moessner.presets import build
 
-    sys.dont_write_bytecode = True  # read perfbench/ without writing a __pycache__ into it
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import make_ops
-
-    ops = [op for seed in SEEDS for op in make_ops("count", seed)]
-    points = {json.dumps([op["preset"], op["params"]], sort_keys=True) for op in ops}
-    for point in sorted(points):
+    for point in sorted({json.dumps(point, sort_keys=True) for point in points}):
         name, params = json.loads(point)
         yield build(name, {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()})
 
 
-def programs(part: str) -> Iterator[Any]:
+def items(part: str) -> Iterator[Any]:
+    """The part's programs, or for cli its argvs."""
+    if part == "cli":
+        return iter(sorted({tuple(op["argv"]) for op in workload("cli")}))
+    if part == "count":
+        return preset_programs([(op["preset"], op["params"]) for op in workload("count")])
+    if part == "presets":
+        return preset_programs(fixed_sets())
     leaves, every = expressions()
     scopes = {"depth0": ([], every), "depth1": ([every], every), "depth2": ([leaves, every], leaves)}
-    return count_programs() if part == "count" else small_scope(*scopes[part])
+    return small_scope(*scopes[part])
 
 
 # The child: one tree's evaluators over the corpus.
@@ -125,6 +158,12 @@ def evaluators(calls: Calls) -> Dict[str, Callable]:
             "evaluate_memoized": engine.evaluate_memoized}
 
 
+def cold(argv: Tuple[str, ...]) -> Tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `python -m moessner *argv` in this process's directory and environment."""
+    done = subprocess.run([sys.executable, "-m", "moessner", *argv], capture_output=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
 def outcome(evaluator: Callable, program: Any) -> Any:
     try:
         got = evaluator(program)
@@ -133,48 +172,53 @@ def outcome(evaluator: Callable, program: Any) -> Any:
     return got if isinstance(got, int) else (got.value, got.additions, got.leaves)
 
 
-def answers(named: Dict[str, Callable], calls: Calls, program: Any) -> Dict[str, List[str]]:
-    """Per evaluator, the repr of its outcome on program and of the route calls it made."""
+def answers(part: str, named: Dict[str, Callable], calls: Calls, item: Any) -> Tuple[str, Dict[str, List[Any]]]:
+    """The item as text, and per evaluator what its outcome digest hashes, the repr of its outcome and
+    the repr of the route calls it made: (JSON, outcome) and the calls for a program; (argv, exit code,
+    stdout, stderr) and no route for an argv."""
+    from moessner.engine import program_to_json
+
+    if part == "cli":
+        got = cold(item)
+        return " ".join(item), {COLD: [repr((item, *got)), repr(got), None]}
+    text = program_to_json(item)
     found = {}
     for name in EVALUATORS:
         calls.clear()
-        got = repr(outcome(named[name], program))
-        found[name] = [got, repr(calls)]
-    return found
+        got = repr(outcome(named[name], item))
+        found[name] = [repr((text, got)), got, repr(calls)]
+    return text, found
 
 
 def digests(part: str, named: Dict[str, Callable], calls: Calls) -> Dict[str, Any]:
-    """Per evaluator, the outcome and route digests over the part, and per BLOCK programs one
+    """Per evaluator, the outcome and route digests over the part, and per BLOCK items one
     short digest of every evaluator's outcomes and routes."""
-    from moessner.engine import program_to_json
-
-    outcomes = {name: hashlib.sha256() for name in EVALUATORS}
-    routes = {name: hashlib.sha256() for name in EVALUATORS}
+    outcomes: Dict[str, Any] = {}
+    routes: Dict[str, Any] = {}
     blocks: List[str] = []
     block = hashlib.sha256()
     count = 0
-    for count, program in enumerate(programs(part), 1):
-        text = program_to_json(program)
-        for name, (got, route) in answers(named, calls, program).items():
-            outcomes[name].update(repr((text, got)).encode())
-            routes[name].update(route.encode())
-            block.update(f"{text}{got}{route}".encode())
+    for count, item in enumerate(items(part), 1):
+        for name, (hashed, _, route) in answers(part, named, calls, item)[1].items():
+            outcomes.setdefault(name, hashlib.sha256()).update(hashed.encode())
+            if route is not None:
+                routes.setdefault(name, hashlib.sha256()).update(route.encode())
+            block.update(f"{hashed}{route}".encode())
         if count % BLOCK == 0:
             blocks.append(block.hexdigest()[:16])
             block = hashlib.sha256()
     blocks += [block.hexdigest()[:16]] * bool(count % BLOCK)
-    found = {name: [outcomes[name].hexdigest(), routes[name].hexdigest()] for name in EVALUATORS}
-    return {"part": part, "programs": count, "digests": found, "blocks": blocks}
+    found = {name: [out.hexdigest(), routes[name].hexdigest() if name in routes else None]
+             for name, out in outcomes.items()}
+    return {"part": part, "count": count, "digests": found, "blocks": blocks}
 
 
 def details(part: str, blocks: List[int], named: Dict[str, Callable], calls: Calls) -> Dict[str, Any]:
-    """Each program of the given blocks: its index, its JSON and its answers."""
-    from moessner.engine import program_to_json
-
+    """Each item of the given blocks: its index, its text and its answers."""
     shown = []
     for b in blocks:
-        for index, program in enumerate(itertools.islice(programs(part), b * BLOCK, (b + 1) * BLOCK), b * BLOCK):
-            shown.append([index, program_to_json(program), answers(named, calls, program)])
+        for index, item in enumerate(itertools.islice(items(part), b * BLOCK, (b + 1) * BLOCK), b * BLOCK):
+            shown.append([index, *answers(part, named, calls, item)])
     return {"part": part, "details": shown}
 
 
@@ -196,7 +240,7 @@ def child(args: argparse.Namespace) -> int:
 # The parent: one child per tree, one after the other.
 
 def run_tree(tree: Path, parts: List[str], blocks: Optional[List[str]] = None) -> Dict[str, Dict[str, Any]]:
-    """The child's answer per part on tree: digests, or with blocks each program of them."""
+    """The child's answer per part on tree: digests, or with blocks each item of them."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, str(Path(__file__).resolve()), "--child", "--parts", *parts]
     argv += [] if blocks is None else ["--blocks", *blocks]
@@ -210,7 +254,7 @@ def run_tree(tree: Path, parts: List[str], blocks: Optional[List[str]] = None) -
 
 
 def first_differences(trees: List[Path], runs: List[Dict[str, Dict[str, Any]]]) -> List[str]:
-    """The first SHOWN programs whose outcome or route differs, found by running the first
+    """The first SHOWN items whose outcome or route differs, found by running the first
     differing blocks again on both trees, with each tree's answers where they differ."""
     blocks = []
     for part in runs[0]:
@@ -223,7 +267,7 @@ def first_differences(trees: List[Path], runs: List[Dict[str, Dict[str, Any]]]) 
     for part in parts:
         for (index, text, a), (_, _, b) in zip(shown[0][part]["details"], shown[1][part]["details"]):
             if a != b and len(lines) < SHOWN:
-                differ = [f"  {name}\n    old {a[name]}\n    new {b[name]}" for name in EVALUATORS
+                differ = [f"  {name}\n    old {a[name][1:]}\n    new {b[name][1:]}" for name in a
                           if a[name] != b[name]]
                 lines.append("\n".join([f"{part} #{index} {text}", *differ]))
     return lines
@@ -246,13 +290,15 @@ def main() -> int:
         print(tree)
         for part, result in found.items():
             for name, (out, route) in result["digests"].items():
-                print(f"  {part:6} {result['programs']:9} {name:17}  outcome {out}  route {route}")
+                route = f"  route {route}" if route else ""
+                print(f"  {part:7} {result['count']:9} {name:18}  outcome {out}{route}")
     if len(runs) == 2:
         same = {True: "equal", False: "DIFFERS"}
         for part in runs[0]:
-            for name in EVALUATORS:
-                (a, b), (c, d) = runs[0][part]["digests"][name], runs[1][part]["digests"][name]
-                print(f"{part:6} {name:17}  outcome {same[a == c]}  route {same[b == d]}")
+            for name, (a, b) in runs[0][part]["digests"].items():
+                c, d = runs[1][part]["digests"][name]
+                route = f"  route {same[b == d]}" if b else ""
+                print(f"{part:7} {name:18}  outcome {same[a == c]}{route}")
         differ = first_differences(trees, runs)
         print("\n".join(differ) or "no program differs")
         return 1 if differ else 0

@@ -54,11 +54,19 @@ def fixtures_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
+def _integer(field: str) -> int:
+    """int(field) for an optional '-' and ASCII digits; int() alone would also read '+5', '1_0' and '١٢'."""
+    digits = field[1:] if field.startswith("-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_bfile(text: str) -> List[BFileEntry]:
     """Parse b-file lines; '#' lines and blanks are ignored.
 
-    Raises BFileParseError with the 1-based line number on a malformed line
-    or a non-increasing index.
+    Each field is an optional '-' and ASCII digits. Raises BFileParseError
+    with the 1-based line number on a malformed line or a non-increasing index.
     """
     entries: List[BFileEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,7 +77,7 @@ def parse_bfile(text: str) -> List[BFileEntry]:
         if len(fields) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
-            index, value = int(fields[0]), int(fields[1])
+            index, value = _integer(fields[0]), _integer(fields[1])
         except ValueError as exc:
             problem = digit_limit(exc) or f"non-integer field in {raw!r}"
             raise BFileParseError(f"line {lineno}: {problem}") from None
@@ -135,6 +143,7 @@ def parse_manifest(text: str) -> List[ManifestRow]:
 
     vary= names the swept parameter (default n); every other token, from=
     and shift= included, follows the CLI --params grammar (presets.parse_params).
+    from= must be a natural; shift= may be negative.
     """
     from . import presets  # deferred: presets uses fixtures for two expected()s
 
@@ -155,6 +164,8 @@ def parse_manifest(text: str) -> List[ManifestRow]:
         except (ParameterError, PreconditionError) as exc:
             raise BFileParseError(f"manifest line {lineno}: {exc}") from None
         start, shift = fixed.pop("from", 0), fixed.pop("shift", 0)
+        if not is_natural(start):
+            raise BFileParseError(f"manifest line {lineno}: from={start!r} must be a natural")
         rows.append(ManifestRow(fields[0], a_number, vary[0], start, shift, fixed))
     return rows
 

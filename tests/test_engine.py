@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from moessner import engine, states
+from moessner import cli, engine, states
 from moessner import expr as expr_module
 from moessner.engine import (
     EvalReport,
@@ -1838,3 +1838,17 @@ def test_small_scope_slice_matches_the_references():
             assert _outcome(evaluate_counting, prog) == want, prog
             assert not isinstance(tables, EvalReport) and not isinstance(memo, int), prog
     assert checked > 3000
+
+
+def test_same_digest_cli_part_is_cold_calls_of_every_subcommand(capsys):
+    # the cli part of scripts/same_digest.py: the cli workload's 104 distinct argvs over seeds 0..5,
+    # all eight subcommands among them, each run as a cold python -m moessner call
+    spec = importlib.util.spec_from_file_location("same_digest", SAME_DIGEST)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    argvs = list(corpus.items("cli"))
+    assert len(set(argvs)) == len(argvs) == 104
+    assert {argv[0] for argv in argvs} == {"eval", "prefix", "compare", "process", "inverse", "polygonal",
+                                           "oeis-check", "list-presets"}
+    assert cli.main(["list-presets"]) == 0
+    assert corpus.cold(("list-presets",)) == (0, capsys.readouterr().out.encode(), b"")

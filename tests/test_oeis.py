@@ -1,5 +1,6 @@
 """Fixture loading, b-file parsing, manifest wiring, prefix checks. No network."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,14 @@ def test_parse_bfile_errors_carry_line_numbers():
         parse_bfile("3 1\n2 2\n")
 
 
+def test_parse_bfile_reads_only_a_minus_and_ascii_digits():
+    # int() alone reads each of these: "1_0 5" as index 10, "+5 7" as 5, Arabic-Indic "12 3" as 12
+    for line in ("1_0 5", "+5 7", "\u0661\u0662 3", "0 1_0", "0 +1", "0 \u0661", "- 1", "--1 2"):
+        with pytest.raises(BFileParseError, match=f"^line 2: non-integer field in {re.escape(repr(line))}$"):
+            parse_bfile("0 1\n" + line + "\n")
+    assert parse_bfile("-3 -10\n-2 0\n") == [BFileEntry(-3, -10), BFileEntry(-2, 0)]
+
+
 def test_every_bundled_fixture_round_trips():
     for path in sorted(fixtures_dir().glob("b*.txt")):
         raw = path.read_text(encoding="ascii")
@@ -139,6 +148,12 @@ def test_parse_manifest_errors():
         parse_manifest("moessner A79 xyz\n")
     with pytest.raises(BFileParseError, match="non-integer"):
         parse_manifest("moessner A79 x=two\n")
+
+
+def test_parse_manifest_refuses_a_from_that_is_not_a_natural():
+    with pytest.raises(BFileParseError, match=r"^manifest line 2: from=-1 must be a natural$"):
+        parse_manifest("# header\ncatalan A000108 from=-1\n")
+    assert parse_manifest("catalan A000108 from=0 shift=-1\n")[0].shift == -1
 
 
 def test_parse_manifest_names_the_line_of_a_bad_sequence_id():
