@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 # is imported by the handler that runs it, so a cold call loads only its own
 from . import presets
 from .engine import _counted_tables, evaluate, evaluate_counting, evaluate_memoized, is_natural
-from .errors import MoessnerError, ParameterError
+from .errors import MoessnerError, ParameterError, integer
 
 # names perfbench/tracer.py wraps here, though the handlers import them when they run
 _TRACED = {"is_markov": "engine", "run_process": "process", "dp_power": "process", "run_inverse": "inverse"}
@@ -66,43 +66,29 @@ def _assignments(args: argparse.Namespace) -> List[Dict[str, Any]]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    rows = []
+    # --memoized: the Markov tables alone, which refuse a non-Markov program; else one report per
+    # point from evaluate_counting, which takes the tables or the walk per program, with the walk's errors
+    keys = ["value", "additions"][: 1 + args.count_adds]
+    rows = []  # (params, the printed fields of keys)
     for params in _assignments(args):
         program = presets.build(args.preset, params)
-        if args.count_adds:  # with --memoized by the tables alone, which refuse a non-Markov program
-            report = (_counted_tables if args.memoized else evaluate_counting)(program)
-            rows.append((params, report.value, report.additions))
+        if args.memoized and not args.count_adds:
+            fields = [evaluate_memoized(program)]
         else:
-            rows.append((params, (evaluate_memoized if args.memoized else evaluate)(program), None))
+            report = (_counted_tables if args.memoized else evaluate_counting)(program)
+            fields = [report.value, report.additions][: len(keys)]
+        rows.append((params, [str(v) for v in fields]))
 
     if args.format == "json":
-        payload: Any = []
-        for params, value, additions in rows:
-            entry = {
-                "preset": args.preset,
-                "params": _json_params(params),
-                "value": str(value),
-            }
-            if additions is not None:
-                entry["additions"] = str(additions)
-            payload.append(entry)
+        payload = [{"preset": args.preset, "params": _json_params(params), **dict(zip(keys, fields))} for params, fields in rows]
         _print_json(payload[0] if args.count is None else payload)
     elif args.format == "csv":
-        header = ["preset", "params", "value"]
-        if args.count_adds:
-            header.append("additions")
-        print(",".join(header))
-        for params, value, additions in rows:
-            fields = [args.preset, _params_repr(params).replace(",", ";"), str(value)]
-            if additions is not None:
-                fields.append(str(additions))
-            print(",".join(fields))
+        print(",".join(["preset", "params", *keys]))
+        for params, fields in rows:
+            print(",".join([args.preset, _params_repr(params).replace(",", ";"), *fields]))
     else:
-        for params, value, additions in rows:
-            if additions is not None:
-                print(f"{value} {additions}")
-            else:
-                print(value)
+        for _, fields in rows:
+            print(" ".join(fields))
     return 0
 
 
@@ -132,58 +118,35 @@ def _cmd_prefix(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_rows(args: argparse.Namespace) -> List[Dict[str, Any]]:
+def _cmd_compare(args: argparse.Namespace) -> int:
     if args.against in ("stolid", "dp") and args.preset != "moessner":
         raise ParameterError(f"--against {args.against} only compares the moessner preset")
-    rows = []
-    for params in _assignments(args):
-        additions = ref_additions = None
+    lines, matches = [], 0  # printed after the last point, so an error prints none
+    for params in _assignments(args):  # additions: None, or (the value's, the reference's or "n/a")
         if args.against == "oracle":
             report = evaluate_counting(presets.build(args.preset, params))
-            value, additions = report.value, report.additions
-            reference = presets.expected(args.preset, params)
+            value, reference, additions = report.value, presets.expected(args.preset, params), (report.additions, "n/a")
         elif args.against == "memoized":
             program = presets.build(args.preset, params)
-            value, reference = evaluate(program), evaluate_memoized(program)
+            value, reference, additions = evaluate(program), evaluate_memoized(program), None
         elif args.against == "stolid":
             lively = evaluate_counting(presets.build("moessner", params))
             stolid = evaluate_counting(presets.build("moessner_stolid", params))
-            value, additions = lively.value, lively.additions
-            reference, ref_additions = stolid.value, stolid.additions
+            value, reference, additions = lively.value, stolid.value, (lively.additions, stolid.additions)
         else:  # dp; argparse choices allow nothing else
             from .process import dp_power
 
             reference = presets.expected("moessner", params)
             report = dp_power(params["x"], params["n"])
-            value, additions = report.value, report.additions
-        rows.append(
-            {
-                "params": params,
-                "value": value,
-                "reference": reference,
-                "additions": additions,
-                "ref_additions": ref_additions,
-                "ok": value == reference and ref_additions in (None, additions),
-            }
-        )
-    return rows
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = _compare_rows(args)
-    all_ok = all(row["ok"] for row in rows)
-    for row in rows:
-        pieces = [
-            _params_repr(row["params"]) or "-",
-            f"value {row['value']} vs {row['reference']}",
-        ]
-        if row["additions"] is not None:
-            ref_adds = row["ref_additions"]
-            pieces.append(f"additions {row['additions']} vs {ref_adds if ref_adds is not None else 'n/a'}")
-        pieces.append("match" if row["ok"] else "MISMATCH")
-        print(" | ".join(pieces))
-    print(f"{sum(1 for r in rows if r['ok'])}/{len(rows)} match")
-    return 0 if all_ok else 1
+            value, additions = report.value, (report.additions, "n/a")
+        ok = value == reference and (additions is None or additions[1] in ("n/a", additions[0]))
+        counts = [] if additions is None else [f"additions {additions[0]} vs {additions[1]}"]
+        lines.append(" | ".join([_params_repr(params) or "-", f"value {value} vs {reference}", *counts, "match" if ok else "MISMATCH"]))
+        matches += ok
+    for line in lines:
+        print(line)
+    print(f"{matches}/{len(lines)} match")
+    return 0 if matches == len(lines) else 1
 
 
 def _format_row(values, width: int) -> str:
@@ -283,10 +246,18 @@ def _cmd_list_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """argparse type of every other integer option: errors.integer, with argparse's text for int."""
+    try:
+        return integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _count(text: str) -> int:
     """argparse type of every --count: a natural number."""
     try:
-        value = int(text)
+        value = integer(text)
     except ValueError:
         value = None
     if not is_natural(value):
@@ -319,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prefix.add_argument("--preset", required=True)
     p_prefix.add_argument("--params", default="")
     p_prefix.add_argument("--vary", required=True, help="parameter to sweep (usually x or n)")
-    p_prefix.add_argument("--from", dest="start", type=int, required=True)
-    p_prefix.add_argument("--to", dest="stop", type=int, required=True)
+    p_prefix.add_argument("--from", dest="start", type=_int, required=True)
+    p_prefix.add_argument("--to", dest="stop", type=_int, required=True)
     add_format(p_prefix)
     p_prefix.set_defaults(handler=_cmd_prefix)
 
@@ -332,20 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_proc = sub.add_parser("process", help="run the drop/sum row process and print the trace")
-    p_proc.add_argument("--exponent", type=int, required=True)
-    p_proc.add_argument("--prefix", type=int, required=True, help="how many final values to produce")
+    p_proc.add_argument("--exponent", type=_int, required=True)
+    p_proc.add_argument("--prefix", type=_int, required=True, help="how many final values to produce")
     p_proc.add_argument("--init", default="ones", help="ones | successor | const:C | indicator:A:D")
     add_format(p_proc, ("plain", "json"))
     p_proc.set_defaults(handler=_cmd_process)
 
     p_inv = sub.add_parser("inverse", help="run the inverse process from a power row down to ones")
-    p_inv.add_argument("--exponent", type=int, required=True)
-    p_inv.add_argument("--prefix", type=int, required=True, help="entries to show per row")
+    p_inv.add_argument("--exponent", type=_int, required=True)
+    p_inv.add_argument("--prefix", type=_int, required=True, help="entries to show per row")
     add_format(p_inv, ("plain", "json"))
     p_inv.set_defaults(handler=_cmd_inverse)
 
     p_poly = sub.add_parser("polygonal", help="check the floored-quotient sum against its closed form")
-    p_poly.add_argument("--k", type=int, required=True)
+    p_poly.add_argument("--k", type=_int, required=True)
     p_poly.add_argument("--count", type=_count, required=True, metavar="M", help="check n=0..M-1")
     p_poly.set_defaults(handler=_cmd_polygonal)
 

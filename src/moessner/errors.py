@@ -14,6 +14,15 @@ def digit_limit(exc: ValueError) -> str:
     return f"an integer has more than the interpreter's limit of {sys.get_int_max_str_digits()} digits"
 
 
+def integer(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits, the one integer grammar of every text the
+    package reads; int() alone would also read '+5', '1_0', ' 5' and '١٢'. Else ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 class MoessnerError(Exception):
     """Base class for all package errors."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .engine import evaluate, evaluate_memoized, is_markov, is_natural  # noqa: F401  (the first three wrapped by perfbench/tracer.py)
-from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError, digit_limit
+from .errors import BFileParseError, FetchError, FixtureNotFoundError, ParameterError, PreconditionError, digit_limit, integer
 from .record import Record
 
 OEIS_BASE_URL_ENV = "OEIS_BASE_URL"
@@ -29,20 +29,17 @@ class BFileEntry(Record):
 
 def normalize_a_number(a_number: Union[str, int]) -> str:
     """Return the canonical 'A000000' form; a bool or a negative int is refused, as '-5' is."""
-    if isinstance(a_number, int):
-        if not is_natural(a_number):
-            raise PreconditionError(f"bad sequence id {a_number!r}")
-        number = a_number
-    else:
-        text = a_number.strip()
-        if text.upper().startswith("A"):
-            text = text[1:]
-        if not text.isdigit():
-            raise PreconditionError(f"bad sequence id {a_number!r}")
-        number = text
     try:
-        return f"A{int(number):06d}"
-    except ValueError as exc:  # past the digit limit, or a digit such as '²' that int() does not read
+        if isinstance(a_number, int):
+            number = a_number
+        else:
+            text = a_number.strip()
+            text = text[1:] if text.upper().startswith("A") else text
+            number = -1 if text.startswith("-") else integer(text)  # a sign is no part of an id
+        if not is_natural(number):
+            raise ValueError(a_number)
+        return f"A{number:06d}"
+    except ValueError as exc:  # not ASCII digits, or past the digit limit
         raise PreconditionError(digit_limit(exc) or f"bad sequence id {a_number!r}") from None
 
 
@@ -52,14 +49,6 @@ def bfile_name(a_number: Union[str, int]) -> str:
 
 def fixtures_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
-
-
-def _integer(field: str) -> int:
-    """int(field) for an optional '-' and ASCII digits; int() alone would also read '+5', '1_0' and '١٢'."""
-    digits = field[1:] if field.startswith("-") else field
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(field)
-    return int(field)
 
 
 def parse_bfile(text: str) -> List[BFileEntry]:
@@ -77,7 +66,7 @@ def parse_bfile(text: str) -> List[BFileEntry]:
         if len(fields) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
-            index, value = _integer(fields[0]), _integer(fields[1])
+            index, value = integer(fields[0]), integer(fields[1])
         except ValueError as exc:
             problem = digit_limit(exc) or f"non-integer field in {raw!r}"
             raise BFileParseError(f"line {lineno}: {problem}") from None

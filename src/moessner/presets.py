@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import engine
 from .engine import LevelSpec, SummationProgram, is_natural, normalize_params, validate
-from .errors import ParameterError, digit_limit
+from .errors import ParameterError, digit_limit, integer
 from .expr import (
     Add,
     Expr,
@@ -347,7 +347,7 @@ def parse_params(assignments: Iterable[str]) -> Params:
     """Parse 'key=value' strings: the grammar of CLI --params and manifest tokens.
 
     f is a colon table of ints (f=1:3:2), init and rule values stay spec
-    strings for build to parse, and every other value must be an int.
+    strings for build to parse, and every other value must be an int (errors.integer).
     Blank assignments are skipped; a repeated key is an error.
     """
     params: Params = {}
@@ -364,7 +364,7 @@ def parse_params(assignments: Iterable[str]) -> Params:
             params[key] = value
             continue
         try:
-            params[key] = tuple(int(v) for v in value.split(":")) if key == "f" else int(value)
+            params[key] = tuple(integer(v) for v in value.split(":")) if key == "f" else integer(value)
         except ValueError as exc:
             limit = digit_limit(exc)
             raise ParameterError(f"{key}: {limit}" if limit else f"non-integer value in {assignment!r}") from None
@@ -423,12 +423,13 @@ def sweep_points(fixed: Mapping[str, Any], vary: str, points: Iterable[int]) -> 
 def sweep(name: str, fixed: Mapping[str, Any], vary: str, points: Iterable[int]) -> List[int]:
     """The preset's value at each point of `vary`, the other parameters fixed.
 
-    The one place that chooses an evaluator: the tables for a Markov program,
-    the naive walk otherwise. It calls engine.<name>, so wrappers put on the
-    engine module (perfbench/tracer.py) see each call.
+    A Markov program by its tables (evaluate_memoized), any other by
+    evaluate_counting's value: the state tables or the walk, as that route
+    decides, with the walk's errors. It calls engine.<name>, so wrappers put
+    on the engine module (perfbench/tracer.py) see each call.
     """
     programs = (build(name, params) for params in sweep_points(fixed, vary, points))
-    return [engine.evaluate_memoized(p) if engine.is_markov(p) else engine.evaluate(p) for p in programs]
+    return [engine.evaluate_memoized(p) if engine.is_markov(p) else engine.evaluate_counting(p).value for p in programs]
 
 
 def expected(name: str, params: Mapping[str, Any]) -> int:

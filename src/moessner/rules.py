@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from .engine import is_natural
-from .errors import ParameterError, digit_limit
+from .errors import ParameterError, digit_limit, integer
 from .expr import Add, Expr, FloorDiv, IfZero, Lit, Mul, Param, Prev
 from .record import Record
 
@@ -56,9 +56,9 @@ class InitRule(Record):
             if parts[0] == "successor" and len(parts) == 1:
                 return InitRule.successor()
             if parts[0] == "const" and len(parts) == 2:
-                return InitRule.const(int(parts[1]))
+                return InitRule.const(integer(parts[1]))
             if parts[0] == "indicator" and len(parts) == 3:
-                return InitRule.indicator(int(parts[1]), int(parts[2]))
+                return InitRule.indicator(integer(parts[1]), integer(parts[2]))
         except ValueError as exc:
             raise ParameterError(digit_limit(exc) or f"non-integer field in init spec {spec!r}") from None
         raise ParameterError(
@@ -148,7 +148,7 @@ def parse_fold_rule(spec: str) -> Tuple[str, int]:
     if len(parts) != 1 + (parts[0] == "prev_plus"):
         raise ParameterError(f"bad fold rule {spec!r} (use one of {FOLD_RULES}, prev_plus as prev_plus:C)")
     try:
-        offset = int(parts[1]) if len(parts) == 2 else 0
+        offset = integer(parts[1]) if len(parts) == 2 else 0
     except ValueError as exc:
         raise ParameterError(digit_limit(exc) or f"non-integer offset in fold rule {spec!r}") from None
     return fold_rule(parts[0], offset)

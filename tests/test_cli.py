@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moessner import cli
+from moessner import cli, engine, oeis
 from moessner.cli import main
 from moessner.oeis import BFileEntry, fixtures_dir, load_fixture, serialize_bfile
-from moessner.presets import preset_names
+from moessner.presets import expected, preset_names
 
 
 def run_cli(capsys, *argv):
@@ -668,9 +668,50 @@ def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
     def out_of_memory(program):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "evaluate", out_of_memory)
+    monkeypatch.setattr(cli, "evaluate_counting", out_of_memory)
     code, out, err = run_cli(capsys, "eval", "--preset", "moessner", "--params", "x=3,n=3")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "preset, points",
+    [("catalan", range(7)), ("a137273", range(3)), ("a137273", range(3, 10))],
+    ids=["markov", "a137273 shallow", "a137273"],  # a137273 is Markov for n <= 2 only
+)
+def test_eval_and_the_sweeps_take_no_value_from_the_walk_entry(capsys, monkeypatch, preset, points):
+    def walk(program):
+        raise AssertionError("engine.evaluate ran")
+
+    for module in (engine, cli, oeis):
+        monkeypatch.setattr(module, "evaluate", walk)
+    values = [str(expected(preset, {"n": n})) for n in range(max(points.stop, 4))]
+    for n in points:
+        assert run_cli(capsys, "eval", "--preset", preset, "--params", f"n={n}") == (0, values[n] + "\n", "")
+        code, out, _ = run_cli(capsys, "eval", "--preset", preset, "--params", f"n={n}", "--format", "json")
+        assert (code, json.loads(out)["value"]) == (0, values[n])
+        code, out, _ = run_cli(capsys, "eval", "--preset", preset, "--params", f"n={n}", "--format", "csv")
+        assert (code, out.splitlines()[1].split(",")[2]) == (0, values[n])
+    assert run_cli(capsys, "eval", "--preset", preset, "--count", "4") == (0, "".join(v + "\n" for v in values[:4]), "")
+    first, last = str(points.start), str(points.stop - 1)
+    code, out, _ = run_cli(capsys, "prefix", "--preset", preset, "--vary", "n", "--from", first, "--to", last)
+    assert (code, out) == (0, ", ".join(values[points.start : points.stop]) + "\n")
+    code, out, _ = run_cli(capsys, "oeis-check", "--preset", preset, "--count", str(points.stop))
+    assert code == 0 and out.endswith(f": {points.stop}/{points.stop} match\n")
+
+
+@pytest.mark.parametrize(
+    "preset, value",
+    [("a137273", 57_753_201_767_477), ("factorial_rising", 355_687_428_096_000)],  # a137273(16), 17!
+)
+def test_eval_answers_points_the_walk_takes_hours_over(preset, value):
+    # the walk visits 17! leaves for factorial_rising n=16; the counted route answers by the tables
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "moessner", "eval", "--preset", preset, "--params", "n=16"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"{value}\n", "")
+    assert time.monotonic() - started < 30
 
 
 def test_closed_pipe_exits_quietly():

@@ -72,9 +72,11 @@ def test_unknown_names_raise_attribute_error():
     [
         ["eval", "--preset", "moessner", "--params", "x=3,n=3"],
         ["eval", "--preset", "moessner", "--params", "x=3,n=3", "--count-adds"],
+        ["eval", "--preset", "factorial_rising", "--params", "n=8"],
+        ["prefix", "--preset", "catalan", "--vary", "n", "--from", "0", "--to", "10"],
         ["list-presets"],
     ],
-    ids=["eval", "eval count-adds", "list-presets"],
+    ids=["eval", "eval count-adds", "eval factorial_rising", "prefix catalan", "list-presets"],
 )
 def test_plain_calls_load_neither_the_other_subcommands_nor_json(argv):
     code, out, loaded = _cold(*argv)

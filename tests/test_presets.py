@@ -6,11 +6,13 @@ from itertools import permutations
 import pytest
 
 from moessner import engine
+from moessner.cli import build_parser
 from moessner.engine import evaluate, evaluate_memoized, unfold_display
-from moessner.errors import ParameterError
+from moessner.errors import BFileParseError, ParameterError, PreconditionError
+from moessner.oeis import normalize_a_number, parse_manifest
 from moessner.presets import build, catalog, expected, parse_params, preset_names, sweep
 from moessner.process import run_process
-from moessner.rules import InitRule
+from moessner.rules import InitRule, parse_fold_rule
 
 # value grids: every preset checked against its independent expected()
 GRIDS = {
@@ -533,17 +535,47 @@ def test_sweep_uses_the_tables_exactly_for_markov_programs(monkeypatch):
 
         return call
 
-    for name in ("evaluate", "evaluate_memoized"):
+    for name in ("evaluate", "evaluate_counting", "evaluate_memoized"):
         monkeypatch.setattr(engine, name, recorded(name))
-    # a137273 is Markov for n <= 2 only
+    # a137273 is Markov for n <= 2 only; past it, the counted route's value and never the walk's entry
     assert sweep("a137273", {}, "n", range(6)) == [expected("a137273", {"n": n}) for n in range(6)]
-    assert used == ["evaluate_memoized"] * 3 + ["evaluate"] * 3
+    assert used == ["evaluate_memoized"] * 3 + ["evaluate_counting"] * 3
 
 
 def test_sweep_refuses_a_fixed_parameter_it_would_override():
     with pytest.raises(ParameterError, match="^parameter 'n' is both fixed and swept$"):
         sweep("moessner", {"x": 2, "n": 9}, "n", range(3))
     assert sweep("moessner", {"x": 2}, "n", range(3)) == [1, 3, 9]
+
+
+def _polygonal(*argv):
+    return lambda t: build_parser().parse_args(["polygonal", *(t if a == "{}" else a for a in argv)])
+
+
+# each site that reads an integer from text: (call on the text, what it raises, its text or argparse's last line)
+_INTEGER_SITES = {
+    "params": (lambda t: parse_params([f"n={t}"]), ParameterError, "non-integer value in 'n={}'"),
+    "table": (lambda t: parse_params([f"f=1:{t}"]), ParameterError, "non-integer value in 'f=1:{}'"),
+    "manifest": (lambda t: parse_manifest(f"catalan A000108 from={t}\n"), BFileParseError,
+                 "manifest line 1: non-integer value in 'from={}'"),
+    "init": (lambda t: InitRule.parse(f"indicator:1:{t}"), ParameterError, "non-integer field in init spec 'indicator:1:{}'"),
+    "fold rule": (lambda t: parse_fold_rule(f"prev_plus:{t}"), ParameterError, "non-integer offset in fold rule 'prev_plus:{}'"),
+    "--count": (_polygonal("--k", "3", "--count", "{}"), SystemExit,
+                "moessner polygonal: error: argument --count: must be a natural number, got '{}'"),
+    "--k": (_polygonal("--k", "{}", "--count", "2"), SystemExit, "moessner polygonal: error: argument --k: invalid int value: '{}'"),
+    "a-number": (normalize_a_number, PreconditionError, "bad sequence id '{}'"),
+}
+
+
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_every_integer_read_from_text_is_a_minus_and_ascii_digits(capsys, site):
+    # int() alone reads each of these: '1_0' as 10, '+5' as 5 and Arabic-Indic '١٢' as 12
+    call, error, text = _INTEGER_SITES[site]
+    for bad in ("1_0", "+5", "\u0661\u0662"):
+        with pytest.raises(error) as raised:
+            call(bad)
+        shown = capsys.readouterr().err.splitlines()[-1] if error is SystemExit else str(raised.value)
+        assert shown == text.format(bad)
 
 
 def test_parse_params_past_the_digit_limit_names_the_limit(default_digit_limit):
