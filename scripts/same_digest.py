@@ -13,6 +13,9 @@ The parts, in this order:
   depth1   every bound, both lowers, every body
   depth2   a leaf bound at level 1 and every bound at level 2, each at both
            lowers, with a leaf body
+  wide     the same with Lit 12 as level 1's bound: a window of 12 or 13
+           cells, past engine._NARROW, so level 2's affine bounds take the
+           tables' sliced steps, which no program of depth1 or depth2 takes
   count    the count ops of perfbench/workloads.py for the seeds 0..5
   presets  PRESET_SAMPLES and every point of MEMOIZED_GRID, read from
            tests/test_engine.py without importing it. The tests'
@@ -62,7 +65,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SEEDS = range(6)
 PARAMS = {"x": 2, "f": (1, 0, 2)}
-PARTS = ("depth0", "depth1", "depth2", "count", "presets", "cli")
+PARTS = ("depth0", "depth1", "depth2", "wide", "count", "presets", "cli")
 EVALUATORS = ("evaluate", "evaluate_counting", "tables", "evaluate_memoized")
 COLD = "python -m moessner"  # the cli part's one evaluator
 BLOCK = 1000  # programs per block digest, the unit in which two trees are compared first
@@ -128,8 +131,11 @@ def items(part: str) -> Iterator[Any]:
         return preset_programs([(op["preset"], op["params"]) for op in workload("count")])
     if part == "presets":
         return preset_programs(fixed_sets())
+    from moessner.expr import Lit
+
     leaves, every = expressions()
-    scopes = {"depth0": ([], every), "depth1": ([every], every), "depth2": ([leaves, every], leaves)}
+    scopes = {"depth0": ([], every), "depth1": ([every], every), "depth2": ([leaves, every], leaves),
+              "wide": ([[Lit(12)], every], leaves)}
     return small_scope(*scopes[part])
 
 

@@ -9,11 +9,10 @@ several presets rely on to terminate chains whose bounds go negative.
 Three evaluators:
   evaluate          plain value: the whole sum generated as one Python `for`
                     nest over local indices (_nest), bounds and body inlined
-  evaluate_counting value plus exact addition/leaf tallies by tables: for a
-                    Markov program the memo's dynamic program run once per
-                    tally (_counts), for any other tables keyed on the live
-                    state (the states module, loaded only then); the walk
-                    answers instead where _walks routes it, or where the
+  evaluate_counting value plus exact addition/leaf tallies read off one forward
+                    pass of tables over the memo's windows (_counted_tables)
+                    or, not Markov, the live state (the states module); the
+                    walk answers instead where _walks routes it, or where the
                     tables raise: added inline by the same generated nest,
                     whose errors are the reference's first
   evaluate_memoized value via dense per-level tables, for Markov programs: the
@@ -22,7 +21,6 @@ Three evaluators:
                     slices, any other by a list of positions and map, and a
                     repeated level reuses the step of the one above; the plain
                     and counted tables share one forward entry (_forward)
-                    and one backward pass (_fold)
 
 validate and is_markov read one analysis per program, SummationProgram._summary,
 kept in the program's one slot that is not a field: one step per run of levels
@@ -33,8 +31,8 @@ zero-level case of all three; expr.eval_expr and eval_expr_counted are reference
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
-from operator import attrgetter, mul, sub
+from itertools import accumulate, compress, groupby, repeat
+from operator import attrgetter, mul
 from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, MoessnerError, ParameterError, PreconditionError, ValidationError, digit_limit
@@ -209,12 +207,13 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     Lit body, which the walk sums unwalked) is counted by tables: a Markov
     program by the tables over its windows (_counted_tables), any other by
     the tables keyed on its live state (states.counted_tables, the module
-    loaded only then); both leave a program to the walk where _walks routes
-    it. Every other program runs evaluate's nest with the counts added
-    inline, in constant memory; one loop or none never runs more times than
-    the rows hold cells. The tables run every bound before any
-    body and name a negative body by less than its history, so on any
-    MoessnerError from them, a width past their cap included, or a
+    loaded only then). Both read the report off one forward pass that
+    counts the histories through each cell, and both leave a program to the
+    walk where _walks routes it. Every other program runs evaluate's nest
+    with the counts added inline, in constant memory; one loop or none never
+    runs more times than the rows hold cells. The tables run every bound
+    before any body and name a negative body by less than its history, so on
+    any MoessnerError from them, a width past their cap included, or a
     MemoryError, the nest runs instead, validated again (a parameter error
     raises anew): the errors are the walk's, which are the reference's first.
     """
@@ -264,10 +263,9 @@ _LOOPS_PER_CELL = 2
 _PLANNED = 1024
 
 
-def _walks(cells: int, within: Callable[[int], bool]) -> bool:
-    """Whether a plan of cells is left to the walk: past _PLANNED cells, where within(most)
-    tells that the walk's loops come to at most most, _LOOPS_PER_CELL per cell."""
-    return cells > _PLANNED and within(_LOOPS_PER_CELL * cells)
+def _walks(cells: int, loops: int) -> bool:
+    """Whether the walk keeps a plan: past _PLANNED cells, at most _LOOPS_PER_CELL loops per cell."""
+    return cells > _PLANNED and loops <= _LOOPS_PER_CELL * cells
 
 
 def _too_wide(width: int) -> None:
@@ -364,15 +362,17 @@ def level_tables(program: SummationProgram) -> Iterator[List[int]]:
     is computed once from running prefix sums. Above level 1 stands a root
     with the one index 0. The forward entry (_forward) gives each level's
     step over the window above; the body row comes first (empty below a
-    level empty everywhere), and the backward pass (_fold) the tables above
-    it; the root's one entry is the whole sum. Every bound runs before any
-    body, so a bound error wins over a negative body that the walk may meet
-    first.
+    level empty everywhere), then each table above it, gathered by its step
+    from the prefix sums of the one below (_take); the root's one entry is
+    the whole sum. Every bound runs before any body, so a bound error wins
+    over a negative body that the walk may meet first.
     """
     const, steps, lo, hi = _forward(program)
     table = [const] * (hi - lo + 1) if const is not None else _row(program.params, program.body, program.depth + 1, None)(lo, hi)
     yield table
-    yield from _fold([0, *accumulate(table)], steps, 0)
+    for step in reversed(steps):
+        table = _take([0, *accumulate(table)], step)
+        yield table
 
 
 def _forward(program: SummationProgram) -> Tuple[Optional[int], List[Any], int, int]:
@@ -386,16 +386,6 @@ def _forward(program: SummationProgram) -> Tuple[Optional[int], List[Any], int, 
         )
     const = _lit_body(program)
     return (const, *_steps(program))
-
-
-def _fold(prefix: Sequence[int], steps: List[Any], empty: int) -> Iterator[List[int]]:
-    """The tables' one backward pass: from the prefix sums of the innermost row, each level's
-    table up to the root's, gathered by its step from the prefix sums of the one below (_take).
-    An empty sum reads the prefix's first entry: empty, the tally's value for an empty sum."""
-    for step in reversed(steps):
-        table = _take(prefix, step)
-        yield table
-        prefix = [empty, *accumulate(table)]
 
 
 def _steps(program: SummationProgram) -> Tuple[List[Any], int, int]:
@@ -468,68 +458,98 @@ def _take(prefix: Sequence[int], step: Any) -> List[int]:
     return _gather(prefix, *step) if type(step) is tuple else list(map(prefix.__getitem__, step))
 
 
-def _loops_past(steps: List[Any], widths: List[int], most: int) -> bool:
-    """Whether the walk's loops over the levels of steps, whose windows hold widths indices,
-    run more than most times in all. Top down: each index's count of the tuples through its
-    level (1 at the root) times its position sums to the next level's loops; an index below
-    counts the parents whose sums reach it. Stops as soon as the loops pass most, so where
-    the parents share much this reads a few levels."""
-    counts, loops = [1], 0
-    for k, step in enumerate(steps):
-        if k:  # the parents' counts, less those of the sums that end below each index
-            ends = [0] * (width + 1)
-            for count, p in zip(counts, positions):
-                ends[p] += count
-            counts = list(accumulate(ends[:-1], sub, initial=sum(counts)))[1:]
-        width = widths[k]
-        positions = _take(range(width + 1), step)
-        loops += sum(map(mul, counts, positions))
-        if loops > most:
-            return True
-    return False
+def _spread(read: Tuple[str, Any, Any], counts: List[int], width: int) -> List[int]:
+    """The histories through a level's width cells: each parent's count spread by the read over
+    a range ("range"), onto one child times its multiplicity ("one"), or onto its kids ("kids")."""
+    how, a, b = read
+    totals = [0] * (width + 1)  # a range stops one past its last cell; an empty sum adds its 0 at cell 0
+    if how == "range":
+        for s, e, n in zip(a, b, counts):
+            totals[s] += n
+            totals[e] -= n
+        totals = list(accumulate(totals))
+    elif how == "one":
+        for j, m, n in zip(a, b, counts):
+            totals[j] += m * n
+    else:
+        for mine, n in zip(a, counts):
+            for j, m in mine:
+                totals[j] += m * n
+    totals.pop()
+    return totals
+
+
+def _through(counts: List[int], step: Any, top: int) -> Tuple[int, List[int]]:
+    """The parents' total and the histories through each of a level's top cells: cell j gets the
+    count of every parent whose position passes j, with no Python loop per cell. A list of positions
+    is _spread's range read from 0; a run's transpose, (parents by falling position, how many pass
+    each cell), reads prefix sums of the reordered counts. An affine step is its own gather
+    transposed: v passes j iff v >= ceil((q * (j + 1) - c) / a) (a > 0), so _gather with a and q
+    swapped reads the parents' suffix sums; a < 0 reads the window from its top."""
+    if type(step) is list:
+        return sum(counts), _spread(("range", repeat(0), step), counts, top)
+    if len(step) == 2:
+        order, passing = step
+        prefix = [0, *accumulate(map(counts.__getitem__, order))]
+        return prefix[-1], list(map(prefix.__getitem__, passing))
+    lo, width, a, c, q = step
+    if a == 0:
+        return (total := sum(counts)), [total] * top
+    if a < 0:
+        counts, lo, a, c = counts[::-1], 0, -a, c + a * (lo + width - 1)
+    suffix = list(accumulate(reversed(counts)))[::-1]
+    return suffix[0], _gather(suffix, 0, top, q, q - c + a - 1 - a * lo, a)
 
 
 def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
-    """evaluate_counting(program) by the tables, with level_tables' refusals and errors. Routed,
-    None, for the walk, where _walks leaves the plan to it: its cells are the windows its steps
-    cover, and the innermost one for a closure body."""
-    const, steps, lo, hi = _forward(program)
-    if routed:
-        sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
-        cells = sum(sizes) + (hi - lo + 1 if const is None else 0)
-        walked = steps[: program.depth - (const is not None)]  # a Lit body's innermost level is not walked
-        if _walks(cells, lambda most: not _loops_past(walked, [*sizes[1:], hi - lo + 1], most)):
-            return None
-    return _counts(program, const, steps, lo, hi)
+    """evaluate_counting(program) by the tables, with level_tables' refusals and errors, read off
+    one forward pass: the histories through each cell of each window (1 at the root), read from the
+    parents' by the level's step (_through), a run of one list step transposed at its second level.
 
-
-def _counts(program: SummationProgram, const: Optional[int], steps: List[Any], lo: int, hi: int) -> EvalReport:
-    """The counted tables over _forward's output: _fold once per tally of the product
-    semiring over (value, additions, leaves), one tally's rows held at a time.
-
-    A sum of p >= 1 terms has the terms' values and leaves and their additions
-    plus p - 1, and an empty sum is (0, 0, 0). The additions ride as B =
-    additions + 1, so a sum of p >= 1 terms has B = the sum of its terms' B,
-    and an empty sum reads B = 1. The leaves fold from range(width + 1), the prefix
-    sums of a row of ones, and B from the body's additions_expr plus 1. A Lit body c builds
-    no row: B folds from the leaves' first table, each empty sum read as 1; the value is c * leaves.
+    The leaves are the innermost counts summed, and the value and the body's
+    additions those counts dotted with a row of the body and of its
+    additions_expr (a Lit body c: c per leaf). A sum of p >= 1 terms costs
+    p - 1 additions: the sums cost every level's histories less those through
+    its first cell. A Lit body's innermost window is not built, nor, routed
+    past _PLANNED cells, the last walked one until _walks has weighed the plan
+    (None, for the walk); their histories are the parents' counts dotted with
+    the positions. The plan's cells are the windows its steps cover, and the
+    innermost one for a closure body.
     """
-    params, k, width = program.params, program.depth + 1, hi - lo + 1
-
-    def root(prefix: Sequence[int], empty: int, steps: List[Any] = steps) -> int:
-        for prefix in _fold(prefix, steps, empty):  # ends on the root's table, or with no level the row's prefix sums
-            pass
-        return prefix[-1]
-
-    def tally(expr: Expr, empty: int) -> int:
-        return root([empty, *accumulate(_row(params, expr, k, None)(lo, hi))], empty)
-
-    first, above = (_take(range(width + 1), steps[-1]), steps[:-1]) if steps else ([1], steps)  # depth 0: one leaf
-    leaves = root([0, *accumulate(first)], 0, above)
+    const, steps, lo, hi = _forward(program)
+    sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
+    tops = [*sizes[1:], hi - lo + 1]  # each level's own window
+    cells = sum(sizes) + (tops[-1] if const is None else 0)
+    weigh = min(program.depth - (const is not None), len(steps)) if routed and cells > _PLANNED else 0
+    unbuilt = program.depth if const is not None else 0  # a Lit body's innermost level is not walked
+    counts, histories, firsts = [1], 0, 0  # of the root and the levels above the parents
+    last = read = None  # the previous level's step, and how it is read
+    for k, (step, top) in enumerate(zip(steps, tops), 1):
+        if k == weigh or k == unbuilt:
+            positions = _take(range(top + 1), step)
+            through = sum(map(mul, counts, positions))
+            if k == weigh and _walks(cells, histories + sum(counts) - 1 + through):  # the root's history is no loop
+                return None
+            if k == unbuilt:
+                histories += sum(counts) + through
+                firsts += counts[0] + sum(compress(counts, positions))
+                break
+        if step is not last:
+            last = read = step
+        elif read is step and type(step) is list:
+            read = sorted(range(len(step)), key=step.__getitem__, reverse=True), _through([1] * len(step), step, top)[1]
+        firsts += counts[0]
+        total, counts = _through(counts, read, top)
+        histories += total
+    else:
+        through = sum(counts)
+        histories, firsts = histories + through, firsts + sum(counts[:1])  # an empty window has no first cell
     if const is not None:
-        return EvalReport(const * leaves, root([1, *accumulate([t or 1 for t in first])], 1, above) - 1, leaves)
-    value = tally(program.body, 0)
-    return EvalReport(value, tally(Add(additions_expr(program.body), Lit(1)), 1) - 1, leaves)
+        return EvalReport(const * through, histories - firsts, through)
+    params, k = program.params, program.depth + 1
+    value, cost = (sum(map(mul, counts, _row(params, expr, k, None)(lo, hi)))
+                   for expr in (program.body, additions_expr(program.body)))
+    return EvalReport(value, histories - firsts + cost, through)
 
 
 def evaluate_memoized(program: SummationProgram) -> int:

@@ -36,18 +36,18 @@ less those above it whose sum there opens, which forward tallies per level.
 counted_tables is the one entry. Routed, as evaluate_counting calls it, it
 leaves the program to the walk where forward stops early (engine._walks). The
 rows are generated through expr.Source over the state's slots, once per
-shape of a level read back from it (_back). A program that is Markov has no
-last_read in its analysis and is the engine's tables' to count.
+shape of a level read back from it (_back). A Markov program has no last_read
+in its analysis; engine._counted_tables counts it forward the same way.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from operator import add, gt, mul
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import engine
-from .engine import EvalReport, SummationProgram, _lit_body
+from .engine import EvalReport, SummationProgram, _lit_body, _spread
 from .errors import DomainError, PreconditionError
 from .expr import Expr, Hist, Lit, Prev, Reads, Source, additions_expr
 from .record import Record
@@ -192,7 +192,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
         cells += work
         if k < program.depth or const is None:  # a Lit body's innermost sum is not walked
             loops += through
-        if routed and engine._walks(cells, loops.__le__):
+        if routed and engine._walks(cells, loops):
             return None
     return Plan(program, labels, dense, groups, counts, sums, loops, cells)
 
@@ -292,27 +292,6 @@ def _each(k: int, groups: List[Group], counts: List[int], row: Callable, lower: 
                 tally[child] = tally.get(child, 0) + 1
             kids.append([(index.setdefault(child, len(index)), m) for child, m in tally.items()])
     return [(child, 0, 1, j) for child, j in index.items()], ("kids", kids, None), len(index), len(index) + edges
-
-
-def _spread(read: Read, counts: List[int], width: int) -> List[int]:
-    """The histories through a level's width cells: each parent's count spread by the read over
-    a range ("range"), onto one child times its multiplicity ("one"), or onto its kids ("kids")."""
-    how, a, b = read
-    totals = [0] * (width + 1)  # a range stops one past its last cell; an empty sum adds its 0 at cell 0
-    if how == "range":
-        for s, e, n in zip(a, b, counts):
-            totals[s] += n
-            totals[e] -= n
-        totals = list(accumulate(totals))
-    elif how == "one":
-        for j, m, n in zip(a, b, counts):
-            totals[j] += m * n
-    else:
-        for mine, n in zip(a, counts):
-            for j, m in mine:
-                totals[j] += m * n
-    totals.pop()
-    return totals
 
 
 def counts(plan: Plan) -> EvalReport:

@@ -9,7 +9,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from moessner import cli, engine, states
@@ -1306,17 +1306,69 @@ def _walk_loops(prog):
 
 @given(_programs().filter(is_markov))
 @settings(max_examples=250, deadline=None)
-def test_loops_past_counts_the_walks_loops(prog):
+def test_walks_weighs_the_walks_loops(prog):
+    # past _PLANNED cells the forward pass weighs the plan once, with the walk's loops over every
+    # level it walks, and never where the walk loops over no level
     m = prog.depth - isinstance(prog.body, Lit)
     try:
         loops = _walk_loops(prog)
-        steps, lo, hi = engine._steps(prog)
+        engine._steps(prog)
     except MoessnerError:
         return
-    sizes = [step[1] if type(step) is tuple else len(step) for step in steps]
-    widths = [*sizes[1:], hi - lo + 1]
-    assert engine._loops_past(steps[:m], widths, loops - 1) == (m > 0)
-    assert not engine._loops_past(steps[:m], widths, loops)
+    weighed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_PLANNED", -1)
+        patch.setattr(engine, "_walks", lambda cells, loops: weighed.append(loops) or False)
+        try:
+            engine._counted_tables(prog, routed=True)
+        except MoessnerError:  # a body error, raised after the bounds and the weighing
+            pass
+    assert weighed == [loops] * (m > 0)
+
+
+def _naive_through(counts, positions, top):
+    return [sum(n for n, p in zip(counts, positions) if p > j) for j in range(top)]
+
+
+def _positions(step):
+    if type(step) is list:
+        return step
+    lo, width, a, c, q = step
+    return [max((a * v + c) // q, 0) for v in range(lo, lo + width)]
+
+
+def _with_counts(step):
+    parents = len(_positions(step))
+    return st.tuples(st.just(step), st.lists(st.integers(0, 50), min_size=parents, max_size=parents))
+
+
+_affine_steps = st.tuples(st.integers(0, 10), st.integers(1, 40), st.integers(-4, 4), st.integers(-20, 20), st.integers(1, 5))
+_position_lists = st.lists(st.integers(0, 6) | st.integers(0, 40), min_size=1, max_size=20)
+
+
+@given(st.one_of(_affine_steps, _position_lists).flatmap(_with_counts))
+@example(((0, 12, -1, 11, 1), list(range(1, 13))))  # falling, past _NARROW
+@example(((2, 12, 3, -4, 2), list(range(12, 0, -1))))  # rising by 3 every 2 indices
+@example(((0, 3, 0, 2, 1), [1, 2, 3]))  # constant
+@example(([0, 3, 3, 1, 0, 2], [1, 2, 3, 4, 5, 6]))  # repeated and zero positions
+@settings(max_examples=400, deadline=None)
+def test_forward_step_counts_the_histories_through_each_cell(found):
+    step, counts = found
+    positions = _positions(step)
+    top = max(positions)
+    assert engine._take(range(top + 1), step) == positions
+    assert engine._through(counts, step, top) == (sum(counts), _naive_through(counts, positions, top))
+
+
+@given(_position_lists.flatmap(_with_counts))
+@example(([0, 3, 3, 1, 0, 2], [1, 2, 3, 4, 5, 6]))
+@settings(max_examples=200, deadline=None)
+def test_forward_step_reads_a_runs_transpose(found):
+    # a run of one list step, as parents by falling position and how many pass each cell
+    positions, counts = found
+    top = max(positions)
+    run = sorted(range(len(positions)), key=positions.__getitem__, reverse=True), [sum(p > j for p in positions) for j in range(top)]
+    assert engine._through(counts, run, top) == (sum(counts), _naive_through(counts, positions, top))
 
 
 def _sparse(w, body, depth=2):
@@ -1347,16 +1399,27 @@ def test_counting_routes_by_loops_against_cells(monkeypatch, prog, cells, walks)
     assert walks == (cells > engine._PLANNED and walked <= engine._LOOPS_PER_CELL * cells)
     want = reference_counting(prog)
     assert engine._counted_tables(prog) == want
-    nests, counts = [], []
+    nests = []
     monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
-    monkeypatch.setattr(engine, "_counts", lambda *args, _counts=engine._counts: counts.append(args) or _counts(*args))
     assert evaluate_counting(prog) == want
-    assert (not counts, len(nests)) == ((True, 1) if walks else (False, 0))
+    assert len(nests) == walks  # the tables answered exactly where the walk did not run
+
+
+@pytest.mark.parametrize("prog", [_sparse(20000, Add(Prev(), Lit(1))), _sparse(20000, Lit(1), depth=3)],
+                         ids=["closure", "lit"])
+def test_routed_walks_build_no_wide_window(monkeypatch, prog):
+    # level 2's 20001 cells are weighed from level 1's 2 by their positions, and never built
+    want = engine._counted_tables(prog)
+    nests, tops = [], []
+    monkeypatch.setattr(engine, "_nest", lambda *args, _nest=engine._nest: nests.append(args) or _nest(*args))
+    monkeypatch.setattr(engine, "_through", lambda counts, step, top, _t=engine._through: tops.append(top) or _t(counts, step, top))
+    assert evaluate_counting(prog) == want
+    assert (len(nests), tops) == (1, [2])
 
 
 def test_planned_markov_programs_take_the_tables_unrouted(monkeypatch):
-    # a plan of at most _PLANNED cells answers by the tables without counting the walk's loops
-    monkeypatch.setattr(engine, "_loops_past", lambda *args: pytest.fail("the loops were counted"))
+    # a plan of at most _PLANNED cells answers by the tables without weighing the walk's loops
+    monkeypatch.setattr(engine, "_walks", lambda *args: pytest.fail("the plan was weighed"))
     monkeypatch.setattr(engine, "_nest", lambda *args: pytest.fail("the walk ran"))
     for prog in (build("moessner", {"x": 2, "n": 3}), _sparse(500, Add(Prev(), Lit(1)))):
         assert evaluate_counting(prog) == reference_counting(prog)
@@ -1388,7 +1451,7 @@ def test_counting_falls_back_to_the_walk_on_a_memory_error(monkeypatch):
         calls.append(args)
         raise MemoryError
 
-    monkeypatch.setattr(engine, "_take", out_of_memory)
+    monkeypatch.setattr(engine, "_through", out_of_memory)
     prog = build("moessner", {"x": 3, "n": 4})
     assert evaluate_counting(prog) == reference_counting(prog) == EvalReport(256, 255, 256)
     assert len(calls) == 1
