@@ -207,11 +207,12 @@ def evaluate_counting(program: SummationProgram) -> EvalReport:
     Lit body, which the walk sums unwalked) is counted by tables: a Markov
     program by the tables over its windows (_counted_tables), any other by
     the tables keyed on its live state (states.counted_tables, the module
-    loaded only then). Both read the report off one forward pass that
-    counts the histories through each cell, and both leave a program to the
-    walk where _walks routes it. Every other program runs evaluate's nest
-    with the counts added inline, in constant memory; one loop or none never
-    runs more times than the rows hold cells. The tables run every bound
+    loaded only then). Both make one forward pass that counts the histories
+    through each cell, one _tally reads both reports off the innermost counts
+    (a Lit body or cost is c per leaf and builds no row), and both leave a
+    program to the walk where _walks routes it. Every other program runs
+    evaluate's nest with the counts added inline, in constant memory; one
+    loop or none never runs more times than the rows hold cells. The tables run every bound
     before any body and name a negative body by less than its history, so on
     any MoessnerError from them, a width past their cap included, or a
     MemoryError, the nest runs instead, validated again (a parameter error
@@ -506,15 +507,15 @@ def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional
     one forward pass: the histories through each cell of each window (1 at the root), read from the
     parents' by the level's step (_through), a run of one list step transposed at its second level.
 
-    The leaves are the innermost counts summed, and the value and the body's
-    additions those counts dotted with a row of the body and of its
-    additions_expr (a Lit body c: c per leaf). A sum of p >= 1 terms costs
-    p - 1 additions: the sums cost every level's histories less those through
-    its first cell. A Lit body's innermost window is not built, nor, routed
-    past _PLANNED cells, the last walked one until _walks has weighed the plan
-    (None, for the walk); their histories are the parents' counts dotted with
-    the positions. The plan's cells are the windows its steps cover, and the
-    innermost one for a closure body.
+    _tally reads the report off the innermost counts, with _row over the
+    innermost window as the row of the body and of its additions_expr (none
+    for a Lit). A sum of p >= 1 terms costs p - 1 additions: the sums cost
+    every level's histories less those through its first cell. A Lit body's
+    innermost window is not built, nor, routed past _PLANNED cells, the last
+    walked one until _walks has weighed the plan (None, for the walk); their
+    histories are the parents' counts dotted with the positions. The plan's
+    cells are the windows its steps cover, and the innermost one for a
+    closure body.
     """
     const, steps, lo, hi = _forward(program)
     sizes = [step[1] if type(step) is tuple else len(step) for step in steps]  # each step's window above
@@ -544,12 +545,18 @@ def _counted_tables(program: SummationProgram, routed: bool = False) -> Optional
     else:
         through = sum(counts)
         histories, firsts = histories + through, firsts + sum(counts[:1])  # an empty window has no first cell
-    if const is not None:
-        return EvalReport(const * through, histories - firsts, through)
     params, k = program.params, program.depth + 1
-    value, cost = (sum(map(mul, counts, _row(params, expr, k, None)(lo, hi)))
-                   for expr in (program.body, additions_expr(program.body)))
-    return EvalReport(value, histories - firsts + cost, through)
+    return _tally(program.body, through, histories - firsts,
+                  lambda expr: sum(map(mul, counts, _row(params, expr, k, None)(lo, hi))))
+
+
+def _tally(body: Expr, leaves: int, sums: int, dot: Callable[[Expr], int]) -> EvalReport:
+    """The report of both table engines, read off a forward pass's innermost counts: leaves their
+    sum, and sums the additions of the sums. The value and the body's additions are, for the body
+    and its additions_expr, c per leaf where it is a Lit c, with no row built, and else dot(expr):
+    the innermost counts dotted with the engine's row of expr, which refuses a negative value."""
+    value, cost = (expr.value * leaves if type(expr) is Lit else dot(expr) for expr in (body, additions_expr(body)))
+    return EvalReport(value, sums + cost, leaves)
 
 
 def evaluate_memoized(program: SummationProgram) -> int:

@@ -24,52 +24,39 @@ multiplicity. Each read then spreads the parents' counts
 (_spread); a level that runs the code of the level above over the same
 parents, reached at the same cells, reuses that step and only spreads.
 
-forward runs every bound over the reachable states, outermost first, and
-counts the histories through each state, so the walk's loops are known
-before any body runs. The report is read off those counts, summed forward
-(the inside and outside sums of a dynamic program over a DAG give one total:
-Goodman, Semiring Parsing, Computational Linguistics 25(4), 1999). The body
-reads only the innermost state, so the value is the sum over those states of
-count times body, and likewise the body's additions; a sum of m >= 1 terms
-costs m - 1 additions, so level k's sums cost the histories through level k
-less those above it whose sum there opens, which forward tallies per level.
-counted_tables is the one entry. Routed, as evaluate_counting calls it, it
-leaves the program to the walk where forward stops early (engine._walks). The
-rows are generated through expr.Source over the state's slots, once per
-shape of a level read back from it (_back). A Markov program has no last_read
-in its analysis; engine._counted_tables counts it forward the same way.
+counted_tables runs every bound over the reachable states, outermost first,
+and counts the histories through each state, so the walk's loops are known
+before any body runs; routed, as evaluate_counting calls it, it leaves the
+program to the walk where the pass stops early (engine._walks). The report is
+read off those counts, summed forward (the inside and outside sums of a
+dynamic program over a DAG give one total: Goodman, Semiring Parsing,
+Computational Linguistics 25(4), 1999), by engine._tally, the Markov tables'
+reader too. The body reads only the innermost state, so the value and the
+body's additions are the innermost counts dotted with a row of each, and a
+Lit needs no row: c per leaf. A sum of m >= 1 terms costs m - 1 additions, so
+level k's sums cost the histories through level k less those above it whose
+sum there opens, tallied as the pass goes. The rows are generated through
+expr.Source over the state's slots, once per shape of a level read back from
+it (_back). A Markov program's analysis keeps no last_read:
+engine._counted_tables counts it over its windows.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import add, gt, mul
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import engine
-from .engine import EvalReport, SummationProgram, _lit_body, _spread
+from .engine import EvalReport, SummationProgram, _lit_body, _spread, _tally
 from .errors import DomainError, PreconditionError
-from .expr import Expr, Hist, Lit, Prev, Reads, Source, additions_expr
+from .expr import Expr, Hist, Prev, Reads, Source
 from .record import Record
 
 Label = Union[int, str]  # a state slot: an index j (i_j), "s" (the running sum) or "p" (the running product)
 Group = Tuple[tuple, int, int, int]  # (older key, base, width, offset): cells base..base+width-1 of a window
 Read = Tuple[str, Any, Any]  # how a level's parents read its row (_spread)
 Found = Tuple[List[Group], Read, int, int]  # a level's groups, its read, its cells and its work
-
-
-class Plan(NamedTuple):
-    """forward's output: the innermost level's states, their counts of histories and, per level,
-    the additions its sums cost."""
-
-    program: SummationProgram
-    labels: Tuple[Label, ...]  # the innermost state's slots; the last one is the window's where dense
-    dense: bool
-    groups: List[Group]  # the innermost level's cells, in row order
-    counts: List[int]  # histories through each innermost cell; 0 where none reaches it
-    sums: List[int]  # per level, outermost first: the histories through it less the sums opened there
-    loops: int  # the walk's loops: the histories through every level it walks
-    cells: int  # cells of every level, and child states found one by one
 
 
 _ABSENT = (None, 0, 0)  # a dense parent that no history reaches or whose sum is empty: no key, an empty range
@@ -123,8 +110,11 @@ class _Gen:
         return self.src.env["_key"]
 
 
-def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
-    """Validate, refuse a negative Lit body, then find each level's reachable states.
+def counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
+    """evaluate_counting(program) by the state tables, with their errors: validate, refuse a
+    negative Lit body, find each level's reachable states in one pass, and read the report off
+    the innermost counts (engine._tally). Routed, None, for the walk, as soon as engine._walks
+    leaves it the levels so far.
 
     Per level k, from the states after level k - 1 and their counts of
     histories: the slots of the state after level k (the live indices, then
@@ -132,16 +122,15 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     the counts of the child states, the parents' counts spread over their
     children (_spread), and the level's additions, its histories less the
     parents' counts where a sum opens, read off the read before it spreads and
-    not kept. Cells that no history reaches run no expression, so a
-    level whose code object is the previous level's, over equal parents with
-    the same cells at count 0, reuses the previous level's groups, read and
-    work, whose widths have passed their checks. A level's code
-    is generated once per shape: its bound and slots read back from the level
-    (_back), its lower bound, and the level number where the program reads
-    Level. A level of more cells than engine._MAX_WIDTH is refused before its
-    counts are built, and a level whose child states are found one by one
-    past that many. Routed, the plan is None, for the walk, as soon as
-    engine._walks leaves the levels so far to it.
+    added to one running tally. Cells that no history reaches run no
+    expression, so a level whose code object is the previous level's, over
+    equal parents with the same cells at count 0, reuses the previous level's
+    groups, read and work, whose widths have passed their checks. A level's
+    code is generated once per shape: its bound and slots read back from the
+    level (_back), its lower bound, and the level number where the program
+    reads Level. A level of more cells than engine._MAX_WIDTH is refused
+    before its counts are built, and a level whose child states are found one
+    by one past that many.
     """
     engine.validate(program)  # through the module, as the engine's own callers see it
     const = _lit_body(program)
@@ -154,8 +143,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
     live: List[int] = []
     made: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by bound object and slots
     shaped: Dict[tuple, Tuple[str, Callable, Optional[Callable]]] = {}  # by level-relative shape
-    sums: List[int] = []
-    loops = cells = 0
+    sums = loops = cells = 0  # the sums' additions, the walk's loops and the cells found
     step: tuple = ()  # the previous level's code, parents and their counts, and what it found
     for k, spec in enumerate(program.levels, 1):
         live = [j for j in live if last.get(j, 0) > k] + [k] * (last.get(k, 0) > k)
@@ -186,7 +174,7 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
         opened = sum(compress(counts, map(gt, b, a) if how == "range" else b if how == "one" else a))
         counts = _spread(read, counts, width)
         through = sum(counts)
-        sums.append(through - opened)
+        sums += through - opened
         labels = (*older, *[label for label, moved in zip((k, "s", "p"), moves) if moved])
         dense = how == "range"
         cells += work
@@ -194,7 +182,17 @@ def forward(program: SummationProgram, routed: bool = False) -> Optional[Plan]:
             loops += through
         if routed and engine._walks(cells, loops):
             return None
-    return Plan(program, labels, dense, groups, counts, sums, loops, cells)
+
+    def dot(expr: Expr) -> int:  # the innermost counts dotted with a row of expr, refused where negative
+        gen = _Gen(params, labels, dense, program.depth + 1)
+        row = gen.row(f"(w if (w := {gen.emit(expr)}) >= 0 else _negative(w))", "0")
+        total = 0
+        for o, base, width, off in groups:
+            cnt = counts[off:off + width]
+            total += sum(map(mul, row(o, base, cnt), cnt))
+        return total
+
+    return _tally(program.body, sum(counts), sums, dot)
 
 
 def _back(at: Any, k: int) -> Any:
@@ -293,37 +291,3 @@ def _each(k: int, groups: List[Group], counts: List[int], row: Callable, lower: 
             kids.append([(index.setdefault(child, len(index)), m) for child, m in tally.items()])
     return [(child, 0, 1, j) for child, j in index.items()], ("kids", kids, None), len(index), len(index) + edges
 
-
-def counts(plan: Plan) -> EvalReport:
-    """The tallies (value, additions, leaves) read off the innermost states' counts of histories.
-
-    The body reads only the innermost state, so the leaves are the sum of
-    the counts, and the value and the body's additions the counts dotted with
-    a row of the body and of its additions_expr, each a product with the
-    leaves where it is a Lit (a negative Lit body is refused by forward). The
-    sums' additions are forward's, per level.
-    """
-    program, groups, weights = plan.program, plan.groups, plan.counts
-    leaves = sum(weights)
-
-    def tally(expr: Expr, negative: bool) -> int:
-        if type(expr) is Lit:
-            return expr.value * leaves
-        gen = _Gen(program.params, plan.labels, plan.dense, program.depth + 1)
-        text = gen.emit(expr)
-        row = gen.row(f"(w if (w := {text}) >= 0 else _negative(w))" if negative else text, "0")
-        total = 0
-        for o, base, width, off in groups:
-            cnt = weights[off:off + width]
-            total += sum(map(mul, row(o, base, cnt), cnt))
-        return total
-
-    value = tally(program.body, True)
-    return EvalReport(value, sum(plan.sums) + tally(additions_expr(program.body), False), leaves)
-
-
-def counted_tables(program: SummationProgram, routed: bool = False) -> Optional[EvalReport]:
-    """evaluate_counting(program) by the state tables, with their errors; routed, None, for the
-    walk, where the forward pass stops early."""
-    plan = forward(program, routed)
-    return None if plan is None else counts(plan)

@@ -123,10 +123,10 @@ def test_eval_count_adds_memoized_refuses_a_non_markov_preset_with_the_memos_tex
     # the state tables count a137273 through evaluate_counting, but --memoized runs the Markov tables alone
     from moessner import states
 
-    def tables(program):
+    def tables(program, routed=False):
         raise AssertionError("the state tables ran")
 
-    monkeypatch.setattr(states, "forward", tables)
+    monkeypatch.setattr(states, "counted_tables", tables)
     code, out, err = run_cli(capsys, "eval", "--preset", "a137273", "--params", "n=12", "--memoized", "--count-adds")
     assert (code, out) == (2, "")
     assert err == (

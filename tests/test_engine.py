@@ -461,8 +461,9 @@ def test_each_expression_is_walked_once(monkeypatch):
     assert len(walks) == 3
 
 
-def _reference_summary(program):
-    """The analysis one level at a time: every expression walked at its own level, by role."""
+def _reference_summary(program, keep_last_read=False):
+    """The analysis one level at a time: every expression walked at its own level, by role; last_read
+    None for a Markov program, unless kept."""
     params, reads_table, reads_level, markov, sum_to, prod_to, last_read = set(), False, False, True, 0, 0, {}
     roles = [(k, f"level {k} bound", spec.bound) for k, spec in enumerate(program.levels, start=1)]
     for level, role, expr in roles + [(program.depth + 1, "body", program.body)]:
@@ -476,7 +477,7 @@ def _reference_summary(program):
         if refs["prev"]:
             last_read[level - 1] = level
     return engine._Summary(frozenset(params), reads_table, reads_level, markov, (sum_to, prod_to),
-                           None if markov else last_read)
+                           None if markov and not keep_last_read else last_read)
 
 
 # Module-level objects, so a draw can share one bound over a run of levels, in several runs,
@@ -1272,6 +1273,28 @@ def test_counted_tables_match_the_reference_on_presets(name, params):
         assert engine._counted_tables(prog) == reference_counting(prog)
 
 
+@pytest.mark.parametrize("name,params", [("long2", {"x": 3, "n": 3, "a": 1, "d": 3}), ("another_round", {"x": 3, "n": 3})],
+                         ids=["long2", "another_round"])
+def test_a_constant_cost_builds_no_report_row(monkeypatch, name, params):
+    # long2's IfZero body costs Lit(0), another_round's Add body Lit(1): c per leaf, so the body's
+    # row is the one report row (a row with lower None)
+    prog = build(name, params)
+    assert type(expr_module.additions_expr(prog.body)) is Lit
+    rows = []
+    monkeypatch.setattr(engine, "_row", lambda params, expr, k, lower, _row=engine._row:
+                        rows.append((expr, lower)) or _row(params, expr, k, lower))
+    assert engine._counted_tables(prog) == reference_counting(prog)
+    assert [expr for expr, lower in rows if lower is None] == [prog.body]
+
+
+def test_state_tables_build_no_row_for_a_constant_cost(monkeypatch):
+    # _low_sharing's closure body Add(Prev(), Hist(2)) costs Lit(1): one _Gen, for the body's row
+    prog = _low_sharing(5)
+    built = _generated_levels(monkeypatch)
+    assert states.counted_tables(prog) == reference_counting(prog)
+    assert built.count(prog.depth + 1) == 1
+
+
 def _refusing_tables(program):
     raise AssertionError("the tables ran")
 
@@ -1510,17 +1533,29 @@ def test_state_tables_match_the_reference_on_lit_bodies(prog):
         assert not isinstance(got, EvalReport)
 
 
+@given(st.builds(lambda prog, c: prog if c is None else SummationProgram(prog.depth, prog.levels, Lit(c), prog.params),
+                 _programs(), st.none() | st.integers(0, 3)).filter(is_markov))
+@settings(max_examples=300, deadline=None)
+def test_state_tables_count_markov_programs_as_the_markov_tables_do(prog):
+    # a Markov program is the state tables' case of one live index: a twin whose analysis keeps the
+    # last_read that a Markov program's drops gets the Markov tables' report, or both raise
+    twin = SummationProgram(prog.depth, prog.levels, prog.body, prog.params)
+    object.__setattr__(twin, "_analysis", _reference_summary(prog, keep_last_read=True))
+    want, got = _outcome(engine._counted_tables, prog), _outcome(states.counted_tables, twin)
+    assert got == want or not isinstance(got, EvalReport) and not isinstance(want, EvalReport)
+
+
 def test_lit_body_counts_generate_no_row_after_the_forward_pass(monkeypatch):
     # a Lit body c is c times the leaves, the sums of the innermost counts; the additions are the
     # forward pass's tally, empty sums included (level 3 of the last program is empty under i2 = 0)
     empty = SummationProgram(3, (LevelSpec(0, Lit(3)), LevelSpec(0, SumHist()), LevelSpec(1, Prev())), Lit(3))
     programs = [build("a137273", {"n": 9}), build("a125860", {"x": 1, "n": 5}), build("positive_integers", {"n": 20}),
                 SummationProgram(3, _low_sharing(6).levels, Lit(2)), empty]
+    built = _generated_levels(monkeypatch)
     for prog in programs:
-        plan = states.forward(prog)
-        with monkeypatch.context() as patched:
-            patched.setattr(states._Gen, "row", lambda *args: pytest.fail("a row was generated"))
-            assert states.counts(plan) == reference_counting(prog)
+        built.clear()
+        assert states.counted_tables(prog) == reference_counting(prog)
+        assert built and prog.depth + 1 not in built
 
 
 @pytest.mark.parametrize("name,params", [(n, p) for n, p in PRESET_SAMPLES if not is_markov(build(n, p))],
@@ -1530,8 +1565,25 @@ def test_state_tables_match_the_reference_on_presets(name, params):
     assert states.counted_tables(prog) == reference_counting(prog)
 
 
-def _refusing_state_tables(plan):
+def _refusing_state_tables(*args, **kwargs):
     raise AssertionError("the state tables ran")
+
+
+def _generated_levels(monkeypatch):
+    """The level of each states._Gen built, the body's rows at depth + 1."""
+    built = []
+    monkeypatch.setattr(states, "_Gen", lambda *args, _gen=states._Gen: built.append(args[-1]) or _gen(*args))
+    return built
+
+
+def _weighed(monkeypatch, prog):
+    """The state tables' report and the (cells, loops) of each level of their pass, read from
+    engine._walks, which keeps no level for the walk."""
+    weighed = []
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "_walks", lambda cells, loops: weighed.append((cells, loops)) or False)
+        report = states.counted_tables(prog, routed=True)
+    return report, weighed
 
 
 def _low_sharing(w):
@@ -1547,15 +1599,17 @@ def test_completed_forward_passes_count_by_the_tables(monkeypatch):
     # moessner's bounds with the body SumHist: the state is (i_k, the running sum), and few repeat
     running = SummationProgram(4, (LevelSpec(0, Param("x")), *[LevelSpec(0, Prev())] * 3), SumHist(), {"x": 3})
     for prog in (_low_sharing(5), running, build("a125860", {"x": 0, "n": 9})):
-        plan = states.forward(prog)
-        assert plan.loops <= engine._LOOPS_PER_CELL * plan.cells
-        assert evaluate_counting(prog) == reference_counting(prog)
+        report, weighed = _weighed(monkeypatch, prog)
+        cells, loops = weighed[-1]
+        assert loops <= engine._LOOPS_PER_CELL * cells
+        assert evaluate_counting(prog) == reference_counting(prog) == report
     # where the parents share much: i1 in 0..30, then three levels bounded by i1
     shared = SummationProgram(4, (LevelSpec(0, Lit(30)), *[LevelSpec(0, Hist(1))] * 3), Add(Prev(), Hist(1)))
     for prog in (shared, build("a137273", {"n": 11}), build("positive_integers", {"n": 200})):
-        plan = states.forward(prog)
-        assert plan.loops > engine._LOOPS_PER_CELL * plan.cells
-        assert evaluate_counting(prog) == reference_counting(prog)
+        report, weighed = _weighed(monkeypatch, prog)
+        cells, loops = weighed[-1]
+        assert loops > engine._LOOPS_PER_CELL * cells
+        assert evaluate_counting(prog) == reference_counting(prog) == report
 
 
 def test_low_sharing_programs_stop_the_forward_pass_early(monkeypatch):
@@ -1564,17 +1618,19 @@ def test_low_sharing_programs_stop_the_forward_pass_early(monkeypatch):
     levels = []
     monkeypatch.setattr(states, "_windows", lambda k, *args, _w=states._windows: levels.append(k) or _w(k, *args))
     prog = _low_sharing(60)
-    assert states.forward(prog).cells > engine._PLANNED
+    report, weighed = _weighed(monkeypatch, prog)
+    cells, loops = weighed[-1]
+    assert cells > engine._PLANNED and report == reference_counting(prog)
     assert levels == [1, 2, 3]
     levels.clear()
-    assert states.forward(prog, routed=True) is None
+    assert states.counted_tables(prog, routed=True) is None
     assert levels == [1, 2]
     assert evaluate_counting(prog) == reference_counting(prog)
 
 
 def test_shallow_non_markov_programs_never_plan(monkeypatch):
     # depth 1, or depth 2 with a Lit body: the walk opens at most one loop
-    monkeypatch.setattr(states, "forward", _refusing_state_tables)
+    monkeypatch.setattr(states, "counted_tables", _refusing_state_tables)
     for prog in (
         SummationProgram(1, (LevelSpec(0, Lit(5)),), SumHist()),
         SummationProgram(2, (LevelSpec(0, Lit(5)), LevelSpec(0, SumHist())), Lit(3)),
@@ -1768,6 +1824,13 @@ def _level_steps(monkeypatch, apart=False):
     return computed
 
 
+def _spread_counts(monkeypatch):
+    """Each level's counts of histories, as states._spread returns them, outermost first."""
+    spread = []
+    monkeypatch.setattr(states, "_spread", lambda *args, _spread=states._spread: spread.append(_spread(*args)) or spread[-1])
+    return spread
+
+
 _REUSE_POINTS = [("positive_integers", {"n": 200}), ("a137273", {"n": 12}), ("a125860", {"x": 1, "n": 8})]
 
 
@@ -1795,25 +1858,31 @@ def test_state_tables_reuse_no_step_over_other_reached_parents(monkeypatch):
     levels = (LevelSpec(0, Lit(3)), LevelSpec(1, IfZero(Mul(SumHist(), Sub(SumHist(), Lit(3))), Lit(1), Lit(0))),
               LevelSpec(0, spread), LevelSpec(0, spread))
     prog = SummationProgram(4, levels, SumHist())
-    computed = _level_steps(monkeypatch)
-    plan = states.forward(prog)
+    computed, spread = _level_steps(monkeypatch), _spread_counts(monkeypatch)
+    assert states.counted_tables(prog) == reference_counting(prog)
     assert [args[1] for args in computed[2:]] == [[((), 1, 4, 0)]] * 2
     assert [args[2] for args in computed[2:]] == [[1, 0, 0, 1], [1, 1, 1, 2]]
-    assert plan.counts == [1, 2, 2, 3]
-    assert states.counted_tables(prog) == reference_counting(prog)
+    assert spread[1:] == [[1, 0, 0, 1], [1, 1, 1, 2], [1, 2, 2, 3]]
 
 
 def test_reused_steps_plan_as_a_step_per_level(monkeypatch):
+    # the run that reuses steps against the run that computes every level's step apart
     for name, params in _REUSE_POINTS:
         prog = build(name, params)
-        with monkeypatch.context() as patched:
-            computed = _level_steps(patched, apart=True)
-            each = states.forward(prog)
-            assert len(computed) == prog.depth
-        plan = states.forward(prog)
-        assert plan.groups == list(each.groups) and plan.counts == each.counts
-        assert (plan.loops, plan.cells) == (each.loops, each.cells)
-        assert plan.sums == each.sums  # a reused level tallies its own opened sums
+        runs = []
+        for apart in (True, False):
+            with monkeypatch.context() as patched:
+                computed, spread = _level_steps(patched, apart), _spread_counts(patched)
+                report, weighed = _weighed(patched, prog)
+            parents = [(list(args[1]), args[2]) if type(args[0]) is int else (list(args[0]), args[1]) for args in computed]
+            runs.append((parents, spread, weighed, report))
+        (each, each_spread, each_weighed, each_report), (parents, spread, weighed, report) = runs
+        assert len(each) == prog.depth and len(spread) == prog.depth
+        steps = iter(each)
+        assert all(level in steps for level in parents)  # each computed step is over its level's parents
+        assert spread == each_spread  # every level's counts, the innermost included
+        assert weighed == each_weighed  # the cells and the walk's loops, level by level
+        assert report == each_report  # a reused level tallies its own opened sums
 
 
 # Later levels that share one bound object, with few states: from some level on, a level runs the
